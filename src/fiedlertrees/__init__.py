@@ -30,7 +30,6 @@ from .enumeration import (
     rooted_canonical_key,
     rooted_code,
     tree_from_code,
-    unrank_prufer,
 )
 from .spectral import (
     ConvergenceError,

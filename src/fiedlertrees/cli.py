@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .nodal import analyze, analysis_to_json, check_monotone_paths, geometric_split
@@ -76,13 +75,6 @@ def _parse_seq(text: str) -> tuple[int, ...]:
     if not validate_tree_sequence(seq):
         raise ValueError(f"{text!r} is not a valid tree sequence")
     return seq
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("FIEDLER_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _cmd_alpha(args) -> int:
@@ -154,7 +146,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_min_tree(args) -> int:
     seq = _parse_seq(args.seq)
-    report = min_alpha_tree(seq, jobs=args.jobs, cap=args.cap)
+    report = min_alpha_tree(seq, cap=args.cap)
     _emit_json(report.to_json(), args.out)
     return EXIT_OK
 
@@ -243,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("min-tree", help="alpha minimizers over all trees")
     p.add_argument("--seq", required=True, help="degree sequence, e.g. 3,2,2,2,1,1,1")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     add_out(p)
     p.set_defaults(func=_cmd_min_tree)
@@ -262,8 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="CSV of spine arrangements and partitions")
     p.add_argument("--seq", required=True)
-    p.add_argument("--rng-seed", type=int, default=0, dest="rng_seed",
-                   help="accepted for interface symmetry; exploration is deterministic")
     add_out(p)
     p.set_defaults(func=_cmd_explore)
 

@@ -5,12 +5,9 @@ The labeled substrate is the Prufer correspondence: fixing the degree
 assignment "vertex i has degree d_i" (degrees sorted non-increasing),
 the labeled trees realizing it are exactly the decodings of the
 multiset permutations of the word in which vertex i appears d_i - 1
-times.  Decoding every permutation and deduplicating by a canonical
-code yields each unlabeled tree exactly once.
-
-The rank space of the multiset permutations is addressable: ranks can
-be split into disjoint ranges and processed independently, with the
-caller merging the per-range code sets.
+times.  The permutations are streamed in lexicographic order; decoding
+every one and deduplicating by a canonical code yields each unlabeled
+tree exactly once.
 """
 
 from __future__ import annotations
@@ -56,42 +53,49 @@ def prufer_count(seq: Sequence[int]) -> int:
     return total
 
 
-def _word_counts(seq_desc: Sequence[int]) -> dict[int, int]:
-    """Symbol multiplicities of the Prufer word for the sorted assignment."""
-    return {i: d - 1 for i, d in enumerate(seq_desc) if d >= 2}
-
-
-def unrank_prufer(seq: Sequence[int], rank: int) -> tuple[int, ...]:
-    """The rank-th multiset permutation, in lexicographic order, of the
-    Prufer word where vertex i (degrees sorted non-increasing) appears
-    d_i - 1 times."""
-    seq_desc = tuple(sorted(seq, reverse=True))
-    counts = _word_counts(seq_desc)
-    length = sum(counts.values())
-    total = prufer_count(seq_desc)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} out of range [0, {total})")
-    word = []
-    symbols = sorted(counts)
-    for _ in range(length):
-        for s in symbols:
-            c = counts[s]
-            if c == 0:
-                continue
-            # permutations that start with s; exact integer division
-            t = total * c // length
-            if rank < t:
-                word.append(s)
-                counts[s] = c - 1
-                total = t
-                length -= 1
-                break
-            rank -= t
-    return tuple(word)
+def _multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every distinct permutation of items, in lexicographic order."""
+    a = sorted(items)
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        # next permutation: bump the rightmost ascent, then reverse the tail
+        j = last - 1
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = last
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = a[:j:-1]
 
 
 # ---------------------------------------------------------------------------
 # canonical codes (rooted subtree sorting)
+
+
+def _subtree_codes(t: Tree, root: int) -> list[str]:
+    """Code of every vertex's subtree, with t rooted at root: the sorted
+    child codes concatenated inside parentheses.  Built bottom-up over a
+    BFS order, so deep trees need no recursion."""
+    parent = [-1] * t.n
+    order = [root]
+    for v in order:
+        for u, _ in t.neighbors(v):
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    children: list[list[str]] = [[] for _ in range(t.n)]
+    codes = [""] * t.n
+    for v in reversed(order):
+        subs = children[v]
+        subs.sort()
+        codes[v] = "(" + "".join(subs) + ")"
+        if v != root:
+            children[parent[v]].append(codes[v])
+    return codes
 
 
 def rooted_code(t: Tree, root: int) -> str:
@@ -101,12 +105,7 @@ def rooted_code(t: Tree, root: int) -> str:
     are required so codes never silently conflate weighted trees."""
     if not t.has_unit_weights():
         raise ValueError("canonical codes are defined for unit-weight trees")
-
-    def code(v: int, parent: int) -> str:
-        subs = sorted(code(u, v) for u, _ in t.neighbors(v) if u != parent)
-        return "(" + "".join(subs) + ")"
-
-    return code(root, -1)
+    return _subtree_codes(t, root)[root]
 
 
 def _centers(t: Tree) -> list[int]:
@@ -144,27 +143,26 @@ def tree_from_code(code: str) -> Tree:
     labeling depends only on the code.  The code's root becomes vertex 0.
     """
     edges = []
-    next_id = 0
-
-    def parse(i: int, parent: int) -> int:
-        nonlocal next_id
-        if code[i] != "(":
+    open_ids: list[int] = []
+    n = 0
+    for i, ch in enumerate(code):
+        if not open_ids:
+            if n:
+                raise ValueError("trailing characters after code")
+            if ch != "(":
+                raise ValueError(f"malformed code at position {i}")
+        if ch == "(":
+            if open_ids:
+                edges.append((open_ids[-1], n))
+            open_ids.append(n)
+            n += 1
+        elif ch == ")":
+            open_ids.pop()
+        else:
             raise ValueError(f"malformed code at position {i}")
-        my = next_id
-        next_id += 1
-        if parent >= 0:
-            edges.append((parent, my))
-        i += 1
-        while i < len(code) and code[i] == "(":
-            i = parse(i, my)
-        if i >= len(code) or code[i] != ")":
-            raise ValueError(f"malformed code at position {i}")
-        return i + 1
-
-    end = parse(0, -1)
-    if end != len(code):
-        raise ValueError("trailing characters after code")
-    return Tree(next_id, edges)
+    if open_ids or not n:
+        raise ValueError(f"malformed code at position {len(code)}")
+    return Tree(n, edges)
 
 
 def _root_child_codes(code: str) -> list[str]:
@@ -185,24 +183,17 @@ def _root_child_codes(code: str) -> list[str]:
 # unlabeled enumeration
 
 
-def canonical_tree_codes(seq: Sequence[int], lo: int = 0, hi: int | None = None) -> set[str]:
-    """Canonical codes of the trees decoded from Prufer ranks [lo, hi).
-
-    The union over a partition of [0, prufer_count(seq)) is the full set of
-    unlabeled trees with degree multiset seq.
-    """
+def canonical_tree_codes(seq: Sequence[int]) -> set[str]:
+    """Canonical codes of every unlabeled tree with degree multiset seq,
+    from decoding each Prufer word of the sorted degree assignment."""
     seq_desc = tuple(sorted(seq, reverse=True))
-    total = prufer_count(seq_desc)
-    if hi is None:
-        hi = total
-    if not 0 <= lo <= hi <= total:
-        raise ValueError(f"bad rank range [{lo}, {hi}) for total {total}")
+    if not validate_tree_sequence(seq_desc):
+        raise ValueError(f"invalid tree sequence {seq_desc}")
     n = len(seq_desc)
-    codes = set()
-    for rank in range(lo, hi):
-        word = unrank_prufer(seq_desc, rank)
-        codes.add(canonical_code(prufer_decode(word, n)))
-    return codes
+    word = [i for i, d in enumerate(seq_desc) for _ in range(d - 1)]
+    return {
+        canonical_code(prufer_decode(w, n)) for w in _multiset_permutations(word)
+    }
 
 
 def enumerate_trees(seq: Sequence[int]) -> Iterator[Tree]:
@@ -225,17 +216,10 @@ def rooted_canonical_key(rbt: RootedBoundaryTree) -> tuple[str, str] | str:
     """
     t = rbt.tree
     unit = Tree(t.n, [(u, v) for u, v, _ in t.edges])
-    rcode = rooted_code(unit, rbt.root)
+    codes = _subtree_codes(unit, rbt.root)
     if rbt.boundary_weight == 1.0:
-        return rcode
-
-    def subtree_code(v: int, parent: int) -> str:
-        subs = sorted(
-            subtree_code(u, v) for u, _ in unit.neighbors(v) if u != parent
-        )
-        return "(" + "".join(subs) + ")"
-
-    return rcode, subtree_code(rbt.boundary_neighbor, rbt.root)
+        return codes[rbt.root]
+    return codes[rbt.root], codes[rbt.boundary_neighbor]
 
 
 def _rooted_tree_from_key(key, boundary_weight: float) -> RootedBoundaryTree:

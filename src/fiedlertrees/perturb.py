@@ -23,6 +23,7 @@ from .trees import (
     Tree,
     distances_from,
     is_caterpillar,
+    spine_path,
     trunk,
     validate_tree_sequence,
 )
@@ -233,28 +234,6 @@ def build_monotone_rooted_caterpillar(
     return RootedBoundaryTree(tree, 0, boundary_neighbor)
 
 
-def _spine_path(t: Tree) -> list[int]:
-    """Non-pendant vertices of a caterpillar ordered along their induced
-    path (empty when there are fewer than two)."""
-    spine = [v for v in range(t.n) if t.degree(v) >= 2]
-    if len(spine) <= 1:
-        return spine
-    keep = set(spine)
-    induced_deg = {
-        v: sum(1 for u, _ in t.neighbors(v) if u in keep) for v in spine
-    }
-    ends = sorted(v for v in spine if induced_deg[v] <= 1)
-    order = [ends[0]]
-    prev = -1
-    while len(order) < len(spine):
-        nxt = next(
-            u for u, _ in t.neighbors(order[-1]) if u in keep and u != prev
-        )
-        prev = order[-1]
-        order.append(nxt)
-    return order
-
-
 def is_minimal_shape_rooted(rbt: RootedBoundaryTree) -> bool:
     """Shape of the Dirichlet-eigenvalue minimizers among all rooted trees
     with a given degree multiset.
@@ -268,12 +247,10 @@ def is_minimal_shape_rooted(rbt: RootedBoundaryTree) -> bool:
     t = rbt.tree
     if t.n == 2:
         return True
-    if not is_caterpillar(t):
-        return False
-    if not t.is_pendant(rbt.root):
+    spine = spine_path(t)
+    if spine is None or not t.is_pendant(rbt.root):
         return False
     neighbor = t.neighbors(rbt.root)[0][0]
-    spine = _spine_path(t)
     if not spine:
         return True
     if neighbor not in (spine[0], spine[-1]):

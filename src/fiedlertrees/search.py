@@ -3,8 +3,7 @@ suites for the structural properties, and the degree-partition explorer.
 
 Searches are exact: every candidate in the class is enumerated and
 solved.  Minimizer values are computed from each tree's canonical
-labeling, so reports are identical whether the Prufer rank space is
-scanned serially or split across a worker pool and merged.
+labeling, so reports do not depend on the order of enumeration.
 """
 
 from __future__ import annotations
@@ -12,11 +11,11 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .enumeration import (
+    _multiset_permutations,
     canonical_code,
     canonical_tree_codes,
     enumerate_rooted_trees,
@@ -42,6 +41,7 @@ from .trees import (
     distances_from,
     is_caterpillar,
     path_tree,
+    spine_path,
     trunk,
     validate_tree_sequence,
     with_boundary_weight,
@@ -125,17 +125,7 @@ def _tied(value: float, minimum: float) -> bool:
     return value <= minimum + TIE_RTOL * abs(minimum)
 
 
-def _alpha_chunk(args: tuple[tuple[int, ...], int, int]) -> dict[str, float]:
-    seq, lo, hi = args
-    return {
-        code: algebraic_connectivity(tree_from_code(code))[0]
-        for code in canonical_tree_codes(seq, lo, hi)
-    }
-
-
-def min_alpha_tree(
-    seq: Sequence[int], *, jobs: int = 1, cap: int = DEFAULT_CAP
-) -> SearchReport:
+def min_alpha_tree(seq: Sequence[int], *, cap: int = DEFAULT_CAP) -> SearchReport:
     """Exact argmin set of the algebraic connectivity over all unlabeled
     trees with the given degree multiset.
 
@@ -150,17 +140,10 @@ def min_alpha_tree(
             f"{total} labeled decodings exceed the cap {cap}; "
             "use the caterpillar-restricted search (min_alpha_caterpillar)"
         )
-    if jobs > 1 and total > 1:
-        step = math.ceil(total / jobs)
-        chunks = [
-            (seq, lo, min(lo + step, total)) for lo in range(0, total, step)
-        ]
-        values: dict[str, float] = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_alpha_chunk, chunks):
-                values.update(part)
-    else:
-        values = _alpha_chunk((seq, 0, total))
+    values = {
+        code: algebraic_connectivity(tree_from_code(code))[0]
+        for code in canonical_tree_codes(seq)
+    }
     minimum = min(values.values())
     minimizers = []
     for code in sorted(c for c, v in values.items() if _tied(v, minimum)):
@@ -185,29 +168,6 @@ def min_alpha_tree(
         all_caterpillars=all(m["is_caterpillar"] for m in minimizers),
         all_theorem1_shape=all(m["is_theorem1_shape"] for m in minimizers),
     )
-
-
-def _multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    counts: dict[int, int] = {}
-    for x in items:
-        counts[x] = counts.get(x, 0) + 1
-    symbols = sorted(counts)
-    length = len(items)
-    current: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(current) == length:
-            yield tuple(current)
-            return
-        for s in symbols:
-            if counts[s] > 0:
-                counts[s] -= 1
-                current.append(s)
-                yield from rec()
-                current.pop()
-                counts[s] += 1
-
-    yield from rec()
 
 
 def spine_arrangements(interior: Sequence[int]) -> list[tuple[int, ...]]:
@@ -421,22 +381,10 @@ def random_rooted_caterpillar(rng: random.Random) -> RootedBoundaryTree:
     spine = [rng.randint(2, 4) for _ in range(m)]
     t = build_caterpillar(spine)
     candidates = [v for v in range(t.n) if t.is_pendant(v)]
-    ends = _ends_of_spine(t)
-    candidates.extend(ends)
+    path = spine_path(t)
+    candidates.extend(path[:1] + path[-1:])  # the ends of the spine
     root = rng.choice(sorted(set(candidates)))
     return with_boundary_weight(t, root, 1.0)
-
-
-def _ends_of_spine(t: Tree) -> list[int]:
-    spine = [v for v in range(t.n) if t.degree(v) >= 2]
-    if len(spine) <= 1:
-        return spine
-    keep = set(spine)
-    return [
-        v
-        for v in spine
-        if sum(1 for u, _ in t.neighbors(v) if u in keep) <= 1
-    ]
 
 
 def _legal_p1_moves(rbt: RootedBoundaryTree) -> list[tuple[int, int, int]]:

@@ -2,8 +2,8 @@
 boundary trees.
 
 Vertices are 0-based contiguous integers.  Every structure is immutable
-after construction, so instances can be shared freely across worker
-processes.  Edge weights are strictly positive reals and default to 1.
+after construction, so instances can be shared freely.  Edge weights are
+strictly positive reals and default to 1.
 """
 
 from __future__ import annotations
@@ -226,19 +226,32 @@ def star_tree(n: int) -> Tree:
     return Tree(n, [(0, i) for i in range(1, n)])
 
 
+def spine_path(t: Tree) -> list[int] | None:
+    """Non-pendant vertices of t in path order, starting at the end with
+    the smaller id, or None when t is not a caterpillar (they do not form
+    a path).  Fewer than two non-pendant vertices are returned as is."""
+    spine = [v for v in range(t.n) if t.degree(v) >= 2]
+    if len(spine) <= 1:
+        return spine
+    keep = set(spine)
+    inner = {v: [u for u, _ in t.neighbors(v) if u in keep] for v in spine}
+    # the non-pendant vertices of a tree always induce a subtree, so a
+    # path is equivalent to induced degree <= 2 everywhere
+    if any(len(us) > 2 for us in inner.values()):
+        return None
+    order = [min(v for v in spine if len(inner[v]) == 1)]
+    prev = -1
+    while len(order) < len(spine):
+        nxt = next(u for u in inner[order[-1]] if u != prev)
+        prev = order[-1]
+        order.append(nxt)
+    return order
+
+
 def is_caterpillar(t: Tree) -> bool:
     """True iff deleting all pendant vertices leaves a path (possibly
     empty or a single vertex)."""
-    spine = [v for v in range(t.n) if t.degree(v) >= 2]
-    if len(spine) <= 1:
-        return True
-    keep = set(spine)
-    # the non-pendant vertices of a tree always induce a subtree, so a
-    # path is equivalent to induced degree <= 2 everywhere
-    for v in spine:
-        if sum(1 for u, _ in t.neighbors(v) if u in keep) > 2:
-            return False
-    return True
+    return spine_path(t) is not None
 
 
 def build_caterpillar(spine_degrees: Sequence[int]) -> Tree:
@@ -370,14 +383,20 @@ def with_boundary_weight(t: Tree, root: int, boundary_weight: float) -> RootedBo
         raise ValueError(f"root {root} out of range")
     if not t.has_unit_weights():
         raise ValueError("expected a unit-weight tree")
-    dist = distances_from(t, root)
-    best_u = None
-    best_depth = -1
-    for u, _ in t.neighbors(root):
-        branch = next(b for b in branches_at(t, root, root) if u in b)
-        depth = max(dist[x] for x in branch)
-        if depth > best_depth:
-            best_u, best_depth = u, depth
+    # one BFS from the root, recording which root neighbor each vertex
+    # hangs from; the deepest branches are those of the last level
+    dist = [-1] * t.n
+    branch = [-1] * t.n
+    dist[root] = 0
+    order = [root]
+    for x in order:
+        for y, _ in t.neighbors(x):
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                branch[y] = y if x == root else branch[x]
+                order.append(y)
+    deepest = dist[order[-1]]
+    best_u = min((branch[x] for x in order[1:] if dist[x] == deepest), default=None)
     if boundary_weight == 1.0:
         return RootedBoundaryTree(t, root, best_u)
     edges = [

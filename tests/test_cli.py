@@ -152,17 +152,6 @@ def test_verify_failure_maps_to_exit_5(capsys, monkeypatch):
     assert main(["verify", "--suite", "glue"]) == 5
 
 
-def test_jobs_default_comes_from_environment(monkeypatch):
-    from fiedlertrees.cli import _default_jobs
-
-    monkeypatch.setenv("FIEDLER_JOBS", "4")
-    assert _default_jobs() == 4
-    monkeypatch.setenv("FIEDLER_JOBS", "bogus")
-    assert _default_jobs() == 1
-    monkeypatch.delenv("FIEDLER_JOBS")
-    assert _default_jobs() == 1
-
-
 def test_round_trip_through_edge_list(tmp_path, capsys):
     from fiedlertrees import format_edge_list
 

@@ -3,11 +3,14 @@
 import itertools
 import math
 import random
+import re
 
+import networkx as nx
 import pytest
 
 from fiedlertrees import (
     Tree,
+    build_caterpillar,
     canonical_code,
     degree_sequence,
     enumerate_rooted_trees,
@@ -19,9 +22,8 @@ from fiedlertrees import (
     rooted_code,
     star_tree,
     tree_from_code,
-    unrank_prufer,
 )
-from fiedlertrees.enumeration import canonical_tree_codes
+from fiedlertrees.enumeration import _multiset_permutations, canonical_tree_codes
 from fiedlertrees.search import all_tree_sequences
 
 from helpers import brute_force_isomorphic, spider, unlabeled_count_by_brute_force
@@ -41,17 +43,18 @@ def test_prufer_count_examples():
         prufer_count((2, 2, 2))
 
 
-def test_unrank_covers_all_words_once():
+def test_multiset_permutations_cover_all_words_once():
     for seq in [(2, 2, 1, 1), (3, 2, 2, 2, 1, 1, 1), (2, 2, 2, 2, 1, 1)]:
-        total = prufer_count(seq)
-        words = {unrank_prufer(seq, r) for r in range(total)}
-        assert len(words) == total
-        # every word realizes the fixed degree assignment
         seq_desc = tuple(sorted(seq, reverse=True))
-        for word in words:
-            t = prufer_decode(list(word), len(seq))
+        word = [i for i, d in enumerate(seq_desc) for _ in range(d - 1)]
+        words = list(_multiset_permutations(word))
+        assert len(set(words)) == len(words) == prufer_count(seq)
+        assert words == sorted(words)
+        # every word realizes the fixed degree assignment
+        for w in words:
+            t = prufer_decode(list(w), len(seq))
             assert t.degrees() == seq_desc
-        assert sorted(words) == [unrank_prufer(seq, r) for r in range(total)]
+    assert list(_multiset_permutations([])) == [()]
 
 
 def test_labeled_decode_count_matches_formula():
@@ -124,6 +127,32 @@ def test_codes_reject_weighted_trees():
         canonical_code(Tree(2, [(0, 1, 2.0)]))
 
 
+def test_codes_of_deep_trees_round_trip():
+    # rooted at an end, both trees are far deeper than the default
+    # recursion limit of 1,000 frames
+    for t in (path_tree(3000), build_caterpillar([3] * 1499)):
+        assert t.n == 3000
+        code = canonical_code(t)
+        back = tree_from_code(code)
+        assert back.n == t.n
+        assert canonical_code(back) == code
+        rcode = rooted_code(t, 0)
+        assert rooted_code(tree_from_code(rcode), 0) == rcode
+
+
+def test_tree_from_code_rejects_malformed():
+    for bad, message in [
+        ("", "malformed code at position 0"),
+        (")", "malformed code at position 0"),
+        ("(()", "malformed code at position 3"),
+        ("(x)", "malformed code at position 1"),
+        ("()()", "trailing characters after code"),
+        ("())", "trailing characters after code"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tree_from_code(bad)
+
+
 def test_enumerate_trees_examples():
     only = list(enumerate_trees((2, 2, 1, 1)))
     assert len(only) == 1
@@ -145,6 +174,18 @@ def test_enumerate_trees_counts_match_brute_force():
         oracle = unlabeled_count_by_brute_force(n)
         for seq in all_tree_sequences(n):
             assert len(list(enumerate_trees(seq))) == oracle[seq]
+
+
+def test_enumerate_trees_counts_match_networkx():
+    # independent oracle beyond brute-force reach: the WROM free-tree generator
+    for n in range(7, 10):
+        oracle: dict[tuple[int, ...], int] = {}
+        for g in nx.nonisomorphic_trees(n):
+            seq = tuple(sorted((d for _, d in g.degree()), reverse=True))
+            oracle[seq] = oracle.get(seq, 0) + 1
+        assert set(oracle) == set(all_tree_sequences(n))
+        for seq, count in oracle.items():
+            assert len(list(enumerate_trees(seq))) == count
 
 
 def test_enumerate_trees_yields_distinct_correct_trees():

@@ -1,5 +1,7 @@
 """Tree construction, degree sequences, caterpillars, and rooted structure."""
 
+import random
+
 import pytest
 
 from fiedlertrees import (
@@ -14,12 +16,13 @@ from fiedlertrees import (
     is_caterpillar,
     parse_edge_list,
     path_tree,
+    prufer_decode,
     star_tree,
     trunk,
     validate_tree_sequence,
     with_boundary_weight,
 )
-from fiedlertrees.trees import EdgeListParseError
+from fiedlertrees.trees import EdgeListParseError, distances_from, spine_path
 
 from helpers import spider
 
@@ -86,6 +89,17 @@ def test_build_caterpillar_examples():
     assert degree_sequence(build_caterpillar((3, 2, 2, 2))) == (3, 2, 2, 2, 1, 1, 1)
     assert degree_sequence(build_caterpillar((3, 3))) == (3, 3, 1, 1, 1, 1)
     assert build_caterpillar(()) == path_tree(2)
+
+
+def test_caterpillar_spine_order():
+    assert spine_path(path_tree(2)) == []
+    assert spine_path(star_tree(5)) == [0]
+    assert spine_path(path_tree(5)) == [1, 2, 3]
+    assert spine_path(spider(2, 2, 2)) is None
+    # spine 0-1-2 relabeled so the path runs 4-0-2, pendants 1, 3 and 5, 6
+    t = Tree(7, [(4, 0), (0, 2), (4, 1), (4, 3), (2, 5), (2, 6)])
+    assert spine_path(t) == [2, 0, 4]
+    assert spine_path(build_caterpillar((3, 2, 4))) == [0, 1, 2]
 
 
 def test_build_caterpillar_rejects_bad_spine():
@@ -188,6 +202,27 @@ def test_with_boundary_weight_places_weight_on_deep_side():
     assert rbt.tree.weight(0, 1) == 1.0
     with pytest.raises(ValueError):
         with_boundary_weight(path_tree(4), 1, 0.5)
+
+
+def test_with_boundary_weight_matches_branch_definition():
+    # the weighted edge leads into the deepest branch at the root, ties to
+    # the smallest neighbor id, with branches taken from branches_at
+    rng = random.Random(11)
+    trees = [star_tree(6), path_tree(7), spider(1, 3, 3, 2)]
+    for _ in range(40):
+        n = rng.randint(3, 30)
+        trees.append(prufer_decode([rng.randrange(n) for _ in range(n - 2)], n))
+    for t in trees:
+        for root in range(t.n):
+            dist = distances_from(t, root)
+            depth = {
+                min(b & {u for u, _ in t.neighbors(root)}): max(dist[x] for x in b)
+                for b in branches_at(t, root, root)
+            }
+            expected = min(depth, key=lambda u: (-depth[u], u))
+            rbt = with_boundary_weight(t, root, 1.5)
+            assert rbt.boundary_neighbor == expected
+            assert rbt.boundary_weight == 1.5
 
 
 def test_edge_list_round_trip():
