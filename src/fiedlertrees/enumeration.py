@@ -13,7 +13,7 @@ tree exactly once.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from math import factorial
 
 from .trees import RootedBoundaryTree, Tree, validate_tree_sequence
@@ -46,10 +46,16 @@ def prufer_count(seq: Sequence[int]) -> int:
     (n-2)! / prod (d_i - 1)!."""
     if not validate_tree_sequence(seq):
         raise ValueError(f"invalid tree sequence {tuple(seq)}")
-    n = len(seq)
-    total = factorial(n - 2)
-    for d in seq:
-        total //= factorial(d - 1)
+    return _permutation_count(d - 1 for d in seq)
+
+
+def _permutation_count(multiplicities: Iterable[int]) -> int:
+    """Number of distinct permutations of a multiset with the given
+    multiplicities, (sum m)! / prod m!."""
+    ms = list(multiplicities)
+    total = factorial(sum(ms))
+    for m in ms:
+        total //= factorial(m)
     return total
 
 
@@ -80,13 +86,7 @@ def _subtree_codes(t: Tree, root: int) -> list[str]:
     """Code of every vertex's subtree, with t rooted at root: the sorted
     child codes concatenated inside parentheses.  Built bottom-up over a
     BFS order, so deep trees need no recursion."""
-    parent = [-1] * t.n
-    order = [root]
-    for v in order:
-        for u, _ in t.neighbors(v):
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
+    order, parent = t.bfs(root)
     children: list[list[str]] = [[] for _ in range(t.n)]
     codes = [""] * t.n
     for v in reversed(order):
@@ -109,22 +109,16 @@ def rooted_code(t: Tree, root: int) -> str:
 
 
 def _centers(t: Tree) -> list[int]:
-    n = t.n
-    if n <= 2:
-        return list(range(n))
-    deg = list(t.degrees())
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for u, _ in t.neighbors(v):
-                deg[u] -= 1
-                if deg[u] == 1:
-                    nxt.append(u)
-        layer = nxt
-    return sorted(layer)
+    """The middle one or two vertices of a longest path, sorted.  A vertex
+    farthest from vertex 0 ends a longest path, and the vertex farthest
+    from it ends the same path."""
+    far = t.bfs(0)[0][-1]
+    order, parent = t.bfs(far)
+    path = [order[-1]]
+    while path[-1] != far:
+        path.append(parent[path[-1]])
+    half = len(path) // 2
+    return sorted(path[(len(path) - 1) // 2 : half + 1])
 
 
 def canonical_code(t: Tree) -> str:

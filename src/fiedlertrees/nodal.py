@@ -14,7 +14,6 @@ which separates symmetry-forced zeros from round-off at these scales.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,18 +124,11 @@ def characteristic_set(
 
 
 def _connected(t: Tree, vertices: frozenset[int]) -> bool:
-    if not vertices:
-        return False
-    start = min(vertices)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y, _ in t.neighbors(x):
-            if y in vertices and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen == vertices
+    """True iff vertices induce a subtree: a vertex set of a tree does
+    exactly when it spans one edge fewer than it has vertices (so the
+    empty set does not)."""
+    spanned = sum(1 for u, v, _ in t.edges if u in vertices and v in vertices)
+    return spanned == len(vertices) - 1
 
 
 def nodal_domains(

@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .enumeration import (
     _multiset_permutations,
+    _permutation_count,
     canonical_code,
     canonical_tree_codes,
     enumerate_rooted_trees,
@@ -180,13 +182,28 @@ def spine_arrangements(interior: Sequence[int]) -> list[tuple[int, ...]]:
     return seen
 
 
+def _capped_arrangements(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Spine arrangements of seq's non-pendant degrees.  Raises
+    EnumerationCapExceeded before the walk when they have more than
+    DEFAULT_CAP permutations."""
+    interior = [d for d in seq if d >= 2]
+    total = _permutation_count(Counter(interior).values())
+    if total > DEFAULT_CAP:
+        raise EnumerationCapExceeded(
+            f"{total} spine permutations exceed the cap {DEFAULT_CAP}"
+        )
+    return spine_arrangements(interior)
+
+
 def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
     """Argmin of the algebraic connectivity over all caterpillars with the
-    given degree multiset, enumerated as spine arrangements."""
+    given degree multiset, enumerated as spine arrangements.
+
+    Raises EnumerationCapExceeded when the spine degrees have more than
+    DEFAULT_CAP permutations."""
     start = time.perf_counter()
     seq = _require_sequence(seq)
-    interior = [d for d in seq if d >= 2]
-    arrangements = spine_arrangements(interior)
+    arrangements = _capped_arrangements(seq)
     values: list[tuple[tuple[int, ...], Tree, float]] = []
     for arr in arrangements:
         tree = build_caterpillar(arr)
@@ -274,12 +291,12 @@ def explore_partitions(seq: Sequence[int]) -> list[PartitionRow]:
     sides, ordered outward.  Rows are sorted by alpha ascending.
 
     The explorer presents the partitions as data only; no pattern is
-    assumed or checked.
+    assumed or checked.  Raises EnumerationCapExceeded when the spine
+    degrees have more than DEFAULT_CAP permutations.
     """
     seq = _require_sequence(seq)
-    interior = [d for d in seq if d >= 2]
     rows = []
-    for arr in spine_arrangements(interior):
+    for arr in _capped_arrangements(seq):
         tree = build_caterpillar(arr)
         analysis = analyze(tree)
         split = geometric_split(tree, analysis)
@@ -641,6 +658,10 @@ def verify_suite(
     machine-readable report.  Deterministic for fixed arguments."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
+    if nmax < 2:
+        raise ValueError(f"nmax must be >= 2, got {nmax}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
     checks = []
     for name in names:

@@ -9,12 +9,11 @@ index.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import RootedBoundaryTree, Tree
+from .trees import RootedBoundaryTree, Tree, branches_at
 
 #: residual certificate: ||M x - lambda x|| <= RESIDUAL_FACTOR * (1 + ||M||_inf)
 RESIDUAL_FACTOR = 1e-10
@@ -106,29 +105,6 @@ def algebraic_connectivity(t: Tree) -> tuple[float, np.ndarray]:
     return pair.value, pair.vector
 
 
-def _interior_components(rbt: RootedBoundaryTree) -> list[list[int]]:
-    """Connected components of the interior graph, each sorted, ordered by
-    smallest vertex id."""
-    t, root = rbt.tree, rbt.root
-    seen = {root}
-    comps = []
-    for s in range(t.n):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y, _ in t.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return sorted(comps, key=lambda c: c[0])
-
-
 def dirichlet_nu(rbt: RootedBoundaryTree) -> tuple[float, np.ndarray]:
     """Smallest Dirichlet eigenvalue and its eigenvector over the interior.
 
@@ -143,8 +119,8 @@ def dirichlet_nu(rbt: RootedBoundaryTree) -> tuple[float, np.ndarray]:
     best_value = None
     best_vector = None
     best_positions = None
-    for comp in _interior_components(rbt):
-        positions = [index[v] for v in comp]
+    for branch in branches_at(rbt.tree, rbt.root, rbt.root):
+        positions = [index[v] for v in sorted(branch)]
         pair = eig_smallest(matrix[np.ix_(positions, positions)], 1)[0]
         if best_value is None or pair.value < best_value:
             best_value = pair.value

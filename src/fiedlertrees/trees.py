@@ -8,7 +8,6 @@ strictly positive reals and default to 1.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Sequence
 
 
@@ -63,24 +62,30 @@ class Tree:
         for u, v, w in norm:
             adj[u].append((v, w))
             adj[v].append((u, w))
-        # connectivity (n-1 edges + connected <=> tree)
-        if n > 1:
-            visited = [False] * n
-            visited[0] = True
-            queue = deque([0])
-            count = 1
-            while queue:
-                x = queue.popleft()
-                for y, _ in adj[x]:
-                    if not visited[y]:
-                        visited[y] = True
-                        count += 1
-                        queue.append(y)
-            if count != n:
-                raise NotATreeError("edge set is not connected")
         self.n = n
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._edges = tuple(sorted(norm))
+        # n - 1 edges and connected <=> tree
+        if len(self.bfs(0)[0]) != n:
+            raise NotATreeError("edge set is not connected")
+
+    def bfs(self, src: int) -> tuple[list[int], list[int]]:
+        """Breadth-first order from src, neighbours visited by increasing
+        id, and each vertex's BFS parent (-1 for src and unreached ones).
+        Every traversal of the package reads its walk from these two."""
+        if not 0 <= src < self.n:
+            raise ValueError(f"vertex {src} out of range")
+        parent = [-1] * self.n
+        parent[src] = src
+        order = [src]
+        visit = order.append
+        for x in order:
+            for y, _ in self._adj[x]:
+                if parent[y] < 0:
+                    parent[y] = x
+                    visit(y)
+        parent[src] = -1
+        return order, parent
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -284,6 +289,20 @@ def build_caterpillar(spine_degrees: Sequence[int]) -> Tree:
 # structure around a root
 
 
+def _hang(t: Tree, src: int) -> tuple[list[int], list[int], list[int]]:
+    """BFS order from src, each vertex's depth, and the neighbour of src
+    each vertex hangs from (src itself for src)."""
+    order, parent = t.bfs(src)
+    depth = [0] * t.n
+    branch = list(range(t.n))
+    for v in order[1:]:
+        p = parent[v]
+        depth[v] = depth[p] + 1
+        if p != src:
+            branch[v] = branch[p]
+    return order, depth, branch
+
+
 def branches_at(t: Tree, root: int, u: int) -> tuple[frozenset[int], ...]:
     """Maximal subtrees of t minus u that do not contain the root.
 
@@ -293,54 +312,31 @@ def branches_at(t: Tree, root: int, u: int) -> tuple[frozenset[int], ...]:
     for x in (root, u):
         if not 0 <= x < t.n:
             raise ValueError(f"vertex {x} out of range")
-    visited = {u}
-    comps = []
-    for s in range(t.n):
-        if s in visited:
-            continue
-        comp = {s}
-        visited.add(s)
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y, _ in t.neighbors(x):
-                if y not in visited:
-                    visited.add(y)
-                    comp.add(y)
-                    queue.append(y)
-        comps.append(frozenset(comp))
+    order, _, branch = _hang(t, u)
+    groups: dict[int, list[int]] = {y: [] for y, _ in t.neighbors(u)}
+    for v in order[1:]:
+        groups[branch[v]].append(v)
     if u != root:
-        comps = [c for c in comps if root not in c]
-    return tuple(sorted(comps, key=min))
+        del groups[branch[root]]
+    return tuple(sorted(map(frozenset, groups.values()), key=min))
 
 
 def distances_from(t: Tree, src: int) -> list[int]:
     """Edge-count distance from src to every vertex."""
-    dist = [-1] * t.n
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y, _ in t.neighbors(x):
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+    return _hang(t, src)[1]
 
 
 def root_to_leaf_paths(t: Tree, root: int) -> list[tuple[int, ...]]:
     """All simple paths from root to a pendant vertex, in deterministic order."""
+    _, parent = t.bfs(root)
     paths = []
-    stack = [(root, -1, (root,))]
-    while stack:
-        v, parent, path = stack.pop()
-        extended = False
-        for u, _ in t.neighbors(v):
-            if u != parent:
-                stack.append((u, v, path + (u,)))
-                extended = True
-        if not extended and v != root:
-            paths.append(path)
+    for v in range(t.n):
+        if v != root and t.is_pendant(v):
+            path, x = [v], v
+            while x != root:
+                x = parent[x]
+                path.append(x)
+            paths.append(tuple(reversed(path)))
     return sorted(paths)
 
 
@@ -383,20 +379,10 @@ def with_boundary_weight(t: Tree, root: int, boundary_weight: float) -> RootedBo
         raise ValueError(f"root {root} out of range")
     if not t.has_unit_weights():
         raise ValueError("expected a unit-weight tree")
-    # one BFS from the root, recording which root neighbor each vertex
-    # hangs from; the deepest branches are those of the last level
-    dist = [-1] * t.n
-    branch = [-1] * t.n
-    dist[root] = 0
-    order = [root]
-    for x in order:
-        for y, _ in t.neighbors(x):
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                branch[y] = y if x == root else branch[x]
-                order.append(y)
-    deepest = dist[order[-1]]
-    best_u = min((branch[x] for x in order[1:] if dist[x] == deepest), default=None)
+    # the deepest branches are those of the last BFS level
+    order, depth, branch = _hang(t, root)
+    deepest = depth[order[-1]]
+    best_u = min((branch[x] for x in order[1:] if depth[x] == deepest), default=None)
     if boundary_weight == 1.0:
         return RootedBoundaryTree(t, root, best_u)
     edges = [

@@ -105,6 +105,16 @@ def test_min_tree_cap_exceeded(capsys):
     assert main(["min-tree", "--seq", "2,2,2,2,2,2,1,1", "--cap", "3"]) == 6
 
 
+@pytest.mark.parametrize("command", ["min-cat", "explore"])
+def test_spine_permutation_cap_exits_6(capsys, command):
+    # spine degrees 2..13, n = 80: 12! spine permutations exceed 10^7
+    seq = ",".join(str(d) for d in range(13, 1, -1)) + ",1" * 68
+    assert main([command, "--seq", seq]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "spine permutations exceed the cap" in captured.err
+
+
 def test_min_cat_and_min_rooted(capsys):
     code, doc = _run_json(capsys, ["min-cat", "--seq", "3,2,2,2,1,1,1"])
     assert code == 0
@@ -130,6 +140,22 @@ def test_verify_command(capsys):
     )
     assert code == 0
     assert doc["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["--suite", "theorem1", "--nmax", "1"], "nmax"),
+        (["--suite", "all", "--nmax", "1"], "nmax"),
+        (["--suite", "perturb", "--samples", "0"], "samples"),
+        (["--suite", "glue", "--samples", "-1"], "samples"),
+    ],
+)
+def test_verify_rejects_empty_ranges(capsys, argv, name):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} must be >= " in captured.err
 
 
 def test_verify_all_suites_exit_zero(capsys):

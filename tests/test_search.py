@@ -80,6 +80,15 @@ def test_spine_arrangements_counts():
     assert sorted(spine_arrangements((3, 2, 2))) == [(2, 2, 3), (2, 3, 2)]
 
 
+def test_caterpillar_searches_refuse_too_many_spine_permutations():
+    # spine degrees 2..13: n = 80 and 12! (about 4.8e8) spine permutations
+    seq = tuple(range(2, 14)) + (1,) * 68
+    with pytest.raises(EnumerationCapExceeded, match="479001600 spine permutations"):
+        min_alpha_caterpillar(seq)
+    with pytest.raises(EnumerationCapExceeded, match="479001600 spine permutations"):
+        explore_partitions(seq)
+
+
 def test_min_alpha_caterpillar_agrees_with_full_search():
     # restricting the search to caterpillars never changes the minimum
     for n in range(2, 10):
@@ -199,6 +208,20 @@ def test_verify_suite_all_and_determinism():
     ]
     with pytest.raises(ValueError):
         verify_suite("nonsense")
+
+
+@pytest.mark.parametrize(
+    "suite,kwargs,name",
+    [
+        ("theorem1", {"nmax": 1}, "nmax"),
+        ("all", {"nmax": 1}, "nmax"),
+        ("perturb", {"samples": 0}, "samples"),
+        ("glue", {"samples": -1}, "samples"),
+    ],
+)
+def test_verify_suite_rejects_empty_ranges(suite, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        verify_suite(suite, **kwargs)
 
 
 def test_search_reports_are_json_ready():

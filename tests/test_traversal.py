@@ -1,0 +1,115 @@
+"""Oracle checks of the traversal layer against networkx on seeded random
+trees: breadth-first order, distances, branches, root-to-leaf paths,
+centers, induced-subtree tests and canonical codes."""
+
+import random
+
+import networkx as nx
+import pytest
+
+from fiedlertrees import NotATreeError, Tree, branches_at, canonical_code
+from fiedlertrees.enumeration import _centers
+from fiedlertrees.nodal import _connected
+from fiedlertrees.search import random_tree
+from fiedlertrees.trees import distances_from, root_to_leaf_paths
+
+
+def _trees(seed: int, count: int = 40, nmax: int = 30) -> list[Tree]:
+    rng = random.Random(seed)
+    return [Tree(1, [])] + [random_tree(rng, rng.randint(2, nmax)) for _ in range(count)]
+
+
+def _graph(t: Tree) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(range(t.n))
+    g.add_edges_from((u, v) for u, v, _ in t.edges)
+    return g
+
+
+def test_bfs_matches_networkx_sorted_bfs():
+    for t in _trees(1):
+        g = _graph(t)
+        for src in range(t.n):
+            order, parent = t.bfs(src)
+            edges = list(nx.bfs_edges(g, src, sort_neighbors=sorted))
+            assert order == [src] + [v for _, v in edges]
+            expected = [-1] * t.n
+            for u, v in edges:
+                expected[v] = u
+            assert parent == expected
+    for src in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            Tree(3, [(0, 1), (1, 2)]).bfs(src)
+
+
+def test_distances_match_networkx():
+    for t in _trees(2):
+        g = _graph(t)
+        for src in range(t.n):
+            lengths = nx.single_source_shortest_path_length(g, src)
+            assert distances_from(t, src) == [lengths[v] for v in range(t.n)]
+
+
+def test_branches_match_components_without_root():
+    for t in _trees(3, nmax=15):
+        g = _graph(t)
+        for u in range(t.n):
+            rest = g.subgraph(set(g) - {u})
+            comps = [frozenset(c) for c in nx.connected_components(rest)]
+            for root in range(t.n):
+                expected = sorted(
+                    (c for c in comps if u == root or root not in c), key=min
+                )
+                assert branches_at(t, root, u) == tuple(expected)
+
+
+def test_root_to_leaf_paths_match_simple_paths():
+    for t in _trees(4):
+        g = _graph(t)
+        for root in range(t.n):
+            expected = sorted(
+                tuple(p)
+                for leaf in range(t.n)
+                if leaf != root and t.is_pendant(leaf)
+                for p in nx.all_simple_paths(g, root, leaf)
+            )
+            assert root_to_leaf_paths(t, root) == expected
+
+
+def test_centers_match_networkx():
+    for t in _trees(5, count=100, nmax=40):
+        assert _centers(t) == sorted(nx.center(_graph(t)))
+
+
+def test_connected_matches_induced_subgraph():
+    rng = random.Random(6)
+    for t in _trees(6):
+        g = _graph(t)
+        subsets = [frozenset(), *(frozenset({v}) for v in range(t.n))]
+        for _ in range(30):
+            k = rng.randint(1, t.n)
+            subsets.append(frozenset(rng.sample(range(t.n), k)))
+        for s in subsets:
+            expected = bool(s) and nx.is_connected(g.subgraph(s))
+            assert _connected(t, s) == expected
+
+
+def test_edges_with_a_cycle_are_not_connected():
+    # n - 1 edges that close a cycle leave some vertex unreached
+    rng = random.Random(7)
+    for _ in range(30):
+        n = rng.randint(4, 20)
+        k = rng.randint(3, n - 1)
+        cycle = [(i, (i + 1) % k) for i in range(k)]
+        rest = [(rng.randrange(k), v) for v in range(k, n - 1)]
+        with pytest.raises(NotATreeError, match="edge set is not connected"):
+            Tree(n, cycle + rest)
+
+
+def test_canonical_code_invariant_under_relabelling():
+    rng = random.Random(8)
+    for t in _trees(8, count=60, nmax=40):
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        relabelled = Tree(t.n, [(perm[u], perm[v]) for u, v, _ in t.edges])
+        assert canonical_code(relabelled) == canonical_code(t)
