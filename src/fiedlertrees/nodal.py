@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import algebraic_connectivity, dirichlet_nu
-from .trees import RootedBoundaryTree, Tree, branches_at, root_to_leaf_paths
+from .trees import RootedBoundaryTree, Tree, branches_at
 
 DEFAULT_TAU_FACTOR = 1e-7
 
@@ -83,13 +83,29 @@ def _tau(f: np.ndarray, tau_factor: float) -> float:
     return tau_factor * scale
 
 
-def _separates(t: Tree, z: int, pos: set[int], neg: set[int]) -> bool:
-    """True iff no component of t minus z contains both a strictly positive
-    and a strictly negative vertex."""
-    for comp in branches_at(t, z, z):
-        if comp & pos and comp & neg:
-            return False
-    return True
+def _separating_zeros(t: Tree, f: np.ndarray, tau: float) -> list[int]:
+    """The vertices z with |f(z)| <= tau such that no component of t minus
+    z holds both a vertex with f > tau and one with f < -tau, ascending.
+
+    One BFS from vertex 0 counts the signs in every subtree; the component
+    above z holds the rest of them."""
+    order, parent = t.bfs(0)
+    pos = [int(x > tau) for x in f]
+    neg = [int(x < -tau) for x in f]
+    for v in reversed(order[1:]):
+        pos[parent[v]] += pos[v]
+        neg[parent[v]] += neg[v]
+    mixed = [False] * t.n
+    for v in order[1:]:
+        if pos[v] and neg[v]:
+            mixed[parent[v]] = True
+    return [
+        z
+        for z in range(t.n)
+        if abs(f[z]) <= tau
+        and not mixed[z]
+        and not (pos[0] - pos[z] and neg[0] - neg[z])
+    ]
 
 
 def characteristic_set(
@@ -111,11 +127,7 @@ def characteristic_set(
         raise AmbiguousCharacteristicSet(
             f"{len(sign_edges)} sign-change edges at tau={tau:.3e}"
         )
-    pos = {v for v in range(t.n) if f[v] > tau}
-    neg = {v for v in range(t.n) if f[v] < -tau}
-    candidates = [
-        z for z in range(t.n) if abs(f[z]) <= tau and _separates(t, z, pos, neg)
-    ]
+    candidates = _separating_zeros(t, f, tau)
     if len(candidates) != 1:
         raise AmbiguousCharacteristicSet(
             f"{len(candidates)} separating zero vertices at tau={tau:.3e}"
@@ -274,12 +286,19 @@ def check_monotone_paths(
     is zero within tau."""
     g = np.asarray(g, dtype=float)
     tau = _tau(g, tau_factor)
+    t, root = rbt.tree, rbt.root
     index = rbt.interior_index()
-    for path in root_to_leaf_paths(rbt.tree, rbt.root):
-        values = [0.0] + [float(g[index[v]]) for v in path[1:]]
-        if all(abs(x) <= tau for x in values):
-            continue
-        if all(b - a > tau for a, b in zip(values, values[1:])):
-            continue
-        return False
+    order, parent = t.bfs(root)
+    value = [0.0] * t.n
+    # per vertex: the path from the root to it is zero within tau / rises
+    # by more than tau at every step
+    zero = [True] * t.n
+    rising = [True] * t.n
+    for v in order[1:]:
+        p = parent[v]
+        value[v] = float(g[index[v]])
+        zero[v] = zero[p] and abs(value[v]) <= tau
+        rising[v] = rising[p] and value[v] - value[p] > tau
+        if t.is_pendant(v) and not (zero[v] or rising[v]):
+            return False
     return True

@@ -1,14 +1,25 @@
-"""Laplacians, Dirichlet matrices, and a deterministic symmetric
-eigensolver with certified residuals.
+"""Laplacians, Dirichlet matrices, and deterministic symmetric
+eigensolvers with certified residuals.
 
-Matrices are plain dense float64 numpy arrays.  Eigenvectors follow a
-fixed sign convention so results are reproducible across runs: the
-entry of largest magnitude is positive, ties resolved to the smallest
-index.
+Two solvers share one contract.  Below TREE_SOLVER_ORDER (256) rows a
+matrix is a plain dense float64 numpy array and LAPACK's ``eigh``
+returns all of its eigenpairs; that is the fast path for the many small
+solves of the searches.  From TREE_SOLVER_ORDER rows on,
+``algebraic_connectivity`` and the branch blocks of ``dirichlet_nu`` use
+a tree solver in O(n) memory instead: it counts eigenvalues below a
+shift from the pivots of one elimination along the tree (Jacobs and
+Trevisan, "Locating the eigenvalues of trees", Linear Algebra Appl. 434,
+2011), bisects on that count for the one eigenvalue wanted, and takes
+its vector by inverse iteration with the same elimination.  Either way
+every returned pair passes the residual certificate.  Eigenvectors
+follow a fixed sign convention so results are reproducible across runs:
+the entry of largest magnitude is positive, ties resolved to the
+smallest index.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +28,16 @@ from .trees import RootedBoundaryTree, Tree, branches_at
 
 #: residual certificate: ||M x - lambda x|| <= RESIDUAL_FACTOR * (1 + ||M||_inf)
 RESIDUAL_FACTOR = 1e-10
+
+#: order from which a tree or a Dirichlet branch block goes to the tree
+#: solver; the measured crossover with dense eigh for one Fiedler pair
+#: (order 128: dense 2.4 ms, tree 5.0 ms; 256: 10.5 and 10.7 ms; 512: 54
+#: and 18 ms)
+TREE_SOLVER_ORDER = 256
+
+_EPS = sys.float_info.epsilon
+_SAFE_MIN = sys.float_info.min
+_INVERSE_STEPS = 3
 
 
 class ConvergenceError(RuntimeError):
@@ -99,10 +120,134 @@ def rayleigh(m: np.ndarray, f) -> float:
     return float(f @ (np.asarray(m, dtype=float) @ f)) / denom
 
 
+def _tree_arrays(t: Tree, order: list[int], parent: list[int]):
+    """The matrix of the tree solver for the vertices of order, which is a
+    BFS order of one component of t (or of t minus a root): each position's
+    parent position (-1 when the parent is not in order), its weighted
+    degree in t, and the Laplacian entry to its parent (0.0 without one)."""
+    at = {v: i for i, v in enumerate(order)}
+    up, diag, off = [], [], []
+    for v in order:
+        p = at.get(parent[v], -1)
+        degree, entry = 0.0, 0.0
+        for u, w in t.neighbors(v):
+            degree += w
+            if u == parent[v] and p >= 0:
+                entry = -w
+        up.append(p)
+        diag.append(degree)
+        off.append(entry)
+    return up, diag, off
+
+
+def _tree_eigenpair(
+    up: list[int], diag: list[float], off: list[float], j: int, kernel: bool
+) -> EigenPair:
+    """The j-th smallest eigenpair (j from 0) of the symmetric matrix with
+    diag on its diagonal and off[i] at (i, up[i]), whose graph is a tree.
+
+    Positions are in BFS order, so up[i] < i, and up[0] == -1 marks the
+    root.  kernel says the matrix is a Laplacian: its constant null vector
+    is then projected out of every iterate.  The vector is unit norm but
+    not sign-fixed, and is indexed by position.
+    """
+    k = len(diag)
+    a = np.asarray(diag, dtype=float)
+    b = np.asarray(off, dtype=float)
+    ups = np.asarray(up, dtype=np.intp)
+    child = np.flatnonzero(ups >= 0)
+    above = ups[child]
+    radius = np.abs(b) + np.bincount(above, weights=np.abs(b[child]), minlength=k)
+    norm = float((np.abs(a) + radius).max())
+    bb = [x * x for x in off]
+    # LAPACK's dstebz floor for counting: a smaller pivot is a tiny negative
+    pivmin = _SAFE_MIN * max(1.0, max(bb))
+    steps = list(range(k - 1, -1, -1))
+
+    def eliminate(x: float, tiny: float) -> tuple[list[float], int]:
+        """Pivots of M - x I, eliminated from the leaves up, each of
+        magnitude below tiny replaced by -tiny, and how many are negative:
+        the number of eigenvalues below x (Sylvester's law of inertia)."""
+        pivots = [x] * k  # holds x plus the children's terms until used
+        negative = 0
+        for i in steps:
+            d = diag[i] - pivots[i]
+            if -tiny < d < tiny:
+                d = -tiny
+            if d < 0.0:
+                negative += 1
+            pivots[i] = d
+            p = up[i]
+            if p >= 0:
+                pivots[p] += bb[i] / d
+        return pivots, negative
+
+    # Gershgorin interval, widened so that no eigenvalue lies above hi
+    slack = 2.0 * _EPS * norm + 4.0 * pivmin
+    lo = float((a - radius).min()) - slack
+    hi = float((a + radius).max()) + slack
+    while hi - lo > _EPS * max(abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if eliminate(mid, pivmin)[1] > j:
+            hi = mid
+        else:
+            lo = mid
+    value = 0.5 * (lo + hi)
+
+    # pivots below eps ||M|| are perturbed so the solves stay finite; the
+    # growth they cause is what inverse iteration wants
+    pivots = eliminate(value, _EPS * norm)[0]
+    ratio = [b_i / d for b_i, d in zip(off, pivots)]
+
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, k)
+    for _ in range(_INVERSE_STEPS):
+        y = x.tolist()
+        for i in steps:
+            if up[i] >= 0:
+                y[up[i]] -= ratio[i] * y[i]
+        for i in range(k):
+            y[i] = y[i] / pivots[i] - (ratio[i] * y[up[i]] if up[i] >= 0 else 0.0)
+        x = np.asarray(y)
+        if kernel:
+            x -= x.mean()
+        x /= np.linalg.norm(x)
+
+    mx = a * x
+    mx[child] += b[child] * x[above]
+    mx += np.bincount(above, weights=b[child] * x[child], minlength=k)
+    res = float(np.linalg.norm(mx - value * x))
+    bound = RESIDUAL_FACTOR * (1.0 + norm)
+    if not res <= bound:
+        raise ConvergenceError(f"residual {res:.3e} exceeds certificate {bound:.3e}")
+    return EigenPair(value, x, res)
+
+
 def algebraic_connectivity(t: Tree) -> tuple[float, np.ndarray]:
     """Second-smallest Laplacian eigenvalue and a unit Fiedler vector."""
-    pair = eig_smallest(laplacian(t), 2)[1]
-    return pair.value, pair.vector
+    if t.n < TREE_SOLVER_ORDER:
+        pair = eig_smallest(laplacian(t), 2)[1]
+        return pair.value, pair.vector
+    order, parent = t.bfs(0)
+    pair = _tree_eigenpair(*_tree_arrays(t, order, parent), 1, kernel=True)
+    vec = np.empty(t.n)
+    vec[order] = pair.vector
+    return pair.value, _fix_sign(vec)
+
+
+def _branch_block(t: Tree, verts: list[int]) -> np.ndarray:
+    """Rows and columns verts (sorted) of the Laplacian of t, built without
+    the whole matrix: weighted degrees on the diagonal, the edges among
+    verts off it."""
+    at = {v: i for i, v in enumerate(verts)}
+    m = np.zeros((len(verts), len(verts)))
+    for i, v in enumerate(verts):
+        for u, w in t.neighbors(v):
+            m[i, i] += w
+            if u in at:
+                m[i, at[u]] = -w
+    return m
 
 
 def dirichlet_nu(rbt: RootedBoundaryTree) -> tuple[float, np.ndarray]:
@@ -114,14 +259,29 @@ def dirichlet_nu(rbt: RootedBoundaryTree) -> tuple[float, np.ndarray]:
     block and zero elsewhere.  The vector is unit norm and oriented so its
     entry sum is non-negative.
     """
-    matrix = dirichlet_matrix(rbt)
+    tree, root = rbt.tree, rbt.root
     index = rbt.interior_index()
+    # a small interior still cuts its blocks from the dense Dirichlet
+    # matrix, whose diagonal sums round exactly as before; a large one
+    # builds no matrix of its own order and takes small blocks from the tree
+    matrix = dirichlet_matrix(rbt) if len(index) < TREE_SOLVER_ORDER else None
     best_value = None
     best_vector = None
     best_positions = None
-    for branch in branches_at(rbt.tree, rbt.root, rbt.root):
-        positions = [index[v] for v in sorted(branch)]
-        pair = eig_smallest(matrix[np.ix_(positions, positions)], 1)[0]
+    for branch in branches_at(tree, root, root):
+        verts = sorted(branch)
+        positions = [index[v] for v in verts]
+        if len(verts) >= TREE_SOLVER_ORDER:
+            order, parent = tree.bfs(root)
+            sub = [v for v in order if v in branch]
+            pair = _tree_eigenpair(*_tree_arrays(tree, sub, parent), 0, kernel=False)
+            vec = np.empty(len(verts))
+            vec[np.searchsorted(verts, sub)] = pair.vector
+            pair = EigenPair(pair.value, _fix_sign(vec), pair.residual)
+        elif matrix is not None:
+            pair = eig_smallest(matrix[np.ix_(positions, positions)], 1)[0]
+        else:
+            pair = eig_smallest(_branch_block(tree, verts), 1)[0]
         if best_value is None or pair.value < best_value:
             best_value = pair.value
             best_vector = pair.vector

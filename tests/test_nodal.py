@@ -9,9 +9,11 @@ import pytest
 from fiedlertrees import (
     AmbiguousCharacteristicSet,
     DisconnectedNodalDomainError,
+    Tree,
     algebraic_connectivity,
     analysis_to_json,
     analyze,
+    branches_at,
     characteristic_set,
     check_monotone_paths,
     dirichlet_matrix,
@@ -23,7 +25,9 @@ from fiedlertrees import (
     verify_split,
     with_boundary_weight,
 )
+from fiedlertrees.nodal import DEFAULT_TAU_FACTOR, _separating_zeros, _tau
 from fiedlertrees.search import random_tree
+from fiedlertrees.trees import distances_from, root_to_leaf_paths
 
 from helpers import NU_M2, NU_M2_W2, path_alpha, spider
 
@@ -204,3 +208,92 @@ def test_split_spider_vertex_case_with_zero_branch():
     assert max(r1, r2) <= 1e-8
     interiors = set(sp.origin_pos[1:]) | set(sp.origin_neg[1:])
     assert interiors == set(range(1, 7))
+
+
+def _separating_zeros_by_definition(t, f, tau):
+    """Zero vertices z such that no branch at z holds both signs."""
+    pos = {v for v in range(t.n) if f[v] > tau}
+    neg = {v for v in range(t.n) if f[v] < -tau}
+    return [
+        z
+        for z in range(t.n)
+        if abs(f[z]) <= tau
+        and not any(b & pos and b & neg for b in branches_at(t, z, z))
+    ]
+
+
+def _hub_on_path():
+    """A 501-vertex path with an 800-leaf hub hung from its center 250."""
+    edges = [(i, i + 1) for i in range(500)] + [(250, 501)]
+    edges += [(501, 502 + i) for i in range(800)]
+    return Tree(1302, edges)
+
+
+def test_separating_zeros_match_the_branch_definition():
+    rng = random.Random(61)
+    for _ in range(300):
+        t = random_tree(rng, rng.randint(2, 40))
+        # mostly zeros, so that many vertices are candidates
+        f = np.array([rng.choice((-1, 0, 0, 0, 1)) * rng.random() for _ in range(t.n)])
+        if not f.any():
+            continue
+        tau = _tau(f, DEFAULT_TAU_FACTOR)
+        assert _separating_zeros(t, f, tau) == _separating_zeros_by_definition(t, f, tau)
+
+
+def test_separating_zeros_on_a_hub_hung_from_a_path():
+    t = _hub_on_path()
+    _, f = algebraic_connectivity(t)
+    tau = _tau(f, DEFAULT_TAU_FACTOR)
+    assert sum(abs(x) <= tau for x in f) == 802
+    expected = _separating_zeros_by_definition(t, f, tau)
+    assert expected == [250]
+    assert _separating_zeros(t, f, tau) == expected
+    assert characteristic_set(t, f).ids == (250,)
+
+
+def _monotone_by_definition(rbt, g, tau):
+    """The per-path statement: along each root-to-leaf path the values,
+    with 0 at the root, are all zero within tau or rise by more than tau."""
+    index = rbt.interior_index()
+    for path in root_to_leaf_paths(rbt.tree, rbt.root):
+        values = [0.0] + [float(g[index[v]]) for v in path[1:]]
+        if all(abs(x) <= tau for x in values):
+            continue
+        if all(b - a > tau for a, b in zip(values, values[1:])):
+            continue
+        return False
+    return True
+
+
+def _broom(handle: int, bristles: int) -> Tree:
+    edges = [(i, i + 1) for i in range(handle - 1)]
+    edges += [(handle - 1, handle + i) for i in range(bristles)]
+    return Tree(handle + bristles, edges)
+
+
+def test_check_monotone_paths_matches_the_per_path_definition():
+    rng = random.Random(62)
+    trees = [random_tree(rng, rng.randint(2, 40)) for _ in range(150)]
+    trees += [_broom(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(30)]
+    verdicts = set()
+    for t in trees:
+        root = rng.randrange(t.n) if rng.random() < 0.5 else 0
+        rbt = with_boundary_weight(t, root, 1.0)
+        depth = distances_from(t, root)
+        _, eigvec = dirichlet_nu(rbt)
+        interior = rbt.interior()
+        growing = np.array([depth[v] + rng.random() * 0.1 for v in interior])
+        # silence whole branches, then break one entry
+        for branch in branches_at(t, root, root):
+            if rng.random() < 0.3:
+                growing[[interior.index(v) for v in branch]] = 0.0
+        broken = growing.copy()
+        broken[rng.randrange(len(broken))] *= rng.choice((-1.0, 0.0, 0.5, 3.0))
+        for g in (eigvec, growing, broken):
+            if not np.any(g):
+                continue
+            expected = _monotone_by_definition(rbt, g, _tau(g, DEFAULT_TAU_FACTOR))
+            assert check_monotone_paths(rbt, g) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
