@@ -135,6 +135,65 @@ def characteristic_set(
     return CharacteristicSet("vertex", (candidates[0],))
 
 
+def _caterpillar_charsets(g: np.ndarray, h: np.ndarray) -> list[CharacteristicSet]:
+    """characteristic_set of each row's Fiedler vector of a caterpillar in
+    build_caterpillar's layout, given by its spine entries g (k, m) and the
+    entry h (k, m) of every pendant of each spine vertex (0 where it has
+    none).
+
+    A pendant entry has the sign of its spine vertex, so only spine edges
+    change sign.  A pendant never separates: with sum(f) = 0 the rest of
+    the tree holds entries beyond tau of both signs.  A spine vertex z
+    separates when neither the spine part before it nor the part after it,
+    pendants included, holds both signs.
+    """
+    f = np.concatenate([g, h], axis=1)
+    tau = DEFAULT_TAU_FACTOR * np.abs(f).max(axis=1)
+    m = g.shape[1]
+    pos, neg = f > tau[:, None], f < -tau[:, None]
+    spine_pos, spine_neg = pos[:, :m], neg[:, :m]
+    change = (spine_pos[:, :-1] & spine_neg[:, 1:]) | (spine_neg[:, :-1] & spine_pos[:, 1:])
+    pos = spine_pos | pos[:, m:]
+    neg = spine_neg | neg[:, m:]
+
+    def mixed_before(p: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """Per position: the positions before it hold both signs."""
+        out = np.zeros_like(p)
+        out[:, 1:] = (
+            np.logical_or.accumulate(p, axis=1) & np.logical_or.accumulate(n, axis=1)
+        )[:, :-1]
+        return out
+
+    separates = (
+        (np.abs(g) <= tau[:, None])
+        & ~mixed_before(pos, neg)
+        & ~mixed_before(pos[:, ::-1], neg[:, ::-1])[:, ::-1]
+    )
+    sets = []
+    for row, (edges, zeros, i, z) in enumerate(
+        zip(
+            change.sum(axis=1).tolist(),
+            separates.sum(axis=1).tolist(),
+            change.argmax(axis=1).tolist(),
+            separates.argmax(axis=1).tolist(),
+        )
+    ):
+        if edges == 1:
+            ids = (i, i + 1) if g[row, i] < 0 else (i + 1, i)
+            sets.append(CharacteristicSet("edge", ids))
+        elif edges > 1:
+            raise AmbiguousCharacteristicSet(
+                f"{edges} sign-change edges at tau={tau[row]:.3e}"
+            )
+        elif zeros != 1:
+            raise AmbiguousCharacteristicSet(
+                f"{zeros} separating zero vertices at tau={tau[row]:.3e}"
+            )
+        else:
+            sets.append(CharacteristicSet("vertex", (z,)))
+    return sets
+
+
 def _connected(t: Tree, vertices: frozenset[int]) -> bool:
     """True iff vertices induce a subtree: a vertex set of a tree does
     exactly when it spans one edge fewer than it has vertices (so the

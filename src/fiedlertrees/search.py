@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .enumeration import (
     _multiset_permutations,
@@ -26,7 +29,13 @@ from .enumeration import (
     rooted_canonical_key,
     tree_from_code,
 )
-from .nodal import analyze, check_monotone_paths, geometric_split, verify_split
+from .nodal import (
+    _caterpillar_charsets,
+    analyze,
+    check_monotone_paths,
+    geometric_split,
+    verify_split,
+)
 from .perturb import (
     PerturbationRecord,
     glue,
@@ -35,12 +44,11 @@ from .perturb import (
     perturb_p1,
     perturb_p2,
 )
-from .spectral import algebraic_connectivity, dirichlet_nu
+from .spectral import _caterpillar_fiedler, algebraic_connectivity, dirichlet_nu
 from .trees import (
     RootedBoundaryTree,
     Tree,
     build_caterpillar,
-    distances_from,
     is_caterpillar,
     path_tree,
     spine_path,
@@ -197,15 +205,28 @@ def _capped_arrangements(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
     """Argmin of the algebraic connectivity over all caterpillars with the
-    given degree multiset, enumerated as spine arrangements.
+    given degree multiset, enumerated as spine arrangements.  One batched
+    bisection ranks every arrangement; only those near the minimum get a
+    Tree and the dense solve whose values the report carries.
 
     Raises EnumerationCapExceeded when the spine degrees have more than
     DEFAULT_CAP permutations."""
     start = time.perf_counter()
     seq = _require_sequence(seq)
     arrangements = _capped_arrangements(seq)
+    band = arrangements
+    if len(arrangements) > 1:  # one arrangement needs no ranking; m <= 1 has one
+        approx = _caterpillar_fiedler(np.array(arrangements))[0]
+        least = float(approx.min())
+        # bisection and eigh each put alpha within ||L||_1 n eps of the
+        # exact value (||L||_1 = 2 max degree), so they differ by at most
+        # twice that, and an arrangement tied with the eigh minimum has a
+        # bisected alpha at most TIE_RTOL least + 3 times that above least
+        slack = 3.0 * 2.0 * (2 * seq[0]) * len(seq) * sys.float_info.epsilon
+        top = least + TIE_RTOL * least + slack
+        band = [arr for arr, value in zip(arrangements, approx.tolist()) if value <= top]
     values: list[tuple[tuple[int, ...], Tree, float]] = []
-    for arr in arrangements:
+    for arr in band:
         tree = build_caterpillar(arr)
         values.append((arr, tree, algebraic_connectivity(tree)[0]))
     minimum = min(v for _, _, v in values)
@@ -288,42 +309,47 @@ def min_nu_rooted(
 def explore_partitions(seq: Sequence[int]) -> list[PartitionRow]:
     """One row per caterpillar spine arrangement: its algebraic
     connectivity, characteristic set, and the non-pendant degrees on the two
-    sides, ordered outward.  Rows are sorted by alpha ascending.
+    sides, ordered outward.  Rows are sorted by alpha as the CSV prints it
+    (12 significant digits), then by arrangement.  One batched bisection
+    solves every arrangement; no Tree is built.
 
     The explorer presents the partitions as data only; no pattern is
     assumed or checked.  Raises EnumerationCapExceeded when the spine
     degrees have more than DEFAULT_CAP permutations.
     """
     seq = _require_sequence(seq)
+    arrangements = _capped_arrangements(seq)
+    if len(arrangements[0]) < 2:
+        # the single edge changes sign across itself; the star (alpha 1)
+        # vanishes at its center
+        arr = arrangements[0]
+        alpha, kind, pos = (1.0, "vertex", "0") if arr else (2.0, "edge", "0|1")
+        return [PartitionRow(seq, arr, alpha, kind, pos, (), ())]
+    alphas, g, h = _caterpillar_fiedler(np.array(arrangements))
     rows = []
-    for arr in _capped_arrangements(seq):
-        tree = build_caterpillar(arr)
-        analysis = analyze(tree)
-        split = geometric_split(tree, analysis)
-
-        def side_degrees(side_rbt, origin):
-            pairs = []
-            dist = distances_from(side_rbt.tree, side_rbt.root)
-            for side_id in range(1, side_rbt.tree.n):
-                orig = origin[side_id]
-                if tree.degree(orig) >= 2:
-                    pairs.append((dist[side_id], orig))
-            return tuple(tree.degree(orig) for _, orig in sorted(pairs))
-
-        cs = analysis.charset
-        pos_str = "|".join(str(i) for i in sorted(cs.ids))
+    for arr, alpha, cs, g0 in zip(
+        arrangements,
+        alphas.tolist(),
+        _caterpillar_charsets(g, h),
+        g[:, 0].tolist(),
+    ):
+        # spine degrees before and after the characteristic set, outward
+        # (an edge's ends belong to the sides, a vertex to neither); the
+        # part holding spine vertex 0 has the sign of its entry
+        before, after = arr[: max(cs.ids)][::-1], arr[min(cs.ids) + 1 :]
+        left, right = (before, after) if g0 > 0 else (after, before)
         rows.append(
             PartitionRow(
                 sequence=seq,
                 arrangement=arr,
-                alpha=analysis.alpha,
+                alpha=alpha,
                 charset_kind=cs.kind,
-                charset_pos=pos_str,
-                left_degrees=side_degrees(split.pos, split.origin_pos),
-                right_degrees=side_degrees(split.neg, split.origin_neg),
+                charset_pos="|".join(str(i) for i in sorted(cs.ids)),
+                left_degrees=left,
+                right_degrees=right,
             )
         )
-    rows.sort(key=lambda r: (r.alpha, r.arrangement))
+    rows.sort(key=lambda r: (float(f"{r.alpha:.12g}"), r.arrangement))
     return rows
 
 

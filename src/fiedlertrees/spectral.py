@@ -1,17 +1,21 @@
 """Laplacians, Dirichlet matrices, and deterministic symmetric
 eigensolvers with certified residuals.
 
-Two solvers share one contract.  Below TREE_SOLVER_ORDER (256) rows a
+Three solvers share one contract.  Below TREE_SOLVER_ORDER (256) rows a
 matrix is a plain dense float64 numpy array and LAPACK's ``eigh``
 returns all of its eigenpairs; that is the fast path for the many small
-solves of the searches.  From TREE_SOLVER_ORDER rows on,
+solves of the tree searches.  From TREE_SOLVER_ORDER rows on,
 ``algebraic_connectivity`` and the branch blocks of ``dirichlet_nu`` use
 a tree solver in O(n) memory instead: it counts eigenvalues below a
 shift from the pivots of one elimination along the tree (Jacobs and
 Trevisan, "Locating the eigenvalues of trees", Linear Algebra Appl. 434,
 2011), bisects on that count for the one eigenvalue wanted, and takes
-its vector by inverse iteration with the same elimination.  Either way
-every returned pair passes the residual certificate.  Eigenvectors
+its vector by inverse iteration with the same elimination.  A third
+path serves the caterpillar searches: ``_caterpillar_fiedler`` solves
+every spine arrangement of a degree multiset at once, with the same count
+collapsed to the spine's tridiagonal (each pendant pivot is 1 - x > 0
+below x = 1) and run as one numpy bisection over a (k, m) array.  Every
+path's pairs pass the residual certificate.  Eigenvectors
 follow a fixed sign convention so results are reproducible across runs:
 the entry of largest magnitude is positive, ties resolved to the
 smallest index.
@@ -222,6 +226,96 @@ def _tree_eigenpair(
     if not res <= bound:
         raise ConvergenceError(f"residual {res:.3e} exceeds certificate {bound:.3e}")
     return EigenPair(value, x, res)
+
+
+def _caterpillar_fiedler(spines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alpha and the Fiedler vector of build_caterpillar(row) for every row
+    of spines, a (k, m) array of spine degrees with m >= 2, all rows at once.
+
+    Below x = 1 every pendant pivot of L - x I is 1 - x > 0, so after the
+    pendants the count of negative pivots is that of the spine's
+    tridiagonal d_i = s_i - x - p_i / (1 - x) - 1 / d_(i-1), p_i the
+    pendant count of spine vertex i.  A caterpillar with two or more spine
+    vertices is no star, so alpha < 1: bisection on "count > 1" over [0, 1]
+    finds it.
+
+    Returns alpha (k,), the spine entries g (k, m) and the entry
+    h = g / (1 - alpha) (k, m) shared by the pendants of each spine vertex
+    (0 where it has none).  Together they form a unit vector, sign-fixed
+    by _fix_sign's rule in build_caterpillar's vertex order (spine first,
+    then pendants grouped by spine position), whose residual on the whole
+    Laplacian passes the certificate.
+    """
+    s = np.asarray(spines, dtype=float)
+    k, m = s.shape
+    p = s - 2.0
+    p[:, [0, -1]] += 1.0
+    norm = 2.0 * s.max(axis=1)  # ||L||_inf
+
+    def pivots(x: np.ndarray, tiny) -> np.ndarray:
+        """Spine pivots of L - x I, each of magnitude below tiny replaced
+        by -tiny."""
+        d = s - x[:, None] - p / (1.0 - x[:, None])
+        for i in range(m):
+            if i:
+                d[:, i] -= 1.0 / d[:, i - 1]
+            d[:, i] = np.where(np.abs(d[:, i]) < tiny, -tiny, d[:, i])
+        return d
+
+    lo, hi = np.zeros(k), np.ones(k)
+    while True:
+        mid = 0.5 * (lo + hi)
+        active = (hi - lo > _EPS * hi) & (lo < mid) & (mid < hi)
+        if not active.any():
+            break
+        # the unit off-diagonals make LAPACK's dstebz floor _SAFE_MIN
+        above = (pivots(mid, _SAFE_MIN) < 0.0).sum(axis=1) > 1
+        hi = np.where(active & above, mid, hi)
+        lo = np.where(active & ~above, mid, lo)
+    alpha = 0.5 * (lo + hi)
+
+    # inverse iteration on the spine matrix at alpha, whose null vector is
+    # the spine part of the Fiedler vector: T = L D L^T with unit lower
+    # bidiagonal entries -1 / d_(i-1)
+    d = pivots(alpha, _EPS * norm)
+    # a fixed start with no mirror symmetry: a symmetric one would never
+    # reach the antisymmetric Fiedler vector of a palindromic spine
+    g = np.tile(np.sin(np.arange(1.0, m + 1.0)), (k, 1))
+    for _ in range(_INVERSE_STEPS):
+        for i in range(1, m):
+            g[:, i] += g[:, i - 1] / d[:, i - 1]
+        g /= d
+        for i in range(m - 2, -1, -1):
+            g[:, i] += g[:, i + 1] / d[:, i]
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+    h = np.where(p > 0, g / (1.0 - alpha)[:, None], 0.0)
+    scale = np.sqrt((g * g + p * h * h).sum(axis=1))[:, None]
+    g /= scale
+    h /= scale
+
+    # L f - alpha f over every vertex; the p_i pendants of spine vertex i
+    # share one row value, counted p_i times
+    spine = (s - alpha[:, None]) * g - p * h
+    spine[:, 1:] -= g[:, :-1]
+    spine[:, :-1] -= g[:, 1:]
+    pendant = (1.0 - alpha[:, None]) * h - g
+    res = np.sqrt((spine * spine + p * pendant * pendant).sum(axis=1))
+    bound = RESIDUAL_FACTOR * (1.0 + norm)
+    bad = np.flatnonzero(~(res <= bound))
+    if bad.size:
+        i = bad[0]
+        raise ConvergenceError(
+            f"spine {s[i].astype(int).tolist()}: residual {res[i]:.3e} "
+            f"exceeds certificate {bound[i]:.3e}"
+        )
+
+    mags = np.abs(np.concatenate([g, h], axis=1))
+    first = np.argmax(mags == mags.max(axis=1, keepdims=True), axis=1)
+    # a pendant entry has the sign of its spine vertex
+    flip = g[np.arange(k), first % m] < 0.0
+    g[flip] *= -1.0
+    h[flip] *= -1.0
+    return alpha, g, h
 
 
 def algebraic_connectivity(t: Tree) -> tuple[float, np.ndarray]:

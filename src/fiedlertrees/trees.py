@@ -326,20 +326,6 @@ def distances_from(t: Tree, src: int) -> list[int]:
     return _hang(t, src)[1]
 
 
-def root_to_leaf_paths(t: Tree, root: int) -> list[tuple[int, ...]]:
-    """All simple paths from root to a pendant vertex, in deterministic order."""
-    _, parent = t.bfs(root)
-    paths = []
-    for v in range(t.n):
-        if v != root and t.is_pendant(v):
-            path, x = [v], v
-            while x != root:
-                x = parent[x]
-                path.append(x)
-            paths.append(tuple(reversed(path)))
-    return sorted(paths)
-
-
 def trunk(rbt: RootedBoundaryTree) -> tuple[int, ...]:
     """Longest simple path starting at the root, ending at a pendant vertex.
 
@@ -352,12 +338,16 @@ def trunk(rbt: RootedBoundaryTree) -> tuple[int, ...]:
     non_pendant_nbrs = [u for u, _ in t.neighbors(r) if t.degree(u) >= 2]
     if len(non_pendant_nbrs) > 1:
         raise ValueError("trunk requires at most one non-pendant root neighbor")
-    best: tuple[int, ...] | None = None
-    for path in root_to_leaf_paths(t, r):
-        if best is None or len(path) > len(best) or (len(path) == len(best) and path < best):
-            best = path
-    assert best is not None
-    return best
+    # BFS visits each level in the lexicographic order of the root paths,
+    # and the vertices of the deepest level are pendant
+    order, parent = t.bfs(r)
+    depth = [0] * t.n
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    line = [next(v for v in order if depth[v] == depth[order[-1]])]
+    while line[-1] != r:
+        line.append(parent[line[-1]])
+    return tuple(reversed(line))
 
 
 def height(rbt: RootedBoundaryTree, v: int) -> int:

@@ -3,7 +3,7 @@
 Expected eigenvalues come from closed forms or small characteristic
 polynomials solved by hand; isomorphism is decided by brute-force
 bijection search; the Rayleigh quotient is recomputed as the weighted
-edge-difference sum.
+edge-difference sum; root-to-leaf paths come from a depth-first walk.
 """
 
 from __future__ import annotations
@@ -46,6 +46,28 @@ def spider(*leg_lengths: int) -> Tree:
             prev = next_id
             next_id += 1
     return Tree(next_id, edges)
+
+
+def broom(handle: int, bristles: int) -> Tree:
+    """Path 0 - ... - (handle-1) with bristles pendant vertices at its far
+    end."""
+    edges = [(i, i + 1) for i in range(handle - 1)]
+    edges += [(handle - 1, handle + i) for i in range(bristles)]
+    return Tree(handle + bristles, edges)
+
+
+def root_to_leaf_paths(t: Tree, root: int) -> list[tuple[int, ...]]:
+    """Every simple path from root to a pendant vertex other than root,
+    sorted, by a depth-first walk that extends each path by every
+    neighbour not yet on it."""
+    paths = []
+    stack = [(root,)]
+    while stack:
+        path = stack.pop()
+        if len(path) > 1 and t.is_pendant(path[-1]):
+            paths.append(path)
+        stack.extend(path + (u,) for u, _ in t.neighbors(path[-1]) if u not in path)
+    return sorted(paths)
 
 
 def edge_rayleigh(t: Tree, f) -> float:

@@ -27,9 +27,9 @@ from fiedlertrees import (
 )
 from fiedlertrees.nodal import DEFAULT_TAU_FACTOR, _separating_zeros, _tau
 from fiedlertrees.search import random_tree
-from fiedlertrees.trees import distances_from, root_to_leaf_paths
+from fiedlertrees.trees import distances_from
 
-from helpers import NU_M2, NU_M2_W2, path_alpha, spider
+from helpers import NU_M2, NU_M2_W2, broom, path_alpha, root_to_leaf_paths, spider
 
 
 def test_characteristic_set_path3_vertex():
@@ -266,16 +266,10 @@ def _monotone_by_definition(rbt, g, tau):
     return True
 
 
-def _broom(handle: int, bristles: int) -> Tree:
-    edges = [(i, i + 1) for i in range(handle - 1)]
-    edges += [(handle - 1, handle + i) for i in range(bristles)]
-    return Tree(handle + bristles, edges)
-
-
 def test_check_monotone_paths_matches_the_per_path_definition():
     rng = random.Random(62)
     trees = [random_tree(rng, rng.randint(2, 40)) for _ in range(150)]
-    trees += [_broom(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(30)]
+    trees += [broom(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(30)]
     verdicts = set()
     for t in trees:
         root = rng.randrange(t.n) if rng.random() < 0.5 else 0

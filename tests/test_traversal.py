@@ -1,6 +1,6 @@
 """Oracle checks of the traversal layer against networkx on seeded random
-trees: breadth-first order, distances, branches, root-to-leaf paths,
-centers, induced-subtree tests and canonical codes."""
+trees: breadth-first order, distances, branches, centers, induced-subtree
+tests and canonical codes."""
 
 import random
 
@@ -11,7 +11,7 @@ from fiedlertrees import NotATreeError, Tree, branches_at, canonical_code
 from fiedlertrees.enumeration import _centers
 from fiedlertrees.nodal import _connected
 from fiedlertrees.search import random_tree
-from fiedlertrees.trees import distances_from, root_to_leaf_paths
+from fiedlertrees.trees import distances_from
 
 
 def _trees(seed: int, count: int = 40, nmax: int = 30) -> list[Tree]:
@@ -61,19 +61,6 @@ def test_branches_match_components_without_root():
                     (c for c in comps if u == root or root not in c), key=min
                 )
                 assert branches_at(t, root, u) == tuple(expected)
-
-
-def test_root_to_leaf_paths_match_simple_paths():
-    for t in _trees(4):
-        g = _graph(t)
-        for root in range(t.n):
-            expected = sorted(
-                tuple(p)
-                for leaf in range(t.n)
-                if leaf != root and t.is_pendant(leaf)
-                for p in nx.all_simple_paths(g, root, leaf)
-            )
-            assert root_to_leaf_paths(t, root) == expected
 
 
 def test_centers_match_networkx():

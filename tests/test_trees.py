@@ -24,7 +24,7 @@ from fiedlertrees import (
 )
 from fiedlertrees.trees import EdgeListParseError, distances_from, spine_path
 
-from helpers import spider
+from helpers import broom, root_to_leaf_paths, spider
 
 
 @pytest.mark.parametrize(
@@ -174,6 +174,29 @@ def test_trunk_examples():
     rooted = with_boundary_weight(cat, 2, 1.0)
     assert len(trunk(rooted)) == 4
     assert trunk(rooted)[0] == 2
+
+
+def _trunk_by_definition(rbt):
+    """The longest root-to-pendant path, ties to the smallest id sequence."""
+    return min(root_to_leaf_paths(rbt.tree, rbt.root), key=lambda p: (-len(p), p))
+
+
+def test_trunk_matches_the_longest_path_definition():
+    rng = random.Random(17)
+    rooted = []
+    for _ in range(300):
+        cat = build_caterpillar([rng.randint(2, 5) for _ in range(rng.randint(1, 8))])
+        perm = list(range(cat.n))
+        rng.shuffle(perm)
+        t = Tree(cat.n, [(perm[u], perm[v]) for u, v, _ in cat.edges])
+        path = spine_path(t)
+        roots = [v for v in range(t.n) if t.is_pendant(v)] + path[:1] + path[-1:]
+        rooted.append(with_boundary_weight(t, rng.choice(roots), 1.0))
+    big = broom(2000, 2000)
+    rooted += [with_boundary_weight(big, root, 1.0) for root in (0, 2000, 3999)]
+    for rbt in rooted:
+        assert trunk(rbt) == _trunk_by_definition(rbt)
+    assert trunk(rooted[-3]) == tuple(range(2001))
 
 
 def test_trunk_rejects_bad_shapes():
