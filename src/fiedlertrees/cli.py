@@ -5,7 +5,8 @@ stderr, so outputs are pipeline safe.  All floating-point output is
 printed with 12 significant digits.
 
 Exit codes: 0 success, 2 parse error or invalid sequence, 3 input is not
-a tree, 4 boundary weight below 1, 5 a verification suite failed,
+a tree (an edge weight that is not positive and finite included),
+4 boundary weight below 1 or not finite, 5 a verification suite failed,
 6 enumeration cap exceeded.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .nodal import analyze, analysis_to_json, check_monotone_paths, geometric_split
@@ -89,8 +91,8 @@ def _cmd_nu(args) -> int:
     if not 0 <= args.root < tree.n:
         print(f"error: root {args.root} out of range", file=sys.stderr)
         return EXIT_PARSE
-    if args.w0 < 1.0:
-        print(f"error: --w0 {args.w0} must be >= 1", file=sys.stderr)
+    if not 1.0 <= args.w0 < math.inf:
+        print(f"error: --w0 {args.w0} must be finite and >= 1", file=sys.stderr)
         return EXIT_BAD_W0
     rbt = with_boundary_weight(tree, args.root, args.w0)
     nu, vec = dirichlet_nu(rbt)
@@ -159,8 +161,8 @@ def _cmd_min_cat(args) -> int:
 
 
 def _cmd_min_rooted(args) -> int:
-    if args.w0 < 1.0:
-        print(f"error: --w0 {args.w0} must be >= 1", file=sys.stderr)
+    if not 1.0 <= args.w0 < math.inf:
+        print(f"error: --w0 {args.w0} must be finite and >= 1", file=sys.stderr)
         return EXIT_BAD_W0
     seq = _parse_seq(args.seq)
     report = min_nu_rooted(seq, args.w0, cap=args.cap)
@@ -222,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nu", help="first Dirichlet eigenvalue of a rooted tree")
     p.add_argument("file")
     p.add_argument("--root", type=int, required=True)
-    p.add_argument("--w0", type=float, default=1.0, help="boundary edge weight (>= 1)")
+    p.add_argument("--w0", type=float, default=1.0, help="boundary edge weight (finite, >= 1)")
     add_tau(p)
     add_out(p)
     p.set_defaults(func=_cmd_nu)

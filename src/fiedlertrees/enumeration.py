@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Iterator, Sequence
-from math import factorial
+from math import factorial, inf
 
 from .trees import RootedBoundaryTree, Tree, validate_tree_sequence
 
@@ -241,7 +241,10 @@ def _rooted_tree_from_key(key, boundary_weight: float) -> RootedBoundaryTree:
 
 
 def enumerate_rooted_trees(
-    seq: Sequence[int], boundary_weight: float = 1.0
+    seq: Sequence[int],
+    boundary_weight: float = 1.0,
+    *,
+    codes: Iterable[str] | None = None,
 ) -> Iterator[RootedBoundaryTree]:
     """Every (unlabeled tree, root choice) pair with degree multiset seq,
     deduplicated by rooted canonical code.
@@ -249,14 +252,16 @@ def enumerate_rooted_trees(
     With boundary_weight == 1 the designated boundary edge is the root's
     first child in code order (the choice has no numeric effect).  With
     boundary_weight > 1, each inequivalent root-incident edge placement is
-    yielded as a distinct rooted tree.
+    yielded as a distinct rooted tree.  codes, when given, are the
+    canonical codes of seq (canonical_tree_codes' set, in any order), so a
+    caller that already has them skips the enumeration.
     """
     if not validate_tree_sequence(seq):
         raise ValueError(f"invalid tree sequence {tuple(seq)}")
-    if boundary_weight < 1.0:
-        raise ValueError(f"boundary weight {boundary_weight} must be >= 1")
+    if not 1.0 <= boundary_weight < inf:
+        raise ValueError(f"boundary weight {boundary_weight} must be finite and >= 1")
     keys = set()
-    for code in sorted(canonical_tree_codes(seq)):
+    for code in canonical_tree_codes(seq) if codes is None else codes:
         t = tree_from_code(code)
         for root in range(t.n):
             rcode = rooted_code(t, root)

@@ -13,8 +13,9 @@ import random
 import sys
 import time
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -135,9 +136,16 @@ def _tied(value: float, minimum: float) -> bool:
     return value <= minimum + TIE_RTOL * abs(minimum)
 
 
-def min_alpha_tree(seq: Sequence[int], *, cap: int = DEFAULT_CAP) -> SearchReport:
+def min_alpha_tree(
+    seq: Sequence[int],
+    *,
+    cap: int = DEFAULT_CAP,
+    codes: Iterable[str] | None = None,
+) -> SearchReport:
     """Exact argmin set of the algebraic connectivity over all unlabeled
-    trees with the given degree multiset.
+    trees with the given degree multiset.  codes, when given, are the
+    canonical codes of seq (canonical_tree_codes' set, in any order), so a
+    caller that already has them skips the enumeration.
 
     Raises EnumerationCapExceeded when the labeled Prufer space is larger
     than cap; the caterpillar-restricted search handles those sequences.
@@ -150,10 +158,9 @@ def min_alpha_tree(seq: Sequence[int], *, cap: int = DEFAULT_CAP) -> SearchRepor
             f"{total} labeled decodings exceed the cap {cap}; "
             "use the caterpillar-restricted search (min_alpha_caterpillar)"
         )
-    values = {
-        code: algebraic_connectivity(tree_from_code(code))[0]
-        for code in canonical_tree_codes(seq)
-    }
+    if codes is None:
+        codes = canonical_tree_codes(seq)
+    values = {code: algebraic_connectivity(tree_from_code(code))[0] for code in codes}
     minimum = min(values.values())
     minimizers = []
     for code in sorted(c for c, v in values.items() if _tied(v, minimum)):
@@ -461,85 +468,161 @@ def _fail_list(failures: list, limit: int = 20) -> list:
     return failures[:limit]
 
 
-def _suite_theorem1(nmax: int, **_: object) -> dict:
-    failures = []
-    checked = 0
-    for n in range(2, nmax + 1):
+class _DegreeSequence:
+    """One degree sequence of the verify stream: its canonical codes,
+    sorted, and the w0 = 1 rooted trees with their Dirichlet pairs, solved
+    on first use.  The enumeration suites share both; nothing outlives the
+    sequence."""
+
+    def __init__(self, seq: tuple[int, ...]) -> None:
+        self.seq = seq
+        self.codes = sorted(canonical_tree_codes(seq))
+
+    @cached_property
+    def rooted_unit(self) -> list[tuple[RootedBoundaryTree, float, np.ndarray]]:
+        return [
+            (rbt, *dirichlet_nu(rbt))
+            for rbt in enumerate_rooted_trees(self.seq, 1.0, codes=self.codes)
+        ]
+
+
+class _EnumerationSuite:
+    """A suite that checks every degree sequence with n = 2..nmax, one
+    sequence at a time, as the verify stream hands them over."""
+
+    name = ""
+
+    def __init__(self, nmax: int, **_: object) -> None:
+        self.nmax = nmax
+        self.checked = 0
+        self.failures: list = []
+
+    def step(self, s: _DegreeSequence) -> None:
+        raise NotImplementedError
+
+    def report(self) -> dict:
+        return {
+            "name": self.name,
+            "checked": self.checked,
+            "failures": _fail_list(self.failures),
+            "passed": not self.failures,
+        }
+
+
+class _Theorem1(_EnumerationSuite):
+    name = "alpha minimizers are monotone caterpillars"
+
+    def step(self, s: _DegreeSequence) -> None:
+        report = min_alpha_tree(s.seq, codes=s.codes)
+        self.checked += len(report.minimizers)
+        for m in report.minimizers:
+            if not (m["is_caterpillar"] and m["is_theorem1_shape"]):
+                self.failures.append({"sequence": list(s.seq), "minimizer": m})
+
+
+class _Lemma2(_EnumerationSuite):
+    name = "first Dirichlet eigenvectors grow along root paths"
+
+    def step(self, s: _DegreeSequence) -> None:
+        for rbt, _, vec in s.rooted_unit:
+            self.checked += 1
+            if not check_monotone_paths(rbt, vec):
+                self.failures.append(
+                    {
+                        "sequence": list(s.seq),
+                        "root": rbt.root,
+                        "edges": [[u, v] for u, v, _ in rbt.tree.edges],
+                    }
+                )
+
+
+class _Lemma5(_EnumerationSuite):
+    name = "nu argmin equals the monotone pendant-rooted caterpillar shape"
+
+    def step(self, s: _DegreeSequence) -> None:
+        for w0 in (1.0, 1.5, 3.0):
+            if w0 == 1.0:
+                instances = [(rbt, nu) for rbt, nu, _ in s.rooted_unit]
+            else:
+                instances = [
+                    (rbt, dirichlet_nu(rbt)[0])
+                    for rbt in enumerate_rooted_trees(s.seq, w0, codes=s.codes)
+                ]
+            minimum = min(v for _, v in instances)
+            argmin = set()
+            predicted = set()
+            for rbt, nu in instances:
+                key = str(rooted_canonical_key(rbt))
+                if _tied(nu, minimum):
+                    argmin.add(key)
+                if is_minimal_shape_rooted(rbt):
+                    predicted.add(key)
+            self.checked += 1
+            if argmin != predicted:
+                self.failures.append(
+                    {
+                        "sequence": list(s.seq),
+                        "w0": w0,
+                        "argmin_only": sorted(argmin - predicted),
+                        "predicted_only": sorted(predicted - argmin),
+                    }
+                )
+
+
+class _Split(_EnumerationSuite):
+    """Every tree with n <= min(nmax, 8) from the stream, then samples
+    random trees with n <= nmax."""
+
+    name = "split sides reproduce alpha as their first Dirichlet eigenvalue"
+
+    def __init__(self, nmax: int, samples: int, rng_seed: int, **_: object) -> None:
+        super().__init__(min(nmax, 8))
+        self.sample_nmax = nmax
+        self.samples = samples
+        self.rng_seed = rng_seed
+        self.worst = 0.0
+
+    def _check(self, tree: Tree) -> None:
+        analysis = analyze(tree)
+        split = geometric_split(tree, analysis)
+        r1, r2 = verify_split(tree, split, analysis.alpha)
+        self.checked += 1
+        self.worst = max(self.worst, r1, r2)
+        if r1 > 1e-8 or r2 > 1e-8:
+            self.failures.append(
+                {
+                    "edges": [[u, v] for u, v, _ in tree.edges],
+                    "alpha": analysis.alpha,
+                    "residuals": [r1, r2],
+                }
+            )
+
+    def step(self, s: _DegreeSequence) -> None:
+        for code in s.codes:
+            self._check(tree_from_code(code))
+
+    def report(self) -> dict:
+        rng = _suite_rng(self.rng_seed, "split")
+        for _ in range(self.samples):
+            self._check(random_tree(rng, rng.randint(2, self.sample_nmax)))
+        return {
+            "name": self.name,
+            "checked": self.checked,
+            "worst_residual": self.worst,
+            "failures": _fail_list(self.failures),
+            "passed": not self.failures,
+        }
+
+
+def _run_stream(suites: Sequence[_EnumerationSuite]) -> None:
+    """Enumerate each degree sequence once, for n = 2 up to the largest
+    nmax of the suites, and hand it to every suite whose range holds n."""
+    for n in range(2, max(s.nmax for s in suites) + 1):
+        readers = [s for s in suites if n <= s.nmax]
         for seq in all_tree_sequences(n):
-            report = min_alpha_tree(seq)
-            checked += len(report.minimizers)
-            for m in report.minimizers:
-                if not (m["is_caterpillar"] and m["is_theorem1_shape"]):
-                    failures.append({"sequence": list(seq), "minimizer": m})
-    return {
-        "name": "alpha minimizers are monotone caterpillars",
-        "checked": checked,
-        "failures": _fail_list(failures),
-        "passed": not failures,
-    }
-
-
-def _suite_lemma2(nmax: int, **_: object) -> dict:
-    failures = []
-    checked = 0
-    for n in range(2, nmax + 1):
-        for seq in all_tree_sequences(n):
-            for rbt in enumerate_rooted_trees(seq, 1.0):
-                _, vec = dirichlet_nu(rbt)
-                checked += 1
-                if not check_monotone_paths(rbt, vec):
-                    failures.append(
-                        {
-                            "sequence": list(seq),
-                            "root": rbt.root,
-                            "edges": [[u, v] for u, v, _ in rbt.tree.edges],
-                        }
-                    )
-    return {
-        "name": "first Dirichlet eigenvectors grow along root paths",
-        "checked": checked,
-        "failures": _fail_list(failures),
-        "passed": not failures,
-    }
-
-
-def _suite_lemma5(
-    nmax: int, w0_values: Sequence[float] = (1.0, 1.5, 3.0), **_: object
-) -> dict:
-    failures = []
-    checked = 0
-    for n in range(2, nmax + 1):
-        for seq in all_tree_sequences(n):
-            for w0 in w0_values:
-                instances = []
-                for rbt in enumerate_rooted_trees(seq, w0):
-                    nu, _ = dirichlet_nu(rbt)
-                    instances.append((rbt, nu))
-                minimum = min(v for _, v in instances)
-                argmin = set()
-                predicted = set()
-                for rbt, nu in instances:
-                    key = str(rooted_canonical_key(rbt))
-                    if _tied(nu, minimum):
-                        argmin.add(key)
-                    if is_minimal_shape_rooted(rbt):
-                        predicted.add(key)
-                checked += 1
-                if argmin != predicted:
-                    failures.append(
-                        {
-                            "sequence": list(seq),
-                            "w0": w0,
-                            "argmin_only": sorted(argmin - predicted),
-                            "predicted_only": sorted(predicted - argmin),
-                        }
-                    )
-    return {
-        "name": "nu argmin equals the monotone pendant-rooted caterpillar shape",
-        "checked": checked,
-        "failures": _fail_list(failures),
-        "passed": not failures,
-    }
+            item = _DegreeSequence(seq)
+            for suite in readers:
+                suite.step(item)
 
 
 def _suite_perturb(
@@ -625,51 +708,13 @@ def _suite_glue(samples: int, rng_seed: int, nmax: int = 9, **_: object) -> dict
     }
 
 
-def _suite_split(nmax: int, samples: int, rng_seed: int, **_: object) -> dict:
-    rng = _suite_rng(rng_seed, "split")
-    failures = []
-    checked = 0
-    worst = 0.0
-
-    def check(tree: Tree) -> None:
-        nonlocal checked, worst
-        analysis = analyze(tree)
-        split = geometric_split(tree, analysis)
-        r1, r2 = verify_split(tree, split, analysis.alpha)
-        checked += 1
-        worst = max(worst, r1, r2)
-        if r1 > 1e-8 or r2 > 1e-8:
-            failures.append(
-                {
-                    "edges": [[u, v] for u, v, _ in tree.edges],
-                    "alpha": analysis.alpha,
-                    "residuals": [r1, r2],
-                }
-            )
-
-    for n in range(2, min(nmax, 8) + 1):
-        for seq in all_tree_sequences(n):
-            for code in sorted(canonical_tree_codes(seq)):
-                check(tree_from_code(code))
-    for _ in range(samples):
-        check(random_tree(rng, rng.randint(2, nmax)))
-    return {
-        "name": "split sides reproduce alpha as their first Dirichlet eigenvalue",
-        "checked": checked,
-        "worst_residual": worst,
-        "failures": _fail_list(failures),
-        "passed": not failures,
-    }
-
-
-_SUITE_FUNCS = {
-    "theorem1": _suite_theorem1,
-    "lemma2": _suite_lemma2,
-    "lemma5": _suite_lemma5,
-    "perturb": _suite_perturb,
-    "glue": _suite_glue,
-    "split": _suite_split,
+_STREAM_SUITES = {
+    "theorem1": _Theorem1,
+    "lemma2": _Lemma2,
+    "lemma5": _Lemma5,
+    "split": _Split,
 }
+_SAMPLE_SUITES = {"perturb": _suite_perturb, "glue": _suite_glue}
 
 
 def verify_suite(
@@ -681,7 +726,11 @@ def verify_suite(
     strict_margin: float = STRICT_MARGIN,
 ) -> dict:
     """Run one named verification suite (or "all") and return a
-    machine-readable report.  Deterministic for fixed arguments."""
+    machine-readable report.  Deterministic for fixed arguments.
+
+    theorem1, lemma2, lemma5 and split read one stream that enumerates
+    each degree sequence once; perturb, glue and split's random trees
+    are drawn afterwards, each from its own seeded generator."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
     if nmax < 2:
@@ -689,17 +738,22 @@ def verify_suite(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
-    checks = []
-    for name in names:
-        checks.append(
-            {"suite": name}
-            | _SUITE_FUNCS[name](
-                nmax=nmax,
-                samples=samples,
-                rng_seed=rng_seed,
-                strict_margin=strict_margin,
-            )
-        )
+    params = {
+        "nmax": nmax,
+        "samples": samples,
+        "rng_seed": rng_seed,
+        "strict_margin": strict_margin,
+    }
+    stream = {
+        name: _STREAM_SUITES[name](**params) for name in names if name in _STREAM_SUITES
+    }
+    if stream:
+        _run_stream(list(stream.values()))
+    checks = [
+        {"suite": name}
+        | (stream[name].report() if name in stream else _SAMPLE_SUITES[name](**params))
+        for name in names
+    ]
     return {
         "suite": suite,
         "params": {"nmax": nmax, "samples": samples, "rng_seed": rng_seed},

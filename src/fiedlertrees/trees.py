@@ -3,11 +3,12 @@ boundary trees.
 
 Vertices are 0-based contiguous integers.  Every structure is immutable
 after construction, so instances can be shared freely.  Edge weights are
-strictly positive reals and default to 1.
+positive finite reals and default to 1.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 
 
@@ -23,7 +24,7 @@ class Tree:
     """Weighted undirected tree on vertices ``0 .. n-1``.
 
     The constructor validates tree-ness: exactly ``n - 1`` edges, no self
-    loops, no parallel edges, all weights strictly positive, connected.
+    loops, no parallel edges, all weights positive and finite, connected.
     Adjacency is stored symmetrically and sorted by neighbor id so all
     traversals are deterministic.
     """
@@ -46,8 +47,8 @@ class Tree:
                 raise NotATreeError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise NotATreeError(f"self loop at vertex {u}")
-            if w <= 0.0:
-                raise NotATreeError(f"edge ({u},{v}) has non-positive weight {w}")
+            if not 0.0 < w < math.inf:
+                raise NotATreeError(f"edge ({u},{v}) has weight {w}, not positive and finite")
             if u > v:
                 u, v = v, u
             if (u, v) in seen:
@@ -363,8 +364,8 @@ def with_boundary_weight(t: Tree, root: int, boundary_weight: float) -> RootedBo
     The weighted edge goes to the root neighbor with the deepest subtree
     (ties to the smallest neighbor id), which is the edge a trunk would use.
     """
-    if boundary_weight < 1.0:
-        raise ValueError(f"boundary weight {boundary_weight} must be >= 1")
+    if not 1.0 <= boundary_weight < math.inf:
+        raise ValueError(f"boundary weight {boundary_weight} must be finite and >= 1")
     if not 0 <= root < t.n:
         raise ValueError(f"root {root} out of range")
     if not t.has_unit_weights():

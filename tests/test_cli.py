@@ -192,3 +192,29 @@ def test_float_output_has_12_significant_digits(capsys, p4_file):
     main(["alpha", p4_file])
     out = capsys.readouterr().out
     assert "0.585786437627" in out  # 2 - sqrt(2) rounded to 12 digits
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_alpha_rejects_non_finite_weight(capsys, tmp_path, weight):
+    f = tmp_path / "w.txt"
+    f.write_text(f"0 1 {weight}\n")
+    assert main(["alpha", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("w0", ["nan", "inf"])
+def test_nu_rejects_non_finite_w0(capsys, p3_file, w0):
+    assert main(["nu", p3_file, "--root", "0", "--w0", w0]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite and >= 1" in captured.err
+
+
+@pytest.mark.parametrize("w0", ["nan", "inf"])
+def test_min_rooted_rejects_non_finite_w0(capsys, w0):
+    assert main(["min-rooted", "--seq", "2,2,1,1", "--w0", w0]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite and >= 1" in captured.err

@@ -247,3 +247,9 @@ def test_enumeration_deterministic():
     a = [t.edges for t in enumerate_trees((3, 2, 2, 1, 1, 1))]
     b = [t.edges for t in enumerate_trees((3, 2, 2, 1, 1, 1))]
     assert a == b
+
+
+@pytest.mark.parametrize("w0", [math.nan, math.inf])
+def test_enumerate_rooted_trees_rejects_non_finite_weight(w0):
+    with pytest.raises(ValueError, match="must be finite and >= 1"):
+        list(enumerate_rooted_trees((2, 1, 1), w0))

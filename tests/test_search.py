@@ -7,6 +7,8 @@ import pytest
 from fiedlertrees import (
     build_caterpillar,
     canonical_code,
+    canonical_tree_codes,
+    enumerate_rooted_trees,
     is_caterpillar,
     min_alpha_caterpillar,
     min_alpha_tree,
@@ -235,3 +237,83 @@ def test_search_reports_are_json_ready():
 
     rep = min_nu_rooted((2, 1, 1))
     json.dumps(rep.to_json())
+
+
+def test_verify_enumerates_each_sequence_once(monkeypatch):
+    import fiedlertrees.enumeration as enumeration
+    import fiedlertrees.search as search
+
+    calls = []
+    rooted_calls = []
+    real = enumeration.canonical_tree_codes
+    real_rooted = enumeration.enumerate_rooted_trees
+
+    def counted(seq):
+        calls.append(tuple(seq))
+        return real(seq)
+
+    def counted_rooted(seq, boundary_weight=1.0, **kwargs):
+        rooted_calls.append((tuple(seq), boundary_weight))
+        return real_rooted(seq, boundary_weight, **kwargs)
+
+    monkeypatch.setattr(enumeration, "canonical_tree_codes", counted)
+    monkeypatch.setattr(search, "canonical_tree_codes", counted)
+    monkeypatch.setattr(search, "enumerate_rooted_trees", counted_rooted)
+    assert verify_suite("all", nmax=7, samples=10, rng_seed=2)["passed"]
+    expected = [seq for n in range(2, 8) for seq in all_tree_sequences(n)]
+    assert sorted(calls) == sorted(expected)
+    # lemma2 and lemma5 share the w0 = 1 rooted trees of each sequence
+    assert sorted(rooted_calls) == sorted(
+        (seq, w0) for seq in expected for w0 in (1.0, 1.5, 3.0)
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 9])
+def test_verify_all_equals_the_single_suites(seed):
+    both = verify_suite("all", nmax=7, samples=10, rng_seed=seed)
+    singles = [
+        check
+        for name in ("theorem1", "lemma2", "lemma5", "perturb", "glue", "split")
+        for check in verify_suite(name, nmax=7, samples=10, rng_seed=seed)["checks"]
+    ]
+    assert both["checks"] == singles
+
+
+def test_min_alpha_tree_with_codes_matches_enumeration():
+    def strip(report):
+        doc = report.to_json()
+        del doc["elapsed"]
+        return doc
+
+    for n in range(2, 9):
+        for seq in all_tree_sequences(n):
+            codes = sorted(canonical_tree_codes(seq), reverse=True)
+            assert strip(min_alpha_tree(seq, codes=codes)) == strip(min_alpha_tree(seq))
+
+
+def test_enumerate_rooted_trees_with_codes_matches_enumeration():
+    def flat(rbts):
+        return [(r.root, r.boundary_neighbor, r.tree.edges) for r in rbts]
+
+    for n in range(2, 9):
+        for seq in all_tree_sequences(n):
+            codes = sorted(canonical_tree_codes(seq), reverse=True)
+            for w0 in (1.0, 1.5, 3.0):
+                got = flat(enumerate_rooted_trees(seq, w0, codes=codes))
+                assert got == flat(enumerate_rooted_trees(seq, w0))
+
+
+def test_verify_stream_counts_match_tree_counts():
+    # OEIS A000055 (free trees) and A000081 (rooted trees) for n = 2..9;
+    # split enumerates n <= 8 only, then draws its samples
+    free = [1, 1, 2, 3, 6, 11, 23, 47]
+    rooted = [1, 2, 4, 9, 20, 48, 115, 286]
+    sequences = sum(1 for n in range(2, 10) for _ in all_tree_sequences(n))
+    checks = {
+        c["suite"]: c["checked"]
+        for c in verify_suite("all", nmax=9, samples=5, rng_seed=4)["checks"]
+    }
+    assert checks["theorem1"] == sequences  # no ties at n <= 9
+    assert checks["lemma2"] == sum(rooted)
+    assert checks["lemma5"] == 3 * sequences
+    assert checks["split"] == sum(free[:-1]) + 5

@@ -1,5 +1,6 @@
 """Tree construction, degree sequences, caterpillars, and rooted structure."""
 
+import math
 import random
 
 import pytest
@@ -265,3 +266,15 @@ def test_edge_list_comments_and_errors():
         parse_edge_list("")
     with pytest.raises(EdgeListParseError):
         parse_edge_list("-1 0\n")
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+def test_tree_rejects_non_finite_weight(w):
+    with pytest.raises(NotATreeError):
+        Tree(2, [(0, 1, w)])
+
+
+@pytest.mark.parametrize("w0", [math.nan, math.inf])
+def test_with_boundary_weight_rejects_non_finite_weight(w0):
+    with pytest.raises(ValueError, match="must be finite and >= 1"):
+        with_boundary_weight(path_tree(4), 1, w0)
