@@ -16,7 +16,7 @@ import heapq
 from collections.abc import Iterable, Iterator, Sequence
 from math import factorial, inf
 
-from .trees import RootedBoundaryTree, Tree, validate_tree_sequence
+from .trees import RootedBoundaryTree, Tree, _weighted_root_edge, validate_tree_sequence
 
 
 def prufer_decode(word: Sequence[int], n: int) -> Tree:
@@ -159,20 +159,6 @@ def tree_from_code(code: str) -> Tree:
     return Tree(n, edges)
 
 
-def _root_child_codes(code: str) -> list[str]:
-    """Top-level child code strings of a rooted code, in code order."""
-    inner = code[1:-1]
-    out = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(inner):
-        depth += 1 if ch == "(" else -1
-        if depth == 0:
-            out.append(inner[start : i + 1])
-            start = i + 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # unlabeled enumeration
 
@@ -203,41 +189,33 @@ def enumerate_trees(seq: Sequence[int]) -> Iterator[Tree]:
 def rooted_canonical_key(rbt: RootedBoundaryTree) -> tuple[str, str] | str:
     """Dedupe key for a rooted boundary tree.
 
-    The key is the rooted code of the underlying unit-weight tree; when the
-    boundary weight differs from 1 the code of the child subtree carrying
-    the weighted edge is appended, so inequivalent placements of the
-    weighted edge count as distinct rooted trees.
+    The key is the rooted code of the underlying tree, weights ignored;
+    when the boundary weight differs from 1 the code of the child subtree
+    carrying the weighted edge is appended, so inequivalent placements of
+    the weighted edge count as distinct rooted trees.
     """
-    t = rbt.tree
-    unit = Tree(t.n, [(u, v) for u, v, _ in t.edges])
-    codes = _subtree_codes(unit, rbt.root)
+    codes = _subtree_codes(rbt.tree, rbt.root)
     if rbt.boundary_weight == 1.0:
         return codes[rbt.root]
     return codes[rbt.root], codes[rbt.boundary_neighbor]
 
 
-def _rooted_tree_from_key(key, boundary_weight: float) -> RootedBoundaryTree:
-    if isinstance(key, tuple):
-        rcode, marked = key
-    else:
-        rcode, marked = key, None
-    t = tree_from_code(rcode)
-    child_codes = _root_child_codes(rcode)
-    # preorder: child k's id is 1 + total size of children 0..k-1,
-    # where a code of length 2s encodes s vertices
-    child_ids = []
-    next_id = 1
-    for c in child_codes:
-        child_ids.append(next_id)
-        next_id += len(c) // 2
-    if marked is None:
-        return RootedBoundaryTree(t, 0, child_ids[0])
-    target = child_ids[child_codes.index(marked)]
-    edges = [
-        (u, v, boundary_weight if {u, v} == {0, target} else w)
-        for u, v, w in t.edges
-    ]
-    return RootedBoundaryTree(Tree(t.n, edges), 0, target)
+def _boundary_placements(
+    rbt: RootedBoundaryTree, boundary_weight: float
+) -> Iterator[RootedBoundaryTree]:
+    """The inequivalent placements of boundary_weight on a root edge of the
+    unit-weight rbt: rbt itself at weight 1, else one tree per distinct
+    child subtree code, on the first child (by id) with that code."""
+    if boundary_weight == 1.0:
+        yield rbt
+        return
+    t, root = rbt.tree, rbt.root
+    codes = _subtree_codes(t, root)
+    first: dict[str, int] = {}
+    for child, _ in t.neighbors(root):
+        first.setdefault(codes[child], child)
+    for child in first.values():
+        yield _weighted_root_edge(t, root, child, boundary_weight)
 
 
 def enumerate_rooted_trees(
@@ -247,28 +225,25 @@ def enumerate_rooted_trees(
     codes: Iterable[str] | None = None,
 ) -> Iterator[RootedBoundaryTree]:
     """Every (unlabeled tree, root choice) pair with degree multiset seq,
-    deduplicated by rooted canonical code.
+    deduplicated by rooted canonical code, in rooted-code order.  Each
+    tree is tree_from_code of its rooted code, rooted at vertex 0.
 
     With boundary_weight == 1 the designated boundary edge is the root's
     first child in code order (the choice has no numeric effect).  With
     boundary_weight > 1, each inequivalent root-incident edge placement is
-    yielded as a distinct rooted tree.  codes, when given, are the
-    canonical codes of seq (canonical_tree_codes' set, in any order), so a
-    caller that already has them skips the enumeration.
+    yielded as a distinct rooted tree, in child-code order.  codes, when
+    given, are the canonical codes of seq (canonical_tree_codes' set, in
+    any order), so a caller that already has them skips the enumeration.
     """
     if not validate_tree_sequence(seq):
         raise ValueError(f"invalid tree sequence {tuple(seq)}")
     if not 1.0 <= boundary_weight < inf:
         raise ValueError(f"boundary weight {boundary_weight} must be finite and >= 1")
-    keys = set()
+    rcodes = set()
     for code in canonical_tree_codes(seq) if codes is None else codes:
         t = tree_from_code(code)
-        for root in range(t.n):
-            rcode = rooted_code(t, root)
-            if boundary_weight == 1.0:
-                keys.add(rcode)
-            else:
-                for child in _root_child_codes(rcode):
-                    keys.add((rcode, child))
-    for key in sorted(keys, key=lambda k: (k,) if isinstance(k, str) else k):
-        yield _rooted_tree_from_key(key, boundary_weight)
+        rcodes.update(rooted_code(t, root) for root in range(t.n))
+    for rcode in sorted(rcodes):
+        # preorder ids put the root's children in code order
+        rbt = RootedBoundaryTree(tree_from_code(rcode), 0)
+        yield from _boundary_placements(rbt, boundary_weight)

@@ -77,6 +77,8 @@ class GeometricSplit:
 
 
 def _tau(f: np.ndarray, tau_factor: float) -> float:
+    if not 0.0 <= tau_factor < 1.0:
+        raise ValueError(f"tau factor {tau_factor} must be finite and in [0, 1)")
     scale = float(np.abs(f).max(initial=0.0))
     if scale == 0.0:
         raise ValueError("zero vector has no sign structure")

@@ -21,6 +21,7 @@ from .nodal import FiedlerAnalysis
 from .trees import (
     RootedBoundaryTree,
     Tree,
+    _weighted_root_edge,
     distances_from,
     is_caterpillar,
     spine_path,
@@ -225,13 +226,7 @@ def build_monotone_rooted_caterpillar(
             next_id += 1
     tree = Tree(next_id, edges)
     boundary_neighbor = 1 if m > 0 else tree.neighbors(0)[0][0]
-    if boundary_weight != 1.0:
-        weighted = [
-            (u, v, boundary_weight if {u, v} == {0, boundary_neighbor} else 1.0)
-            for u, v, _ in tree.edges
-        ]
-        tree = Tree(tree.n, weighted)
-    return RootedBoundaryTree(tree, 0, boundary_neighbor)
+    return _weighted_root_edge(tree, 0, boundary_neighbor, boundary_weight)
 
 
 def is_minimal_shape_rooted(rbt: RootedBoundaryTree) -> bool:

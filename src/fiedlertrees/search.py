@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .enumeration import (
+    _boundary_placements,
     _multiset_permutations,
     _permutation_count,
     canonical_code,
@@ -471,7 +472,8 @@ def _fail_list(failures: list, limit: int = 20) -> list:
 class _DegreeSequence:
     """One degree sequence of the verify stream: its canonical codes,
     sorted, and the w0 = 1 rooted trees with their Dirichlet pairs, solved
-    on first use.  The enumeration suites share both; nothing outlives the
+    on first use.  The enumeration suites share both, and lemma5 places
+    its other boundary weights on those trees; nothing outlives the
     sequence."""
 
     def __init__(self, seq: tuple[int, ...]) -> None:
@@ -545,8 +547,9 @@ class _Lemma5(_EnumerationSuite):
                 instances = [(rbt, nu) for rbt, nu, _ in s.rooted_unit]
             else:
                 instances = [
-                    (rbt, dirichlet_nu(rbt)[0])
-                    for rbt in enumerate_rooted_trees(s.seq, w0, codes=s.codes)
+                    (placed, dirichlet_nu(placed)[0])
+                    for rbt, _, _ in s.rooted_unit
+                    for placed in _boundary_placements(rbt, w0)
                 ]
             minimum = min(v for _, v in instances)
             argmin = set()
@@ -737,6 +740,10 @@ def verify_suite(
         raise ValueError(f"nmax must be >= 2, got {nmax}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not 0.0 <= strict_margin < 1.0:
+        raise ValueError(
+            f"strict_margin must be finite and in [0, 1), got {strict_margin}"
+        )
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
     params = {
         "nmax": nmax,

@@ -4,7 +4,9 @@ eigensolvers with certified residuals.
 Three solvers share one contract.  Below TREE_SOLVER_ORDER (256) rows a
 matrix is a plain dense float64 numpy array and LAPACK's ``eigh``
 returns all of its eigenpairs; that is the fast path for the many small
-solves of the tree searches.  From TREE_SOLVER_ORDER rows on,
+solves of the tree searches.  ``dirichlet_nu`` has one source for such a
+block, whatever the interior's size: ``_branch_block`` cuts it straight
+from the tree.  From TREE_SOLVER_ORDER rows on,
 ``algebraic_connectivity`` and the branch blocks of ``dirichlet_nu`` use
 a tree solver in O(n) memory instead: it counts eigenvalues below a
 shift from the pivots of one elimination along the tree (Jacobs and
@@ -355,10 +357,9 @@ def dirichlet_nu(rbt: RootedBoundaryTree) -> tuple[float, np.ndarray]:
     """
     tree, root = rbt.tree, rbt.root
     index = rbt.interior_index()
-    # a small interior still cuts its blocks from the dense Dirichlet
-    # matrix, whose diagonal sums round exactly as before; a large one
-    # builds no matrix of its own order and takes small blocks from the tree
-    matrix = dirichlet_matrix(rbt) if len(index) < TREE_SOLVER_ORDER else None
+    # no matrix of the interior's order is built: a block below
+    # TREE_SOLVER_ORDER rows is cut from the tree, a larger one is solved
+    # along it
     best_value = None
     best_vector = None
     best_positions = None
@@ -372,8 +373,6 @@ def dirichlet_nu(rbt: RootedBoundaryTree) -> tuple[float, np.ndarray]:
             vec = np.empty(len(verts))
             vec[np.searchsorted(verts, sub)] = pair.vector
             pair = EigenPair(pair.value, _fix_sign(vec), pair.residual)
-        elif matrix is not None:
-            pair = eig_smallest(matrix[np.ix_(positions, positions)], 1)[0]
         else:
             pair = eig_smallest(_branch_block(tree, verts), 1)[0]
         if best_value is None or pair.value < best_value:

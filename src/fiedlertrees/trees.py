@@ -374,13 +374,20 @@ def with_boundary_weight(t: Tree, root: int, boundary_weight: float) -> RootedBo
     order, depth, branch = _hang(t, root)
     deepest = depth[order[-1]]
     best_u = min((branch[x] for x in order[1:] if depth[x] == deepest), default=None)
-    if boundary_weight == 1.0:
-        return RootedBoundaryTree(t, root, best_u)
-    edges = [
-        (u, v, boundary_weight if {u, v} == {root, best_u} else w)
-        for u, v, w in t.edges
-    ]
-    return RootedBoundaryTree(Tree(t.n, edges), root, best_u)
+    return _weighted_root_edge(t, root, best_u, boundary_weight)
+
+
+def _weighted_root_edge(
+    t: Tree, root: int, neighbor: int, boundary_weight: float
+) -> RootedBoundaryTree:
+    """t rooted at root, with boundary_weight on its edge to neighbor."""
+    if boundary_weight != 1.0:
+        edges = [
+            (u, v, boundary_weight if {u, v} == {root, neighbor} else w)
+            for u, v, w in t.edges
+        ]
+        t = Tree(t.n, edges)
+    return RootedBoundaryTree(t, root, neighbor)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Expected eigenvalues come from closed forms or small characteristic
 polynomials solved by hand; isomorphism is decided by brute-force
 bijection search; the Rayleigh quotient is recomputed as the weighted
-edge-difference sum; root-to-leaf paths come from a depth-first walk.
+edge-difference sum; root-to-leaf paths come from a depth-first walk;
+rooted codes come from a recursive walk over every root and root edge.
 """
 
 from __future__ import annotations
@@ -105,3 +106,20 @@ def unlabeled_count_by_brute_force(n: int) -> dict[tuple[int, ...], int]:
         if not any(brute_force_isomorphic(t, r) for r in reps):
             reps.append(t)
     return {seq: len(reps) for seq, reps in by_seq.items()}
+
+
+def subtree_code(t: Tree, v: int, parent: int) -> str:
+    """Code of v's subtree when t hangs from parent (-1 for the root): the
+    sorted child codes inside parentheses, built recursively; small n only."""
+    subs = sorted(subtree_code(t, u, v) for u, _ in t.neighbors(v) if u != parent)
+    return "(" + "".join(subs) + ")"
+
+
+def rooted_placement_keys(t: Tree) -> set[tuple[str, str]]:
+    """(rooted code, child subtree code) of every placement of a boundary
+    weight on t: every root, every edge at that root."""
+    return {
+        (subtree_code(t, root, -1), subtree_code(t, child, root))
+        for root in range(t.n)
+        for child, _ in t.neighbors(root)
+    }

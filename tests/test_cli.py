@@ -158,6 +158,24 @@ def test_verify_rejects_empty_ranges(capsys, argv, name):
     assert f"{name} must be >= " in captured.err
 
 
+@pytest.mark.parametrize("margin", ["-1", "1", "nan", "inf"])
+def test_verify_rejects_strict_margin_outside_unit_interval(capsys, margin):
+    assert main(["verify", "--suite", "perturb", "--strict-margin", margin]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "strict_margin must be finite and in [0, 1)" in captured.err
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-1", "2"])
+@pytest.mark.parametrize("command", ["alpha", "nu", "split"])
+def test_tau_zero_outside_unit_interval_exits_2(capsys, p4_file, command, tau):
+    root = ["--root", "0"] if command == "nu" else []
+    assert main([command, p4_file, *root, "--tau-zero", tau]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite and in [0, 1)" in captured.err
+
+
 def test_verify_all_suites_exit_zero(capsys):
     code, doc = _run_json(
         capsys, ["verify", "--suite", "all", "--nmax", "8", "--rng-seed", "7"]

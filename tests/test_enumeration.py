@@ -19,6 +19,7 @@ from fiedlertrees import (
     path_tree,
     prufer_count,
     prufer_decode,
+    rooted_canonical_key,
     rooted_code,
     star_tree,
     tree_from_code,
@@ -26,7 +27,13 @@ from fiedlertrees import (
 from fiedlertrees.enumeration import _multiset_permutations, canonical_tree_codes
 from fiedlertrees.search import all_tree_sequences
 
-from helpers import brute_force_isomorphic, spider, unlabeled_count_by_brute_force
+from helpers import (
+    brute_force_isomorphic,
+    rooted_placement_keys,
+    spider,
+    subtree_code,
+    unlabeled_count_by_brute_force,
+)
 
 
 def test_prufer_decode_known_words():
@@ -236,6 +243,30 @@ def test_enumerate_rooted_trees_weighted_placements():
             if {u, v} != {rbt.root, rbt.boundary_neighbor}
         ]
         assert all(w == 1.0 for w in others)
+
+
+@pytest.mark.parametrize("w0", [1.5, 3.0])
+def test_weighted_rooted_trees_match_the_placement_oracle(w0):
+    # every placement of the weighted root edge on networkx's free trees
+    oracle: dict[tuple[int, ...], set] = {}
+    for n in range(2, 9):
+        for g in nx.nonisomorphic_trees(n):
+            t = Tree(n, g.edges())
+            oracle.setdefault(degree_sequence(t), set()).update(rooted_placement_keys(t))
+    assert set(oracle) == {seq for n in range(2, 9) for seq in all_tree_sequences(n)}
+    for seq, keys in oracle.items():
+        expected = sorted(keys)
+        got = list(enumerate_rooted_trees(seq, w0))
+        assert [rooted_canonical_key(rbt) for rbt in got] == expected
+        for rbt, (rcode, child_code) in zip(got, expected):
+            unit = tree_from_code(rcode)
+            first = min(
+                c for c, _ in unit.neighbors(0) if subtree_code(unit, c, 0) == child_code
+            )
+            assert (rbt.root, rbt.boundary_neighbor) == (0, first)
+            assert [e[:2] for e in rbt.tree.edges] == [e[:2] for e in unit.edges]
+            for u, v, w in rbt.tree.edges:
+                assert w == (w0 if (u, v) == (0, first) else 1.0)
 
 
 def test_enumerate_rooted_trees_rejects_small_weight():

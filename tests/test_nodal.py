@@ -1,6 +1,7 @@
 """Characteristic sets, nodal domains, the geometric split, and path
 monotonicity of Dirichlet eigenvectors."""
 
+import math
 import random
 
 import numpy as np
@@ -291,3 +292,20 @@ def test_check_monotone_paths_matches_the_per_path_definition():
             assert check_monotone_paths(rbt, g) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -1.0, 1.0, 2.0])
+def test_tau_rejects_factors_outside_unit_interval(factor):
+    t = path_tree(4)
+    with pytest.raises(ValueError, match="tau factor"):
+        _tau(np.array([1.0, -1.0]), factor)
+    with pytest.raises(ValueError, match="tau factor"):
+        analyze(t, factor)
+    rbt = with_boundary_weight(t, 0, 1.0)
+    with pytest.raises(ValueError, match="tau factor"):
+        check_monotone_paths(rbt, dirichlet_nu(rbt)[1], factor)
+
+
+def test_tau_accepts_a_zero_factor():
+    assert _tau(np.array([0.5, -2.0]), 0.0) == 0.0
+    assert set(analyze(path_tree(4), 0.0).charset.ids) == {1, 2}

@@ -226,6 +226,13 @@ def test_verify_suite_rejects_empty_ranges(suite, kwargs, name):
         verify_suite(suite, **kwargs)
 
 
+@pytest.mark.parametrize("margin", [-1.0, 1.0, math.nan, math.inf])
+def test_verify_suite_rejects_strict_margin_outside_unit_interval(margin):
+    # -1 would pass every move, nan and inf would fail every one
+    with pytest.raises(ValueError, match="strict_margin"):
+        verify_suite("perturb", samples=5, strict_margin=margin)
+
+
 def test_search_reports_are_json_ready():
     import json
 
@@ -262,10 +269,9 @@ def test_verify_enumerates_each_sequence_once(monkeypatch):
     assert verify_suite("all", nmax=7, samples=10, rng_seed=2)["passed"]
     expected = [seq for n in range(2, 8) for seq in all_tree_sequences(n)]
     assert sorted(calls) == sorted(expected)
-    # lemma2 and lemma5 share the w0 = 1 rooted trees of each sequence
-    assert sorted(rooted_calls) == sorted(
-        (seq, w0) for seq in expected for w0 in (1.0, 1.5, 3.0)
-    )
+    # lemma2 and lemma5 share the w0 = 1 rooted trees of each sequence, and
+    # lemma5 places its w0 = 1.5 and 3 weights on them
+    assert sorted(rooted_calls) == sorted((seq, 1.0) for seq in expected)
 
 
 @pytest.mark.parametrize("seed", [1, 9])

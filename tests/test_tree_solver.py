@@ -13,9 +13,11 @@ from fiedlertrees import (
     Tree,
     algebraic_connectivity,
     analyze,
+    all_tree_sequences,
     branches_at,
     dirichlet_matrix,
     dirichlet_nu,
+    enumerate_rooted_trees,
     geometric_split,
     laplacian,
     path_tree,
@@ -146,17 +148,18 @@ def test_large_trees_reach_no_dense_solve(monkeypatch):
     assert max(verify_split(t, split, an.alpha)) <= 1e-8
 
 
-def test_small_blocks_of_a_large_interior_match_the_dense_slices():
-    # a 300-leaf star hung from the end of a 300-vertex path, rooted at the
-    # star's center: one branch takes the tree solver, 300 stay dense
-    edges = [(i, i + 1) for i in range(299)] + [(299, 300)]
-    edges += [(300, 301 + i) for i in range(300)]
-    rbt = with_boundary_weight(Tree(601, edges), 300, 1.0)
+def _check_against_dense_blocks(rbt, exact):
+    """dirichlet_nu within ||M||_1 n eps of the least eigenvalue of the
+    dense Dirichlet matrix, which is the minimum over its blocks, and its
+    vector inside the residual certificate.  With exact, every block below
+    TREE_SOLVER_ORDER rows cut from the tree equals its dense slice."""
     nu, g = dirichlet_nu(rbt)
     m = dirichlet_matrix(rbt)
-    values = np.linalg.eigh(m)[0]
-    assert abs(nu - values[0]) <= np.abs(m).sum(axis=0).max() * m.shape[0] * EPS
-    assert np.linalg.norm(m @ g - nu * g) <= spectral.RESIDUAL_FACTOR * (1 + 4)
+    norm = np.abs(m).sum(axis=0).max()
+    assert abs(nu - np.linalg.eigh(m)[0][0]) <= norm * m.shape[0] * EPS
+    assert np.linalg.norm(m @ g - nu * g) <= spectral.RESIDUAL_FACTOR * (1 + norm)
+    if not exact:
+        return
     index = rbt.interior_index()
     for branch in branches_at(rbt.tree, rbt.root, rbt.root):
         if len(branch) < spectral.TREE_SOLVER_ORDER:
@@ -164,3 +167,37 @@ def test_small_blocks_of_a_large_interior_match_the_dense_slices():
             at = [index[v] for v in verts]
             block = spectral._branch_block(rbt.tree, verts)
             assert np.array_equal(block, m[np.ix_(at, at)])
+
+
+def test_small_blocks_of_a_large_interior_match_the_dense_slices():
+    # a 300-leaf star hung from the end of a 300-vertex path, rooted at the
+    # star's center: one branch takes the tree solver, 300 stay dense
+    edges = [(i, i + 1) for i in range(299)] + [(299, 300)]
+    edges += [(300, 301 + i) for i in range(300)]
+    _check_against_dense_blocks(with_boundary_weight(Tree(601, edges), 300, 1.0), True)
+
+
+@pytest.mark.parametrize("w0", [1.0, 1.5, 3.0])
+def test_small_interior_blocks_equal_the_dense_slices(w0):
+    # dyadic weights make every diagonal sum exact in any order, so the
+    # block cut from the tree equals the dense slice bit for bit
+    rng = random.Random(int(w0 * 20))
+    for n in range(2, 9):
+        for seq in all_tree_sequences(n):
+            for rbt in enumerate_rooted_trees(seq, w0):
+                _check_against_dense_blocks(rbt, True)
+    for _ in range(25):
+        t = random_tree(rng, rng.randint(2, 60))
+        _check_against_dense_blocks(with_boundary_weight(t, rng.randrange(t.n), w0), True)
+
+
+def test_small_interior_nu_on_fractional_split_sides_matches_the_dense_minimum():
+    rng = random.Random(56)
+    fractional = 0
+    for _ in range(40):
+        t = random_tree(rng, rng.randint(3, 60))
+        split = geometric_split(t, analyze(t))
+        for side in (split.pos, split.neg):
+            fractional += side.boundary_weight != round(side.boundary_weight)
+            _check_against_dense_blocks(side, False)
+    assert fractional > 20
