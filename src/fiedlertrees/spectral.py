@@ -6,13 +6,18 @@ matrix is a plain dense float64 numpy array and LAPACK's ``eigh``
 returns all of its eigenpairs; that is the fast path for the many small
 solves of the tree searches.  ``dirichlet_nu`` has one source for such a
 block, whatever the interior's size: ``_branch_block`` cuts it straight
-from the tree.  From TREE_SOLVER_ORDER rows on,
+from the tree, and a one-vertex block needs no solve at all.  From
+TREE_SOLVER_ORDER rows on,
 ``algebraic_connectivity`` and the branch blocks of ``dirichlet_nu`` use
 a tree solver in O(n) memory instead: it counts eigenvalues below a
 shift from the pivots of one elimination along the tree (Jacobs and
 Trevisan, "Locating the eigenvalues of trees", Linear Algebra Appl. 434,
-2011), bisects on that count for the one eigenvalue wanted, and takes
-its vector by inverse iteration with the same elimination.  A third
+2011), and the same sweep carries each pivot's derivative in the shift.
+Newton steps on the determinant propose the shifts, the count certifies
+every bracket, and a final bisection narrows it to relative width eps
+(count bisection safeguarding a fast root finder, as in Parlett, "The
+Symmetric Eigenvalue Problem", ch. 3).  The vector comes by inverse
+iteration with the same elimination.  A third
 path serves the caterpillar searches: ``_caterpillar_fiedler`` solves
 every spine arrangement of a degree multiset at once, with the same count
 collapsed to the spine's tridiagonal (each pendant pivot is 1 - x > 0
@@ -153,9 +158,18 @@ def _tree_eigenpair(
     diag on its diagonal and off[i] at (i, up[i]), whose graph is a tree.
 
     Positions are in BFS order, so up[i] < i, and up[0] == -1 marks the
-    root.  kernel says the matrix is a Laplacian: its constant null vector
-    is then projected out of every iterate.  The vector is unit norm but
-    not sign-fixed, and is indexed by position.
+    root.  kernel says the matrix is a Laplacian: its zero eigenvalue is
+    divided out of the Newton steps and its constant null vector projected
+    out of every iterate.  The vector is unit norm but not sign-fixed, and
+    is indexed by position.
+
+    One elimination sweep at a shift x gives both the count of eigenvalues
+    below x and d/dx log|det(M - x I)|.  The count decides every move of
+    the bracket [lo, hi], so count(lo) <= j < count(hi) always holds;
+    Newton steps from lo only propose the shifts, and a shift outside the
+    bracket falls back to the midpoint.  Once Newton stalls, bisection
+    narrows the bracket to relative width eps, and the value is its
+    midpoint.
     """
     k = len(diag)
     a = np.asarray(diag, dtype=float)
@@ -170,12 +184,16 @@ def _tree_eigenpair(
     pivmin = _SAFE_MIN * max(1.0, max(bb))
     steps = list(range(k - 1, -1, -1))
 
-    def eliminate(x: float, tiny: float) -> tuple[list[float], int]:
-        """Pivots of M - x I, eliminated from the leaves up, each of
-        magnitude below tiny replaced by -tiny, and how many are negative:
-        the number of eigenvalues below x (Sylvester's law of inertia)."""
+    def eliminate(x: float, tiny: float) -> tuple[list[float], int, float]:
+        """Pivots d_i of M - x I, eliminated from the leaves up, each of
+        magnitude below tiny replaced by -tiny; how many are negative: the
+        number of eigenvalues below x (Sylvester's law of inertia); and
+        sum_i -d_i' / d_i = -d/dx log|det(M - x I)|, the sum of
+        1 / (lambda - x) over all eigenvalues."""
         pivots = [x] * k  # holds x plus the children's terms until used
+        slopes = [1.0] * k  # likewise -d_i' = 1 + sum_c b_c^2 (-d_c') / d_c^2
         negative = 0
+        total = 0.0
         for i in steps:
             d = diag[i] - pivots[i]
             if -tiny < d < tiny:
@@ -183,23 +201,61 @@ def _tree_eigenpair(
             if d < 0.0:
                 negative += 1
             pivots[i] = d
+            q = slopes[i] / d
+            total += q
             p = up[i]
             if p >= 0:
-                pivots[p] += bb[i] / d
-        return pivots, negative
+                r = bb[i] / d
+                pivots[p] += r
+                slopes[p] += r * q
+        return pivots, negative, total
 
     # Gershgorin interval, widened so that no eigenvalue lies above hi
     slack = 2.0 * _EPS * norm + 4.0 * pivmin
     lo = float((a - radius).min()) - slack
     hi = float((a + radius).max()) + slack
+    # From below the wanted eigenvalue, a Newton step on det(M - x I) never
+    # passes it if no other root lies below: true for j == 0, and for j == 1
+    # of a Laplacian once its zero eigenvalue is divided out.  Other j bisect
+    # only.  The Laplacian starts at -w_min / k^2, less than a quarter of
+    # Mohar's bound lambda_1 >= 4 w_min / (k diameter), so close below
+    # lambda_1 but not so close to 0 that the division by x cancels badly.
+    newton = j == (1 if kernel else 0)
+    if not newton:
+        x = 0.5 * (lo + hi)
+    elif kernel:
+        x = -min(abs(w) for w in off if w) / (k * k)
+    else:
+        x = lo
+    count_hi = None  # eigenvalues below hi, once a count has moved hi
+    reach, last, guess = 0.0, float("inf"), None
     while hi - lo > _EPS * max(abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if eliminate(mid, pivmin)[1] > j:
-            hi = mid
+        count, total = eliminate(x, pivmin)[1:]
+        if count > j:
+            hi, count_hi = x, count
         else:
-            lo = mid
+            lo = max(lo, x)  # the start may lie below the Gershgorin bound
+            guess = None
+            # with m equal eigenvalues ahead a Newton step closes 1/m of the
+            # distance, so past two of them in the bracket bisection is faster
+            if newton and x != 0.0 and (count_hi is None or count_hi - j <= 2):
+                s = total + 1.0 / x if kernel else total
+                step = 1.0 / s if s > 0.0 else 0.0
+                if _EPS * abs(x) < step < 0.5 * last:
+                    reach = 0.0
+                    guess = x + step
+                else:
+                    # Newton stalls on rounding noise or on a cluster: probe
+                    # ever further ahead until a count passes the eigenvalue
+                    reach = max(2.0 * reach, 2.0 * step, 2.0 * _EPS * abs(x))
+                    guess = x + reach
+                last = step
+        if guess is not None and lo < guess < hi:
+            x = guess
+        else:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
     value = 0.5 * (lo + hi)
 
     # pivots below eps ||M|| are perturbed so the solves stay finite; the
@@ -357,17 +413,21 @@ def dirichlet_nu(rbt: RootedBoundaryTree) -> tuple[float, np.ndarray]:
     """
     tree, root = rbt.tree, rbt.root
     index = rbt.interior_index()
-    # no matrix of the interior's order is built: a block below
-    # TREE_SOLVER_ORDER rows is cut from the tree, a larger one is solved
-    # along it
+    # no matrix of the interior's order is built: a one-vertex block is the
+    # weight of its edge to the root, a block below TREE_SOLVER_ORDER rows
+    # is cut from the tree, a larger one is solved along it
+    branches = branches_at(tree, root, root)
+    if max(map(len, branches)) >= TREE_SOLVER_ORDER:
+        order, parent = tree.bfs(root)
     best_value = None
     best_vector = None
     best_positions = None
-    for branch in branches_at(tree, root, root):
+    for branch in branches:
         verts = sorted(branch)
         positions = [index[v] for v in verts]
-        if len(verts) >= TREE_SOLVER_ORDER:
-            order, parent = tree.bfs(root)
+        if len(verts) == 1:
+            pair = EigenPair(tree.neighbors(verts[0])[0][1], np.ones(1), 0.0)
+        elif len(verts) >= TREE_SOLVER_ORDER:
             sub = [v for v in order if v in branch]
             pair = _tree_eigenpair(*_tree_arrays(tree, sub, parent), 0, kernel=False)
             vec = np.empty(len(verts))

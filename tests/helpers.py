@@ -4,12 +4,15 @@ Expected eigenvalues come from closed forms or small characteristic
 polynomials solved by hand; isomorphism is decided by brute-force
 bijection search; the Rayleigh quotient is recomputed as the weighted
 edge-difference sum; root-to-leaf paths come from a depth-first walk;
-rooted codes come from a recursive walk over every root and root edge.
+rooted codes come from a recursive walk over every root and root edge;
+eigenvalues of tree-structured matrices come from plain bisection on the
+count of negative pivots.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from itertools import permutations, product
 
 from fiedlertrees import Tree
@@ -123,3 +126,41 @@ def rooted_placement_keys(t: Tree) -> set[tuple[str, str]]:
         for root in range(t.n)
         for child, _ in t.neighbors(root)
     }
+
+
+def bisect_eigenvalue(up, diag, off, j: int) -> float:
+    """The j-th smallest eigenvalue (j from 0) of the tree-structured matrix
+    of spectral._tree_eigenpair (diag on the diagonal, off[i] at (i, up[i]),
+    positions in BFS order) by plain bisection on the count of negative
+    pivots, from the widened Gershgorin interval down to relative width eps,
+    with LAPACK dstebz's floor on pivot magnitudes; the midpoint of the last
+    bracket."""
+    eps, k = sys.float_info.epsilon, len(diag)
+    radius = [abs(w) for w in off]
+    for i, p in enumerate(up):
+        if p >= 0:
+            radius[p] += abs(off[i])
+    norm = max(abs(a) + r for a, r in zip(diag, radius))
+    bb = [w * w for w in off]
+    pivmin = sys.float_info.min * max(1.0, max(bb))
+    slack = 2.0 * eps * norm + 4.0 * pivmin
+    lo = min(a - r for a, r in zip(diag, radius)) - slack
+    hi = max(a + r for a, r in zip(diag, radius)) + slack
+    while hi - lo > eps * max(abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        pivots = [mid] * k
+        negative = 0
+        for i in range(k - 1, -1, -1):
+            d = diag[i] - pivots[i]
+            if -pivmin < d < pivmin:
+                d = -pivmin
+            negative += d < 0.0
+            if up[i] >= 0:
+                pivots[up[i]] += bb[i] / d
+        if negative > j:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

@@ -1,7 +1,8 @@
 """The O(n) tree eigensolver against independent oracles: numpy's dense
-eigh on small trees and blocks, closed-form path spectra at large n, the
-residual certificate on degenerate spectra, and a guard that large trees
-never reach a dense solve."""
+eigh on small trees and blocks, plain count bisection at large n,
+closed-form path spectra at large n, the residual certificate on
+degenerate spectra, and a guard that large trees never reach a dense
+solve."""
 
 import math
 import random
@@ -15,6 +16,7 @@ from fiedlertrees import (
     analyze,
     all_tree_sequences,
     branches_at,
+    build_caterpillar,
     dirichlet_matrix,
     dirichlet_nu,
     enumerate_rooted_trees,
@@ -28,7 +30,7 @@ from fiedlertrees import (
 from fiedlertrees import spectral
 from fiedlertrees.search import random_tree
 
-from helpers import spider
+from helpers import bisect_eigenvalue, broom, spider
 
 EPS = np.finfo(float).eps
 
@@ -90,6 +92,64 @@ def test_split_sides_with_fractional_weights_match_eigh():
             for arrays, block in _blocks(side):
                 _check_against_eigh(arrays, block, kernel=False)
     assert fractional > 20
+
+
+def _weights_1e3(n):
+    """A random tree whose edge weights are 10^-3 or 10^3."""
+    rng = random.Random(58)
+    t = random_tree(rng, n)
+    return Tree(n, [(u, v, 10.0 ** rng.choice((-3, 3))) for u, v, _ in t.edges])
+
+
+_ORACLE_TREES = {
+    **{f"random{n}": random_tree(random.Random(n), n) for n in (256, 700, 1500, 3000)},
+    "star400": star_tree(400),
+    "spider3x200": spider(200, 200, 200),
+    "spider4x80": spider(80, 80, 80, 80),
+    "path3000": path_tree(3000),
+    "broom": broom(300, 300),
+    "weights1e3": _weights_1e3(3000),
+}
+
+
+@pytest.mark.parametrize("tree", _ORACLE_TREES.values(), ids=_ORACLE_TREES.keys())
+def test_eigenvalues_match_the_bisection_oracle(tree):
+    # j = 1 of the Laplacian, and j = 0 of the largest Dirichlet block at
+    # the last vertex: the two eigenvalues the package asks of the solver
+    order, parent = tree.bfs(0)
+    laplace = spectral._tree_arrays(tree, order, parent)
+    root = tree.n - 1
+    order, parent = tree.bfs(root)
+    branch = max(branches_at(tree, root, root), key=len)
+    block = spectral._tree_arrays(tree, [v for v in order if v in branch], parent)
+    for arrays, j, kernel in ((laplace, 1, True), (block, 0, False)):
+        value = spectral._tree_eigenpair(*arrays, j, kernel=kernel).value
+        assert abs(value - bisect_eigenvalue(*arrays, j)) <= 2 * EPS * value
+
+
+@pytest.mark.parametrize(
+    "tree, w0",
+    [(star_tree(300), 2.0), (build_caterpillar((40, 3, 2, 5)), 1.5)],
+    ids=["star300", "hub_caterpillar"],
+)
+def test_one_vertex_branches_need_no_eigensolve(tree, w0, monkeypatch):
+    # rooted at the hub (vertex 0), every pendant neighbour is a one-vertex
+    # branch; the star's boundary weight lands on one of them
+    dense = spectral.eig_smallest
+
+    def no_1x1(m, k):
+        if np.shape(m) == (1, 1):
+            raise AssertionError("eigensolve of a 1x1 block")
+        return dense(m, k)
+
+    monkeypatch.setattr(spectral, "eig_smallest", no_1x1)
+    rbt = with_boundary_weight(tree, 0, w0)
+    nu, g = dirichlet_nu(rbt)
+    m = dirichlet_matrix(rbt)
+    norm = np.abs(m).sum(axis=0).max()
+    assert abs(nu - np.linalg.eigh(m)[0][0]) <= norm * m.shape[0] * EPS
+    assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(m @ g - nu * g) <= spectral.RESIDUAL_FACTOR * (1 + norm)
 
 
 def test_long_path_alpha_closed_form():
