@@ -8,6 +8,12 @@ multiset permutations of the word in which vertex i appears d_i - 1
 times.  The permutations are streamed in lexicographic order; decoding
 every one and deduplicating by a canonical code yields each unlabeled
 tree exactly once.
+
+Each word is cheap.  Every word over 0 .. n-1 decodes to a tree, so
+prufer_decode checks the range and builds the Tree without re-validating
+it.  canonical_code peels the leaves layer by layer: each peeled vertex
+gets its subtree code from its sorted child codes, and the one or two
+vertices left are the center.
 """
 
 from __future__ import annotations
@@ -20,9 +26,14 @@ from .trees import RootedBoundaryTree, Tree, _weighted_root_edge, validate_tree_
 
 
 def prufer_decode(word: Sequence[int], n: int) -> Tree:
-    """Labeled tree on n vertices from a Prufer word of length n - 2."""
+    """Labeled tree on n vertices from a Prufer word of length n - 2.
+
+    Every word over 0 .. n-1 decodes to a tree, so once the range is
+    checked the tree is built without re-validation."""
     if len(word) != n - 2:
         raise ValueError(f"word length {len(word)} != n - 2 = {n - 2}")
+    if word and not (0 <= min(word) and max(word) < n):
+        raise ValueError(f"word entries must lie in 0 .. {n - 1}")
     degree = [1] * n
     for s in word:
         degree[s] += 1
@@ -31,14 +42,14 @@ def prufer_decode(word: Sequence[int], n: int) -> Tree:
     edges = []
     for s in word:
         leaf = heapq.heappop(leaves)
-        edges.append((leaf, s))
+        edges.append((leaf, s, 1.0) if leaf < s else (s, leaf, 1.0))
         degree[s] -= 1
         if degree[s] == 1:
             heapq.heappush(leaves, s)
     u = heapq.heappop(leaves)
     v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return Tree(n, edges)
+    edges.append((u, v, 1.0))
+    return Tree._trusted(n, edges)
 
 
 def prufer_count(seq: Sequence[int]) -> int:
@@ -108,26 +119,57 @@ def rooted_code(t: Tree, root: int) -> str:
     return _subtree_codes(t, root)[root]
 
 
-def _centers(t: Tree) -> list[int]:
-    """The middle one or two vertices of a longest path, sorted.  A vertex
-    farthest from vertex 0 ends a longest path, and the vertex farthest
-    from it ends the same path."""
-    far = t.bfs(0)[0][-1]
-    order, parent = t.bfs(far)
-    path = [order[-1]]
-    while path[-1] != far:
-        path.append(parent[path[-1]])
-    half = len(path) // 2
-    return sorted(path[(len(path) - 1) // 2 : half + 1])
+def _peel(t: Tree) -> tuple[list[int], str]:
+    """The center(s) of t, sorted, and its canonical code, from one pass
+    that strips the leaves layer by layer until one or two vertices are
+    left.  Each stripped vertex gets the code of the subtree it carries,
+    from its children's codes, which are complete by then."""
+    adj = t._adj
+    degree = [len(a) for a in adj]
+    children: list[list[str]] = [[] for _ in range(t.n)]
+    layer = [v for v in range(t.n) if degree[v] <= 1]
+    left = t.n
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            degree[v] = 0
+            subs = children[v]
+            subs.sort()
+            code = "(" + "".join(subs) + ")"
+            # two leaves are never adjacent while more than two vertices
+            # are left, so the one neighbour still in the tree is the parent
+            for u, _ in adj[v]:
+                if degree[u]:
+                    children[u].append(code)
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        nxt.append(u)
+                    break
+        layer = nxt
+    for c in layer:
+        children[c].sort()
+    codes = ["(" + "".join(children[c]) + ")" for c in layer]
+    if len(layer) == 1:
+        return layer, codes[0]
+    # bicentral: rooted at either center, the other is one more child
+    rooted = []
+    for c, other in zip(layer, reversed(codes)):
+        subs = children[c] + [other]
+        subs.sort()
+        rooted.append("(" + "".join(subs) + ")")
+    return sorted(layer), min(rooted)
 
 
 def canonical_code(t: Tree) -> str:
     """Label-invariant code: equal for two trees iff they are isomorphic.
 
-    The tree is rooted at its center; for bicentral trees the code is the
-    lexicographic minimum over the two center roots.
+    It is rooted_code at the center; for bicentral trees, the lexicographic
+    minimum over the two center roots.
     """
-    return min(rooted_code(t, c) for c in _centers(t))
+    if not t.has_unit_weights():
+        raise ValueError("canonical codes are defined for unit-weight trees")
+    return _peel(t)[1]
 
 
 def tree_from_code(code: str) -> Tree:

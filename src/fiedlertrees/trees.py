@@ -70,6 +70,24 @@ class Tree:
         if len(self.bfs(0)[0]) != n:
             raise NotATreeError("edge set is not connected")
 
+    @classmethod
+    def _trusted(cls, n: int, edges: list[tuple[int, int, float]]) -> Tree:
+        """Tree from edges (u, v, w), u < v, that form a tree on n vertices
+        by construction, without the checks of __init__; equal to
+        Tree(n, edges).  Sorts edges in place."""
+        edges.sort()
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        # from sorted edges, each list comes out sorted: a vertex's smaller
+        # neighbours arrive before its larger ones, each kind in id order
+        for u, v, w in edges:
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+        t = cls.__new__(cls)
+        t.n = n
+        t._adj = tuple(map(tuple, adj))
+        t._edges = tuple(edges)
+        return t
+
     def bfs(self, src: int) -> tuple[list[int], list[int]]:
         """Breadth-first order from src, neighbours visited by increasing
         id, and each vertex's BFS parent (-1 for src and unreached ones).

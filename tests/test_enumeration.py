@@ -42,6 +42,34 @@ def test_prufer_decode_known_words():
     assert prufer_decode([0, 0], 4) == star_tree(4)
 
 
+def test_prufer_decode_rejects_bad_words():
+    with pytest.raises(ValueError, match=re.escape("word length 1 != n - 2 = 2")):
+        prufer_decode([0], 4)
+    for word in ([0, 4], [9, 0], [-1, 2], [3, -4]):
+        with pytest.raises(ValueError, match=re.escape("word entries must lie in 0 .. 3")):
+            prufer_decode(word, 4)
+
+
+def test_decoded_trees_equal_validated_trees():
+    # decoding skips Tree.__init__'s checks, so its trees must be
+    # indistinguishable from validated trees on the networkx decoding
+    words = [
+        (list(w), n) for n in range(2, 8) for w in itertools.product(range(n), repeat=n - 2)
+    ]
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randint(2, 200)
+        words.append(([rng.randrange(n) for _ in range(n - 2)], n))
+    for word, n in words:
+        t = prufer_decode(word, n)
+        g = nx.from_prufer_sequence(word) if word else nx.path_graph(2)
+        ref = Tree(n, list(g.edges()))
+        assert t == ref and hash(t) == hash(ref)
+        assert t.edges == ref.edges and repr(t) == repr(ref)
+        assert t.degrees() == ref.degrees()
+        assert all(t.neighbors(v) == ref.neighbors(v) for v in range(n))
+
+
 def test_prufer_count_examples():
     assert prufer_count((2, 2, 1, 1)) == 2
     assert prufer_count((3, 2, 2, 2, 1, 1, 1)) == 60

@@ -7,11 +7,20 @@ import random
 import networkx as nx
 import pytest
 
-from fiedlertrees import NotATreeError, Tree, branches_at, canonical_code
-from fiedlertrees.enumeration import _centers
+from fiedlertrees import (
+    NotATreeError,
+    Tree,
+    branches_at,
+    canonical_code,
+    path_tree,
+    rooted_code,
+)
+from fiedlertrees.enumeration import _peel
 from fiedlertrees.nodal import _connected
 from fiedlertrees.search import random_tree
 from fiedlertrees.trees import distances_from
+
+from helpers import broom
 
 
 def _trees(seed: int, count: int = 40, nmax: int = 30) -> list[Tree]:
@@ -65,7 +74,7 @@ def test_branches_match_components_without_root():
 
 def test_centers_match_networkx():
     for t in _trees(5, count=100, nmax=40):
-        assert _centers(t) == sorted(nx.center(_graph(t)))
+        assert _peel(t)[0] == sorted(nx.center(_graph(t)))
 
 
 def test_connected_matches_induced_subgraph():
@@ -100,3 +109,16 @@ def test_canonical_code_invariant_under_relabelling():
         rng.shuffle(perm)
         relabelled = Tree(t.n, [(perm[u], perm[v]) for u, v, _ in t.edges])
         assert canonical_code(relabelled) == canonical_code(t)
+
+
+def test_canonical_code_is_least_rooted_code_at_a_center():
+    # the leaf peel must give what rooting at each networkx center gives
+    rng = random.Random(9)
+    trees = [Tree(1, []), path_tree(2), path_tree(3000), broom(300, 300), broom(301, 300)]
+    trees += [random_tree(rng, rng.randint(3, 300)) for _ in range(80)]
+    center_counts = set()
+    for t in trees:
+        centers = nx.center(_graph(t))
+        center_counts.add(len(centers))
+        assert canonical_code(t) == min(rooted_code(t, c) for c in centers)
+    assert center_counts == {1, 2}
