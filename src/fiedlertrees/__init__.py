@@ -10,7 +10,6 @@ from .trees import (
     build_caterpillar,
     degree_sequence,
     format_edge_list,
-    height,
     is_caterpillar,
     parse_edge_list,
     path_tree,
@@ -35,11 +34,9 @@ from .spectral import (
     ConvergenceError,
     EigenPair,
     algebraic_connectivity,
-    dirichlet_matrix,
     dirichlet_nu,
     eig_smallest,
     laplacian,
-    rayleigh,
 )
 from .nodal import (
     AmbiguousCharacteristicSet,
@@ -57,7 +54,6 @@ from .nodal import (
 )
 from .perturb import (
     PerturbationRecord,
-    build_monotone_rooted_caterpillar,
     glue,
     is_minimal_shape_rooted,
     is_theorem1_shape,

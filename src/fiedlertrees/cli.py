@@ -183,7 +183,6 @@ def _cmd_verify(args) -> int:
         nmax=args.nmax,
         samples=args.samples,
         rng_seed=args.rng_seed,
-        strict_margin=args.strict_margin,
     )
     _emit_json(report, args.out)
     if not report["passed"]:
@@ -263,7 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--rng-seed", type=int, default=0, dest="rng_seed")
-    p.add_argument("--strict-margin", type=float, default=1e-10, dest="strict_margin")
     add_out(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -11,9 +11,10 @@ tree exactly once.
 
 Each word is cheap.  Every word over 0 .. n-1 decodes to a tree, so
 prufer_decode checks the range and builds the Tree without re-validating
-it.  canonical_code peels the leaves layer by layer: each peeled vertex
-gets its subtree code from its sorted child codes, and the one or two
-vertices left are the center.
+it.  One leaf peel builds every code string: it strips the leaves layer
+by layer, each stripped vertex getting its subtree code from its sorted
+child codes.  It stops at the center, which carries the canonical code,
+or at a root kept to the end, which carries the rooted code.
 """
 
 from __future__ import annotations
@@ -93,52 +94,38 @@ def _multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
 # canonical codes (rooted subtree sorting)
 
 
-def _subtree_codes(t: Tree, root: int) -> list[str]:
-    """Code of every vertex's subtree, with t rooted at root: the sorted
-    child codes concatenated inside parentheses.  Built bottom-up over a
-    BFS order, so deep trees need no recursion."""
-    order, parent = t.bfs(root)
-    children: list[list[str]] = [[] for _ in range(t.n)]
-    codes = [""] * t.n
-    for v in reversed(order):
-        subs = children[v]
-        subs.sort()
-        codes[v] = "(" + "".join(subs) + ")"
-        if v != root:
-            children[parent[v]].append(codes[v])
-    return codes
+def _peel(t: Tree, root: int | None = None) -> tuple[list[int], list[str]]:
+    """The vertices left after stripping the leaves of t layer by layer,
+    and the code of the subtree every vertex carries: its sorted child
+    codes concatenated inside parentheses.  Each stripped vertex gets its
+    code from its children's codes, which are complete by then.
 
-
-def rooted_code(t: Tree, root: int) -> str:
-    """Canonical code of t rooted at root: children codes sorted and
-    concatenated inside parentheses.  Equal for two rooted trees iff they
-    are isomorphic as rooted trees.  Weights are ignored; unit weights
-    are required so codes never silently conflate weighted trees."""
-    if not t.has_unit_weights():
-        raise ValueError("canonical codes are defined for unit-weight trees")
-    return _subtree_codes(t, root)[root]
-
-
-def _peel(t: Tree) -> tuple[list[int], str]:
-    """The center(s) of t, sorted, and its canonical code, from one pass
-    that strips the leaves layer by layer until one or two vertices are
-    left.  Each stripped vertex gets the code of the subtree it carries,
-    from its children's codes, which are complete by then."""
+    With a root, the root is never stripped, the peel runs until only the
+    root is left, and every code is rooted there.  Without one, the peel
+    stops at the one or two centers, sorted; a bicentral tree stores at
+    both centers the least of the codes rooted at either."""
     adj = t._adj
     degree = [len(a) for a in adj]
+    left, stop = t.n, 2
+    if root is not None:
+        # a phantom neighbour keeps the root off the layers until it is
+        # the last vertex left
+        degree[root] += 1
+        stop = 1
     children: list[list[str]] = [[] for _ in range(t.n)]
+    codes = [""] * t.n
     layer = [v for v in range(t.n) if degree[v] <= 1]
-    left = t.n
-    while left > 2:
+    while left > stop:
         left -= len(layer)
         nxt = []
         for v in layer:
             degree[v] = 0
             subs = children[v]
             subs.sort()
-            code = "(" + "".join(subs) + ")"
-            # two leaves are never adjacent while more than two vertices
-            # are left, so the one neighbour still in the tree is the parent
+            code = codes[v] = "(" + "".join(subs) + ")"
+            # two leaves are adjacent only when they are all that is left,
+            # which the stop (or the kept root) rules out, so the one
+            # neighbour still in the tree is the parent
             for u, _ in adj[v]:
                 if degree[u]:
                     children[u].append(code)
@@ -149,16 +136,28 @@ def _peel(t: Tree) -> tuple[list[int], str]:
         layer = nxt
     for c in layer:
         children[c].sort()
-    codes = ["(" + "".join(children[c]) + ")" for c in layer]
-    if len(layer) == 1:
-        return layer, codes[0]
-    # bicentral: rooted at either center, the other is one more child
-    rooted = []
-    for c, other in zip(layer, reversed(codes)):
-        subs = children[c] + [other]
-        subs.sort()
-        rooted.append("(" + "".join(subs) + ")")
-    return sorted(layer), min(rooted)
+        codes[c] = "(" + "".join(children[c]) + ")"
+    if len(layer) == 2:
+        # bicentral: rooted at either center, the other is one more child
+        layer.sort()
+        a, b = layer
+        codes[a] = codes[b] = min(
+            "(" + "".join(sorted(children[c] + [codes[other]])) + ")"
+            for c, other in ((a, b), (b, a))
+        )
+    return layer, codes
+
+
+def rooted_code(t: Tree, root: int) -> str:
+    """Canonical code of t rooted at root: children codes sorted and
+    concatenated inside parentheses.  Equal for two rooted trees iff they
+    are isomorphic as rooted trees.  Weights are ignored; unit weights
+    are required so codes never silently conflate weighted trees."""
+    if not t.has_unit_weights():
+        raise ValueError("canonical codes are defined for unit-weight trees")
+    if not 0 <= root < t.n:
+        raise ValueError(f"vertex {root} out of range")
+    return _peel(t, root)[1][root]
 
 
 def canonical_code(t: Tree) -> str:
@@ -169,7 +168,8 @@ def canonical_code(t: Tree) -> str:
     """
     if not t.has_unit_weights():
         raise ValueError("canonical codes are defined for unit-weight trees")
-    return _peel(t)[1]
+    centers, codes = _peel(t)
+    return codes[centers[0]]
 
 
 def tree_from_code(code: str) -> Tree:
@@ -213,9 +213,12 @@ def canonical_tree_codes(seq: Sequence[int]) -> set[str]:
         raise ValueError(f"invalid tree sequence {seq_desc}")
     n = len(seq_desc)
     word = [i for i, d in enumerate(seq_desc) for _ in range(d - 1)]
-    return {
-        canonical_code(prufer_decode(w, n)) for w in _multiset_permutations(word)
-    }
+    codes = set()
+    for w in _multiset_permutations(word):
+        # a decoded word has unit weights: no check needed before the peel
+        centers, subtree = _peel(prufer_decode(w, n))
+        codes.add(subtree[centers[0]])
+    return codes
 
 
 def enumerate_trees(seq: Sequence[int]) -> Iterator[Tree]:
@@ -236,7 +239,7 @@ def rooted_canonical_key(rbt: RootedBoundaryTree) -> tuple[str, str] | str:
     carrying the weighted edge is appended, so inequivalent placements of
     the weighted edge count as distinct rooted trees.
     """
-    codes = _subtree_codes(rbt.tree, rbt.root)
+    codes = _peel(rbt.tree, rbt.root)[1]
     if rbt.boundary_weight == 1.0:
         return codes[rbt.root]
     return codes[rbt.root], codes[rbt.boundary_neighbor]
@@ -252,7 +255,7 @@ def _boundary_placements(
         yield rbt
         return
     t, root = rbt.tree, rbt.root
-    codes = _subtree_codes(t, root)
+    codes = _peel(t, root)[1]
     first: dict[str, int] = {}
     for child, _ in t.neighbors(root):
         first.setdefault(codes[child], child)

@@ -281,7 +281,12 @@ def geometric_split(t: Tree, analysis: FiedlerAnalysis) -> GeometricSplit:
     are assigned by sign, and each branch on which f vanishes goes to the
     currently smaller side (ties to the positive side).  All boundary edges
     keep weight 1.
+
+    The sides are rooted boundary trees, whose edges other than the
+    boundary edge have weight 1, so t must have unit weights.
     """
+    if not t.has_unit_weights():
+        raise ValueError("expected a unit-weight tree")
     f = analysis.fiedler
     tau = analysis.tau_zero
     cs = analysis.charset

@@ -21,12 +21,10 @@ from .nodal import FiedlerAnalysis
 from .trees import (
     RootedBoundaryTree,
     Tree,
-    _weighted_root_edge,
     distances_from,
     is_caterpillar,
     spine_path,
     trunk,
-    validate_tree_sequence,
 )
 
 
@@ -174,59 +172,6 @@ def glue(t1: RootedBoundaryTree, t2: RootedBoundaryTree) -> Tree:
     edges = [(new_id_1[u], new_id_1[v], w) for u, v, w in t1.tree.edges]
     edges += [(new_id_2[u], new_id_2[v], w) for u, v, w in t2.tree.edges]
     return Tree(t1.tree.n + t2.tree.n - 1, edges)
-
-
-def build_monotone_rooted_caterpillar(
-    seq: Sequence[int], root_choice: int, boundary_weight: float = 1.0
-) -> RootedBoundaryTree:
-    """The rooted caterpillar with non-pendant degrees sorted non-decreasing
-    away from the root.
-
-    root_choice selects the root's degree from seq; the remaining degrees
-    make up the interior.  The root gets root_choice - 1 pendant neighbors
-    plus the spine (when the interior has non-pendant vertices), so at most
-    one root neighbor is non-pendant.  Labeling: root 0, spine 1..m outward,
-    pendants afterwards grouped by attachment, root pendants first.
-    """
-    seq = tuple(int(d) for d in seq)
-    if not validate_tree_sequence(seq):
-        raise ValueError(f"invalid tree sequence {seq}")
-    if boundary_weight < 1.0:
-        raise ValueError(f"boundary weight {boundary_weight} must be >= 1")
-    if root_choice not in seq:
-        raise ValueError(f"root degree {root_choice} not present in {seq}")
-    rest = list(seq)
-    rest.remove(root_choice)
-    spine = sorted(d for d in rest if d >= 2)
-    m = len(spine)
-    pendants_available = sum(1 for d in rest if d == 1)
-
-    edges: list[tuple[int, int]] = []
-    next_id = 1 + m
-    pendant_need = []
-    if m == 0:
-        pendant_need.append((0, root_choice))
-    else:
-        edges.extend((i, i + 1) for i in range(m))  # 0-1-2-...-m spine chain
-        pendant_need.append((0, root_choice - 1))
-        for k, d in enumerate(spine, start=1):
-            if k < m:
-                pendant_need.append((k, d - 2))
-            else:
-                pendant_need.append((k, d - 1))
-    total_needed = sum(c for _, c in pendant_need)
-    if total_needed != pendants_available:
-        raise ValueError(
-            f"cannot realize {seq} with root degree {root_choice}: "
-            f"needs {total_needed} pendants, sequence provides {pendants_available}"
-        )
-    for vertex, count in pendant_need:
-        for _ in range(count):
-            edges.append((vertex, next_id))
-            next_id += 1
-    tree = Tree(next_id, edges)
-    boundary_neighbor = 1 if m > 0 else tree.neighbors(0)[0][0]
-    return _weighted_root_edge(tree, 0, boundary_neighbor, boundary_weight)
 
 
 def is_minimal_shape_rooted(rbt: RootedBoundaryTree) -> bool:

@@ -628,9 +628,7 @@ def _run_stream(suites: Sequence[_EnumerationSuite]) -> None:
                 suite.step(item)
 
 
-def _suite_perturb(
-    samples: int, rng_seed: int, strict_margin: float = STRICT_MARGIN, **_: object
-) -> dict:
+def _suite_perturb(samples: int, rng_seed: int, **_: object) -> dict:
     rng = _suite_rng(rng_seed, "perturb")
     failures = []
     records = []
@@ -650,7 +648,7 @@ def _suite_perturb(
                 rec = PerturbationRecord("P1", before, after, ((w, vi), (w, vj)))
                 records.append(rec)
                 done_p1 += 1
-                if not after < before - strict_margin * before:
+                if not after < before - STRICT_MARGIN * before:
                     failures.append(rec.to_json())
         if done_p2 < samples:
             line = trunk(rbt)
@@ -661,7 +659,7 @@ def _suite_perturb(
             )
             records.append(rec)
             done_p2 += 1
-            if not after < before - strict_margin * before:
+            if not after < before - STRICT_MARGIN * before:
                 failures.append(rec.to_json())
     gaps = [(r.before_nu - r.after_nu) / r.before_nu for r in records]
     return {
@@ -725,8 +723,6 @@ def verify_suite(
     nmax: int = 8,
     samples: int = 100,
     rng_seed: int = 0,
-    *,
-    strict_margin: float = STRICT_MARGIN,
 ) -> dict:
     """Run one named verification suite (or "all") and return a
     machine-readable report.  Deterministic for fixed arguments.
@@ -740,17 +736,8 @@ def verify_suite(
         raise ValueError(f"nmax must be >= 2, got {nmax}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if not 0.0 <= strict_margin < 1.0:
-        raise ValueError(
-            f"strict_margin must be finite and in [0, 1), got {strict_margin}"
-        )
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
-    params = {
-        "nmax": nmax,
-        "samples": samples,
-        "rng_seed": rng_seed,
-        "strict_margin": strict_margin,
-    }
+    params = {"nmax": nmax, "samples": samples, "rng_seed": rng_seed}
     stream = {
         name: _STREAM_SUITES[name](**params) for name in names if name in _STREAM_SUITES
     }
@@ -763,7 +750,7 @@ def verify_suite(
     ]
     return {
         "suite": suite,
-        "params": {"nmax": nmax, "samples": samples, "rng_seed": rng_seed},
+        "params": params,
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
     }

@@ -73,16 +73,6 @@ def laplacian(t: Tree) -> np.ndarray:
     return m
 
 
-def dirichlet_matrix(rbt: RootedBoundaryTree) -> np.ndarray:
-    """Laplacian of the underlying tree restricted to the interior (the root
-    row and column deleted).  Rows and columns follow interior() order.  The
-    boundary-edge weight survives only on the diagonal of the root's
-    neighbor."""
-    full = laplacian(rbt.tree)
-    keep = list(rbt.interior())
-    return full[np.ix_(keep, keep)].copy()
-
-
 def _check_symmetric(m: np.ndarray) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -120,15 +110,6 @@ def eig_smallest(m: np.ndarray, k: int) -> list[EigenPair]:
             )
         out.append(EigenPair(float(values[i]), vec, res))
     return out
-
-
-def rayleigh(m: np.ndarray, f) -> float:
-    """<f, M f> / <f, f>."""
-    f = np.asarray(f, dtype=float)
-    denom = float(f @ f)
-    if denom == 0.0:
-        raise ValueError("Rayleigh quotient of the zero vector")
-    return float(f @ (np.asarray(m, dtype=float) @ f)) / denom
 
 
 def _tree_arrays(t: Tree, order: list[int], parent: list[int]):

@@ -59,13 +59,7 @@ class Tree:
             raise NotATreeError(
                 f"{len(norm)} edges for {n} vertices, a tree needs {n - 1}"
             )
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u, v, w in norm:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        self.n = n
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self._edges = tuple(sorted(norm))
+        self._store(n, norm)
         # n - 1 edges and connected <=> tree
         if len(self.bfs(0)[0]) != n:
             raise NotATreeError("edge set is not connected")
@@ -75,6 +69,13 @@ class Tree:
         """Tree from edges (u, v, w), u < v, that form a tree on n vertices
         by construction, without the checks of __init__; equal to
         Tree(n, edges).  Sorts edges in place."""
+        t = cls.__new__(cls)
+        t._store(n, edges)
+        return t
+
+    def _store(self, n: int, edges: list[tuple[int, int, float]]) -> None:
+        """Set n, the sorted edges (u, v, w), u < v, and the adjacency
+        lists sorted by neighbour id.  Sorts edges in place."""
         edges.sort()
         adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         # from sorted edges, each list comes out sorted: a vertex's smaller
@@ -82,11 +83,9 @@ class Tree:
         for u, v, w in edges:
             adj[u].append((v, w))
             adj[v].append((u, w))
-        t = cls.__new__(cls)
-        t.n = n
-        t._adj = tuple(map(tuple, adj))
-        t._edges = tuple(edges)
-        return t
+        self.n = n
+        self._adj = tuple(map(tuple, adj))
+        self._edges = tuple(edges)
 
     def bfs(self, src: int) -> tuple[list[int], list[int]]:
         """Breadth-first order from src, neighbours visited by increasing
@@ -367,13 +366,6 @@ def trunk(rbt: RootedBoundaryTree) -> tuple[int, ...]:
     while line[-1] != r:
         line.append(parent[line[-1]])
     return tuple(reversed(line))
-
-
-def height(rbt: RootedBoundaryTree, v: int) -> int:
-    """Number of edges on the unique root-to-v path."""
-    if not 0 <= v < rbt.tree.n:
-        raise ValueError(f"vertex {v} out of range")
-    return distances_from(rbt.tree, rbt.root)[v]
 
 
 def with_boundary_weight(t: Tree, root: int, boundary_weight: float) -> RootedBoundaryTree:

@@ -3,7 +3,8 @@
 Expected eigenvalues come from closed forms or small characteristic
 polynomials solved by hand; isomorphism is decided by brute-force
 bijection search; the Rayleigh quotient is recomputed as the weighted
-edge-difference sum; root-to-leaf paths come from a depth-first walk;
+edge-difference sum; the Dirichlet matrix is cut from the full
+Laplacian; root-to-leaf paths come from a depth-first walk;
 rooted codes come from a recursive walk over every root and root edge;
 eigenvalues of tree-structured matrices come from plain bisection on the
 count of negative pivots.
@@ -15,7 +16,9 @@ import math
 import sys
 from itertools import permutations, product
 
-from fiedlertrees import Tree
+import numpy as np
+
+from fiedlertrees import RootedBoundaryTree, Tree, laplacian
 from fiedlertrees.enumeration import prufer_decode
 
 
@@ -79,6 +82,15 @@ def edge_rayleigh(t: Tree, f) -> float:
     num = sum(w * (f[u] - f[v]) ** 2 for u, v, w in t.edges)
     den = sum(x * x for x in f)
     return num / den
+
+
+def dirichlet_matrix(rbt: RootedBoundaryTree) -> np.ndarray:
+    """Laplacian of the underlying tree restricted to the interior (the root
+    row and column deleted).  Rows and columns follow interior() order.  The
+    boundary-edge weight survives only on the diagonal of the root's
+    neighbor."""
+    keep = list(rbt.interior())
+    return laplacian(rbt.tree)[np.ix_(keep, keep)]
 
 
 def brute_force_isomorphic(t1: Tree, t2: Tree) -> bool:

@@ -88,6 +88,16 @@ def test_split_command(capsys, p4_file):
     assert doc["side_pos"]["nu"] == pytest.approx(doc["alpha"], rel=1e-8)
 
 
+def test_split_rejects_weighted_tree(capsys, tmp_path):
+    # the sides may weight only their boundary edge, so the input must not
+    f = tmp_path / "w.txt"
+    f.write_text("0 1 2.0\n1 2\n2 3\n")
+    assert main(["split", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a unit-weight tree" in captured.err
+
+
 def test_min_tree_command(capsys):
     code, doc = _run_json(capsys, ["min-tree", "--seq", "3,2,2,2,1,1,1"])
     assert code == 0
@@ -156,14 +166,6 @@ def test_verify_rejects_empty_ranges(capsys, argv, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{name} must be >= " in captured.err
-
-
-@pytest.mark.parametrize("margin", ["-1", "1", "nan", "inf"])
-def test_verify_rejects_strict_margin_outside_unit_interval(capsys, margin):
-    assert main(["verify", "--suite", "perturb", "--strict-margin", margin]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "strict_margin must be finite and in [0, 1)" in captured.err
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf", "-1", "2"])

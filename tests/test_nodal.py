@@ -17,7 +17,6 @@ from fiedlertrees import (
     branches_at,
     characteristic_set,
     check_monotone_paths,
-    dirichlet_matrix,
     dirichlet_nu,
     geometric_split,
     nodal_domains,
@@ -30,7 +29,15 @@ from fiedlertrees.nodal import DEFAULT_TAU_FACTOR, _separating_zeros, _tau
 from fiedlertrees.search import random_tree
 from fiedlertrees.trees import distances_from
 
-from helpers import NU_M2, NU_M2_W2, broom, path_alpha, root_to_leaf_paths, spider
+from helpers import (
+    NU_M2,
+    NU_M2_W2,
+    broom,
+    dirichlet_matrix,
+    path_alpha,
+    root_to_leaf_paths,
+    spider,
+)
 
 
 def test_characteristic_set_path3_vertex():

@@ -10,7 +10,6 @@ from fiedlertrees import (
     PerturbationRecord,
     algebraic_connectivity,
     build_caterpillar,
-    build_monotone_rooted_caterpillar,
     canonical_code,
     degree_sequence,
     dirichlet_nu,
@@ -208,32 +207,9 @@ def test_glue_preserves_weights():
     assert weights == [1.0, 1.5, 3.0]
 
 
-def test_build_monotone_examples():
-    rbt = build_monotone_rooted_caterpillar((2, 2, 1, 1), 1)
-    assert canonical_code(rbt.tree) == canonical_code(path_tree(4))
-    assert rbt.tree.is_pendant(rbt.root)
-
-    rbt = build_monotone_rooted_caterpillar((3, 2, 2, 2, 1, 1, 1), 1)
-    spine_from_root = [rbt.tree.degree(v) for v in trunk(rbt)[1:-1]]
-    assert spine_from_root == [2, 2, 2, 3]
-
-    rbt = build_monotone_rooted_caterpillar((3, 3, 1, 1, 1, 1), 1)
-    assert degree_sequence(rbt.tree) == (3, 3, 1, 1, 1, 1)
-    assert is_minimal_shape_rooted(rbt)
-
-
-def test_build_monotone_root_choice_and_weight():
-    rbt = build_monotone_rooted_caterpillar((3, 1, 1, 1), 3, boundary_weight=2.0)
-    assert rbt.root == 0 and rbt.tree.degree(0) == 3
-    assert rbt.boundary_weight == 2.0
-    with pytest.raises(ValueError):
-        build_monotone_rooted_caterpillar((2, 2, 1, 1), 5)
-    with pytest.raises(ValueError):
-        build_monotone_rooted_caterpillar((2, 2, 2), 2)
-
-
 def test_is_minimal_shape_rooted_cases():
-    assert is_minimal_shape_rooted(build_monotone_rooted_caterpillar((3, 2, 2, 2, 1, 1, 1), 1))
+    # spine degrees 2, 2, 2, 3 away from the pendant root 4
+    assert is_minimal_shape_rooted(with_boundary_weight(build_caterpillar((2, 2, 2, 3)), 4, 1.0))
     assert is_minimal_shape_rooted(_rooted_path(3))
     assert is_minimal_shape_rooted(with_boundary_weight(path_tree(2), 0, 1.0))
 

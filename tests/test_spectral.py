@@ -9,12 +9,10 @@ import pytest
 from fiedlertrees import (
     Tree,
     algebraic_connectivity,
-    dirichlet_matrix,
     dirichlet_nu,
     eig_smallest,
     laplacian,
     path_tree,
-    rayleigh,
     star_tree,
     with_boundary_weight,
 )
@@ -23,6 +21,7 @@ from fiedlertrees.search import random_tree
 from helpers import (
     NU_M2,
     NU_M2_W2,
+    dirichlet_matrix,
     dirichlet_path_nu,
     edge_rayleigh,
     path_alpha,
@@ -99,22 +98,21 @@ def test_eig_smallest_contract():
 
 
 def test_rayleigh_examples():
-    L3 = laplacian(path_tree(3))
-    assert rayleigh(L3, [1.0, 1.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
-    assert rayleigh(laplacian(path_tree(2)), [1.0, -1.0]) == pytest.approx(2.0)
-    assert rayleigh(L3, [1.0, 0.0, -1.0]) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        rayleigh(L3, [0.0, 0.0, 0.0])
+    p3 = path_tree(3)
+    assert edge_rayleigh(p3, [1.0, 1.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
+    assert edge_rayleigh(path_tree(2), [1.0, -1.0]) == pytest.approx(2.0)
+    assert edge_rayleigh(p3, [1.0, 0.0, -1.0]) == pytest.approx(1.0)
 
 
 def test_rayleigh_matches_edge_sum_form():
+    # the Laplacian's quadratic form is the weighted edge-difference sum
     rng = random.Random(2)
     for _ in range(100):
         t = random_tree(rng, rng.randint(2, 12))
-        f = [rng.uniform(-1, 1) for _ in range(t.n)]
+        f = np.array([rng.uniform(-1, 1) for _ in range(t.n)])
         if all(abs(x) < 1e-12 for x in f):
             continue
-        a = rayleigh(laplacian(t), f)
+        a = float(f @ laplacian(t) @ f) / float(f @ f)
         b = edge_rayleigh(t, f)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
@@ -123,7 +121,7 @@ def test_algebraic_connectivity_paths_and_star():
     a4, f4 = algebraic_connectivity(path_tree(4))
     assert a4 == pytest.approx(2 - math.sqrt(2), rel=1e-12)
     assert abs(float(np.sum(f4))) <= 1e-10
-    assert rayleigh(laplacian(path_tree(4)), f4) == pytest.approx(a4, rel=1e-10)
+    assert edge_rayleigh(path_tree(4), f4) == pytest.approx(a4, rel=1e-10)
 
     for n in range(2, 20):
         a, f = algebraic_connectivity(path_tree(n))

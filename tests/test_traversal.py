@@ -1,6 +1,6 @@
 """Oracle checks of the traversal layer against networkx on seeded random
 trees: breadth-first order, distances, branches, centers, induced-subtree
-tests and canonical codes."""
+tests and canonical codes; rooted codes against a recursive walk."""
 
 import random
 
@@ -14,13 +14,14 @@ from fiedlertrees import (
     canonical_code,
     path_tree,
     rooted_code,
+    star_tree,
 )
 from fiedlertrees.enumeration import _peel
 from fiedlertrees.nodal import _connected
 from fiedlertrees.search import random_tree
 from fiedlertrees.trees import distances_from
 
-from helpers import broom
+from helpers import broom, subtree_code
 
 
 def _trees(seed: int, count: int = 40, nmax: int = 30) -> list[Tree]:
@@ -122,3 +123,26 @@ def test_canonical_code_is_least_rooted_code_at_a_center():
         center_counts.add(len(centers))
         assert canonical_code(t) == min(rooted_code(t, c) for c in centers)
     assert center_counts == {1, 2}
+
+
+def test_rooted_code_matches_recursive_walk_at_every_root():
+    rng = random.Random(10)
+    trees = [star_tree(6), broom(5, 4)]
+    trees += [random_tree(rng, rng.randint(2, 300)) for _ in range(15)]
+    for t in trees:
+        for root in range(t.n):
+            assert rooted_code(t, root) == subtree_code(t, root, -1)
+            assert _peel(t, root)[0] == [root]
+
+
+def test_rooted_code_small_and_deep_trees():
+    assert rooted_code(Tree(1, []), 0) == "()"
+    assert rooted_code(path_tree(2), 0) == rooted_code(path_tree(2), 1) == "(())"
+    assert rooted_code(star_tree(5), 0) == "(()()()())"
+    assert rooted_code(star_tree(5), 3) == "((()()()))"
+    # 3000 levels: far deeper than the recursion limit of a recursive code
+    deep = "(" * 3000 + ")" * 3000
+    assert rooted_code(path_tree(3000), 0) == rooted_code(path_tree(3000), 2999) == deep
+    for root in (-1, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            rooted_code(star_tree(5), root)

@@ -17,7 +17,6 @@ from fiedlertrees import (
     all_tree_sequences,
     branches_at,
     build_caterpillar,
-    dirichlet_matrix,
     dirichlet_nu,
     enumerate_rooted_trees,
     geometric_split,
@@ -30,7 +29,7 @@ from fiedlertrees import (
 from fiedlertrees import spectral
 from fiedlertrees.search import random_tree
 
-from helpers import bisect_eigenvalue, broom, spider
+from helpers import bisect_eigenvalue, broom, dirichlet_matrix, spider
 
 EPS = np.finfo(float).eps
 

@@ -13,7 +13,6 @@ from fiedlertrees import (
     build_caterpillar,
     degree_sequence,
     format_edge_list,
-    height,
     is_caterpillar,
     parse_edge_list,
     path_tree,
@@ -208,14 +207,6 @@ def test_trunk_rejects_bad_shapes():
     mid = with_boundary_weight(path_tree(5), 2, 1.0)
     with pytest.raises(ValueError):
         trunk(mid)
-
-
-def test_height_examples():
-    rbt = with_boundary_weight(path_tree(4), 0, 1.0)
-    assert height(rbt, 0) == 0
-    assert height(rbt, 3) == 3
-    star_leaf = with_boundary_weight(star_tree(4), 1, 1.0)
-    assert height(star_leaf, 2) == 2
 
 
 def test_with_boundary_weight_places_weight_on_deep_side():
