@@ -19,7 +19,6 @@ import sys
 
 from .nodal import analyze, analysis_to_json, check_monotone_paths, geometric_split
 from .search import (
-    DEFAULT_CAP,
     SUITES,
     EnumerationCapExceeded,
     explore_partitions,
@@ -81,7 +80,7 @@ def _parse_seq(text: str) -> tuple[int, ...]:
 
 def _cmd_alpha(args) -> int:
     tree = read_edge_list(args.file)
-    analysis = analyze(tree, args.tau_zero)
+    analysis = analyze(tree)
     _emit_json(analysis_to_json(analysis), args.out)
     return EXIT_OK
 
@@ -103,7 +102,7 @@ def _cmd_nu(args) -> int:
             "w0": rbt.boundary_weight,
             "interior": list(rbt.interior()),
             "vector": [float(x) for x in vec],
-            "monotone_paths": check_monotone_paths(rbt, vec, args.tau_zero),
+            "monotone_paths": check_monotone_paths(rbt, vec),
         },
         args.out,
     )
@@ -123,7 +122,7 @@ def _side_json(rbt, origin) -> dict:
 
 def _cmd_split(args) -> int:
     tree = read_edge_list(args.file)
-    analysis = analyze(tree, args.tau_zero)
+    analysis = analyze(tree)
     split = geometric_split(tree, analysis)
     pos = _side_json(split.pos, split.origin_pos)
     neg = _side_json(split.neg, split.origin_neg)
@@ -148,7 +147,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_min_tree(args) -> int:
     seq = _parse_seq(args.seq)
-    report = min_alpha_tree(seq, cap=args.cap)
+    report = min_alpha_tree(seq)
     _emit_json(report.to_json(), args.out)
     return EXIT_OK
 
@@ -165,7 +164,7 @@ def _cmd_min_rooted(args) -> int:
         print(f"error: --w0 {args.w0} must be finite and >= 1", file=sys.stderr)
         return EXIT_BAD_W0
     seq = _parse_seq(args.seq)
-    report = min_nu_rooted(seq, args.w0, cap=args.cap)
+    report = min_nu_rooted(seq, args.w0)
     _emit_json(report.to_json(), args.out)
     return EXIT_OK
 
@@ -205,18 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", default=None, help="write output to this file")
 
-    def add_tau(p):
-        p.add_argument(
-            "--tau-zero",
-            type=float,
-            default=1e-7,
-            dest="tau_zero",
-            help="relative zero threshold for eigenvector entries",
-        )
-
     p = sub.add_parser("alpha", help="algebraic connectivity and Fiedler analysis")
     p.add_argument("file", help="edge-list file: one 'u v [w]' per line")
-    add_tau(p)
     add_out(p)
     p.set_defaults(func=_cmd_alpha)
 
@@ -224,19 +213,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--root", type=int, required=True)
     p.add_argument("--w0", type=float, default=1.0, help="boundary edge weight (finite, >= 1)")
-    add_tau(p)
     add_out(p)
     p.set_defaults(func=_cmd_nu)
 
     p = sub.add_parser("split", help="split a tree at its characteristic set")
     p.add_argument("file")
-    add_tau(p)
     add_out(p)
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("min-tree", help="alpha minimizers over all trees")
     p.add_argument("--seq", required=True, help="degree sequence, e.g. 3,2,2,2,1,1,1")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     add_out(p)
     p.set_defaults(func=_cmd_min_tree)
 
@@ -248,7 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("min-rooted", help="nu minimizers over rooted trees")
     p.add_argument("--seq", required=True)
     p.add_argument("--w0", type=float, default=1.0)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     add_out(p)
     p.set_defaults(func=_cmd_min_rooted)
 

@@ -247,20 +247,18 @@ def rooted_canonical_key(rbt: RootedBoundaryTree) -> tuple[str, str] | str:
 
 def _boundary_placements(
     rbt: RootedBoundaryTree, boundary_weight: float
-) -> Iterator[RootedBoundaryTree]:
-    """The inequivalent placements of boundary_weight on a root edge of the
-    unit-weight rbt: rbt itself at weight 1, else one tree per distinct
-    child subtree code, on the first child (by id) with that code."""
-    if boundary_weight == 1.0:
-        yield rbt
-        return
+) -> Iterator[tuple[RootedBoundaryTree, tuple[str, str]]]:
+    """The inequivalent placements of boundary_weight != 1 on a root edge
+    of the unit-weight rbt: one tree per distinct child subtree code, on
+    the first child (by id) with that code, each with its
+    rooted_canonical_key."""
     t, root = rbt.tree, rbt.root
     codes = _peel(t, root)[1]
     first: dict[str, int] = {}
     for child, _ in t.neighbors(root):
         first.setdefault(codes[child], child)
-    for child in first.values():
-        yield _weighted_root_edge(t, root, child, boundary_weight)
+    for code, child in first.items():
+        yield _weighted_root_edge(t, root, child, boundary_weight), (codes[root], code)
 
 
 def enumerate_rooted_trees(
@@ -287,8 +285,12 @@ def enumerate_rooted_trees(
     rcodes = set()
     for code in canonical_tree_codes(seq) if codes is None else codes:
         t = tree_from_code(code)
-        rcodes.update(rooted_code(t, root) for root in range(t.n))
+        rcodes.update(_peel(t, root)[1][root] for root in range(t.n))
     for rcode in sorted(rcodes):
         # preorder ids put the root's children in code order
         rbt = RootedBoundaryTree(tree_from_code(rcode), 0)
-        yield from _boundary_placements(rbt, boundary_weight)
+        if boundary_weight == 1.0:
+            yield rbt
+        else:
+            for placed, _ in _boundary_placements(rbt, boundary_weight):
+                yield placed

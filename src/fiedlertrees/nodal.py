@@ -8,8 +8,9 @@ Dirichlet eigenvalues both equal the algebraic connectivity; that identity
 is the workhorse the extremal searches rely on, so it is exposed here with
 an explicit residual check.
 
-Zero classification uses the relative threshold tau = tau_factor * max|f|,
-which separates symmetry-forced zeros from round-off at these scales.
+Zero classification uses the relative threshold tau = TAU_FACTOR * max|f|.
+The factor is a constant, 1e-7, which separates symmetry-forced zeros
+from round-off at these scales.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .spectral import algebraic_connectivity, dirichlet_nu
 from .trees import RootedBoundaryTree, Tree, branches_at
 
-DEFAULT_TAU_FACTOR = 1e-7
+TAU_FACTOR = 1e-7
 
 
 class AmbiguousCharacteristicSet(RuntimeError):
@@ -76,13 +77,11 @@ class GeometricSplit:
     w2: float | None
 
 
-def _tau(f: np.ndarray, tau_factor: float) -> float:
-    if not 0.0 <= tau_factor < 1.0:
-        raise ValueError(f"tau factor {tau_factor} must be finite and in [0, 1)")
+def _tau(f: np.ndarray) -> float:
     scale = float(np.abs(f).max(initial=0.0))
     if scale == 0.0:
         raise ValueError("zero vector has no sign structure")
-    return tau_factor * scale
+    return TAU_FACTOR * scale
 
 
 def _separating_zeros(t: Tree, f: np.ndarray, tau: float) -> list[int]:
@@ -110,13 +109,11 @@ def _separating_zeros(t: Tree, f: np.ndarray, tau: float) -> list[int]:
     ]
 
 
-def characteristic_set(
-    t: Tree, f, tau_factor: float = DEFAULT_TAU_FACTOR
-) -> CharacteristicSet:
+def characteristic_set(t: Tree, f) -> CharacteristicSet:
     """Locate the unique sign-change edge or separating zero vertex of a
     Fiedler vector."""
     f = np.asarray(f, dtype=float)
-    tau = _tau(f, tau_factor)
+    tau = _tau(f)
     sign_edges = []
     for u, v, _ in t.edges:
         if f[u] < -tau and f[v] > tau:
@@ -150,7 +147,7 @@ def _caterpillar_charsets(g: np.ndarray, h: np.ndarray) -> list[CharacteristicSe
     pendants included, holds both signs.
     """
     f = np.concatenate([g, h], axis=1)
-    tau = DEFAULT_TAU_FACTOR * np.abs(f).max(axis=1)
+    tau = TAU_FACTOR * np.abs(f).max(axis=1)
     m = g.shape[1]
     pos, neg = f > tau[:, None], f < -tau[:, None]
     spine_pos, spine_neg = pos[:, :m], neg[:, :m]
@@ -204,14 +201,12 @@ def _connected(t: Tree, vertices: frozenset[int]) -> bool:
     return spanned == len(vertices) - 1
 
 
-def nodal_domains(
-    t: Tree, f, tau_factor: float = DEFAULT_TAU_FACTOR
-) -> tuple[frozenset[int], frozenset[int]]:
+def nodal_domains(t: Tree, f) -> tuple[frozenset[int], frozenset[int]]:
     """Weak nodal domains: the vertices with f >= -tau and those with
     f <= tau.  Zero vertices belong to both.  Each must induce a connected
     subtree."""
     f = np.asarray(f, dtype=float)
-    tau = _tau(f, tau_factor)
+    tau = _tau(f)
     pos = frozenset(v for v in range(t.n) if f[v] >= -tau)
     neg = frozenset(v for v in range(t.n) if f[v] <= tau)
     for name, dom in (("non-negative", pos), ("non-positive", neg)):
@@ -223,12 +218,12 @@ def nodal_domains(
     return pos, neg
 
 
-def analyze(t: Tree, tau_factor: float = DEFAULT_TAU_FACTOR) -> FiedlerAnalysis:
+def analyze(t: Tree) -> FiedlerAnalysis:
     """Full Fiedler analysis: alpha, vector, characteristic set, domains."""
     alpha, f = algebraic_connectivity(t)
-    charset = characteristic_set(t, f, tau_factor)
-    pos, neg = nodal_domains(t, f, tau_factor)
-    return FiedlerAnalysis(alpha, f, charset, pos, neg, _tau(f, tau_factor))
+    charset = characteristic_set(t, f)
+    pos, neg = nodal_domains(t, f)
+    return FiedlerAnalysis(alpha, f, charset, pos, neg, _tau(f))
 
 
 def analysis_to_json(a: FiedlerAnalysis) -> dict:
@@ -344,14 +339,12 @@ def verify_split(t: Tree, split: GeometricSplit, alpha: float) -> tuple[float, f
     return abs(nu_pos - alpha) / alpha, abs(nu_neg - alpha) / alpha
 
 
-def check_monotone_paths(
-    rbt: RootedBoundaryTree, g, tau_factor: float = DEFAULT_TAU_FACTOR
-) -> bool:
+def check_monotone_paths(rbt: RootedBoundaryTree, g) -> bool:
     """True iff along every root-to-leaf path the eigenvector values (with 0
     at the root) are strictly increasing with margin tau, or the whole path
     is zero within tau."""
     g = np.asarray(g, dtype=float)
-    tau = _tau(g, tau_factor)
+    tau = _tau(g)
     t, root = rbt.tree, rbt.root
     index = rbt.interior_index()
     order, parent = t.bfs(root)

@@ -212,8 +212,6 @@ def is_theorem1_shape(t: Tree, analysis: FiedlerAnalysis) -> bool:
     """
     if not is_caterpillar(t):
         return False
-    f = analysis.fiedler
-    tau = analysis.tau_zero
     cs = analysis.charset
     dist = [distances_from(t, v) for v in cs.ids]
     anchor_dist = [min(d[v] for d in dist) for v in range(t.n)]
@@ -227,6 +225,6 @@ def is_theorem1_shape(t: Tree, analysis: FiedlerAnalysis) -> bool:
         return all(x <= y for x, y in zip(degs, degs[1:]))
 
     non_pendant = [v for v in range(t.n) if t.degree(v) >= 2]
-    pos_side = [v for v in non_pendant if f[v] >= -tau]
-    neg_side = [v for v in non_pendant if f[v] <= tau]
+    pos_side = [v for v in non_pendant if v in analysis.domain_pos]
+    neg_side = [v for v in non_pendant if v in analysis.domain_neg]
     return side_ok(pos_side) and side_ok(neg_side)

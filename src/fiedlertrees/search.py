@@ -65,13 +65,15 @@ TIE_RTOL = 1e-9
 #: a perturbation must decrease nu by more than this relative margin
 STRICT_MARGIN = 1e-10
 
-DEFAULT_CAP = 10_000_000
+#: a search refuses a class with more candidates than this to walk:
+#: Prufer words to decode, or spine permutations
+CAP = 10_000_000
 
 SUITES = ("theorem1", "lemma2", "lemma5", "perturb", "glue", "split", "all")
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """The labeled enumeration would exceed the configured cap."""
+    """The enumeration would walk more than CAP candidates."""
 
 
 @dataclass
@@ -137,10 +139,21 @@ def _tied(value: float, minimum: float) -> bool:
     return value <= minimum + TIE_RTOL * abs(minimum)
 
 
+def _check_cap(total: int, candidates: str) -> None:
+    if total > CAP:
+        raise EnumerationCapExceeded(f"{total} {candidates} exceed the cap {CAP}")
+
+
+def _capped_codes(seq: tuple[int, ...]) -> set[str]:
+    """canonical_tree_codes(seq).  Raises EnumerationCapExceeded before any
+    word is decoded when seq has more than CAP Prufer words."""
+    _check_cap(prufer_count(seq), "labeled decodings")
+    return canonical_tree_codes(seq)
+
+
 def min_alpha_tree(
     seq: Sequence[int],
     *,
-    cap: int = DEFAULT_CAP,
     codes: Iterable[str] | None = None,
 ) -> SearchReport:
     """Exact argmin set of the algebraic connectivity over all unlabeled
@@ -148,19 +161,14 @@ def min_alpha_tree(
     canonical codes of seq (canonical_tree_codes' set, in any order), so a
     caller that already has them skips the enumeration.
 
-    Raises EnumerationCapExceeded when the labeled Prufer space is larger
-    than cap; the caterpillar-restricted search handles those sequences.
+    Raises EnumerationCapExceeded when the enumeration would decode more
+    than CAP Prufer words; the caterpillar-restricted search
+    (min_alpha_caterpillar) handles those sequences.
     """
     start = time.perf_counter()
     seq = _require_sequence(seq)
-    total = prufer_count(seq)
-    if total > cap:
-        raise EnumerationCapExceeded(
-            f"{total} labeled decodings exceed the cap {cap}; "
-            "use the caterpillar-restricted search (min_alpha_caterpillar)"
-        )
     if codes is None:
-        codes = canonical_tree_codes(seq)
+        codes = _capped_codes(seq)
     values = {code: algebraic_connectivity(tree_from_code(code))[0] for code in codes}
     minimum = min(values.values())
     minimizers = []
@@ -200,14 +208,10 @@ def spine_arrangements(interior: Sequence[int]) -> list[tuple[int, ...]]:
 
 def _capped_arrangements(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Spine arrangements of seq's non-pendant degrees.  Raises
-    EnumerationCapExceeded before the walk when they have more than
-    DEFAULT_CAP permutations."""
+    EnumerationCapExceeded before the walk when they have more than CAP
+    permutations."""
     interior = [d for d in seq if d >= 2]
-    total = _permutation_count(Counter(interior).values())
-    if total > DEFAULT_CAP:
-        raise EnumerationCapExceeded(
-            f"{total} spine permutations exceed the cap {DEFAULT_CAP}"
-        )
+    _check_cap(_permutation_count(Counter(interior).values()), "spine permutations")
     return spine_arrangements(interior)
 
 
@@ -218,7 +222,7 @@ def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
     Tree and the dense solve whose values the report carries.
 
     Raises EnumerationCapExceeded when the spine degrees have more than
-    DEFAULT_CAP permutations."""
+    CAP permutations."""
     start = time.perf_counter()
     seq = _require_sequence(seq)
     arrangements = _capped_arrangements(seq)
@@ -264,23 +268,14 @@ def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
     )
 
 
-def min_nu_rooted(
-    seq: Sequence[int],
-    boundary_weight: float = 1.0,
-    *,
-    cap: int = DEFAULT_CAP,
-) -> SearchReport:
+def min_nu_rooted(seq: Sequence[int], boundary_weight: float = 1.0) -> SearchReport:
     """Argmin set of the first Dirichlet eigenvalue over every rooted tree
-    with the given degree multiset."""
+    with the given degree multiset.  Raises EnumerationCapExceeded when
+    the enumeration would decode more than CAP Prufer words."""
     start = time.perf_counter()
     seq = _require_sequence(seq)
-    total = prufer_count(seq)
-    if total > cap:
-        raise EnumerationCapExceeded(
-            f"{total} labeled decodings exceed the cap {cap}"
-        )
     instances = []
-    for rbt in enumerate_rooted_trees(seq, boundary_weight):
+    for rbt in enumerate_rooted_trees(seq, boundary_weight, codes=_capped_codes(seq)):
         nu, _ = dirichlet_nu(rbt)
         instances.append((rbt, nu))
     minimum = min(v for _, v in instances)
@@ -323,7 +318,7 @@ def explore_partitions(seq: Sequence[int]) -> list[PartitionRow]:
 
     The explorer presents the partitions as data only; no pattern is
     assumed or checked.  Raises EnumerationCapExceeded when the spine
-    degrees have more than DEFAULT_CAP permutations.
+    degrees have more than CAP permutations.
     """
     seq = _require_sequence(seq)
     arrangements = _capped_arrangements(seq)
@@ -474,11 +469,12 @@ class _DegreeSequence:
     sorted, and the w0 = 1 rooted trees with their Dirichlet pairs, solved
     on first use.  The enumeration suites share both, and lemma5 places
     its other boundary weights on those trees; nothing outlives the
-    sequence."""
+    sequence.  Raises EnumerationCapExceeded before any word is decoded
+    when seq has more than CAP Prufer words."""
 
     def __init__(self, seq: tuple[int, ...]) -> None:
         self.seq = seq
-        self.codes = sorted(canonical_tree_codes(seq))
+        self.codes = sorted(_capped_codes(seq))
 
     @cached_property
     def rooted_unit(self) -> list[tuple[RootedBoundaryTree, float, np.ndarray]]:
@@ -544,18 +540,20 @@ class _Lemma5(_EnumerationSuite):
     def step(self, s: _DegreeSequence) -> None:
         for w0 in (1.0, 1.5, 3.0):
             if w0 == 1.0:
-                instances = [(rbt, nu) for rbt, nu, _ in s.rooted_unit]
+                instances = [
+                    (rbt, rooted_canonical_key(rbt), nu) for rbt, nu, _ in s.rooted_unit
+                ]
             else:
                 instances = [
-                    (placed, dirichlet_nu(placed)[0])
+                    (placed, key, dirichlet_nu(placed)[0])
                     for rbt, _, _ in s.rooted_unit
-                    for placed in _boundary_placements(rbt, w0)
+                    for placed, key in _boundary_placements(rbt, w0)
                 ]
-            minimum = min(v for _, v in instances)
+            minimum = min(v for _, _, v in instances)
             argmin = set()
             predicted = set()
-            for rbt, nu in instances:
-                key = str(rooted_canonical_key(rbt))
+            for rbt, key, nu in instances:
+                key = str(key)
                 if _tied(nu, minimum):
                     argmin.add(key)
                 if is_minimal_shape_rooted(rbt):

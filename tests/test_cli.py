@@ -111,8 +111,36 @@ def test_min_tree_invalid_sequence(capsys):
     assert main(["min-tree", "--seq", "2,x,2"]) == 2
 
 
+# the path on 13 vertices: 11! = 39,916,800 Prufer words, over the 10^7 cap
+OVER_CAP = ",".join(["2"] * 11 + ["1", "1"])
+
+
 def test_min_tree_cap_exceeded(capsys):
-    assert main(["min-tree", "--seq", "2,2,2,2,2,2,1,1", "--cap", "3"]) == 6
+    assert main(["min-tree", "--seq", OVER_CAP]) == 6
+
+
+def test_min_rooted_cap_exceeded(capsys):
+    assert main(["min-rooted", "--seq", OVER_CAP, "--w0", "1.5"]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "39916800 labeled decodings exceed the cap 10000000" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["min-tree", "--seq", "2,1,1", "--cap", "3"],
+        ["min-rooted", "--seq", "2,1,1", "--cap", "3"],
+        ["alpha", "P4", "--tau-zero", "0.1"],
+        ["nu", "P4", "--root", "0", "--tau-zero", "0.1"],
+        ["split", "P4", "--tau-zero", "0.1"],
+    ],
+)
+def test_cap_and_zero_threshold_are_not_options(capsys, p4_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([p4_file if a == "P4" else a for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["min-cat", "explore"])
@@ -166,16 +194,6 @@ def test_verify_rejects_empty_ranges(capsys, argv, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{name} must be >= " in captured.err
-
-
-@pytest.mark.parametrize("tau", ["nan", "inf", "-1", "2"])
-@pytest.mark.parametrize("command", ["alpha", "nu", "split"])
-def test_tau_zero_outside_unit_interval_exits_2(capsys, p4_file, command, tau):
-    root = ["--root", "0"] if command == "nu" else []
-    assert main([command, p4_file, *root, "--tau-zero", tau]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "must be finite and in [0, 1)" in captured.err
 
 
 def test_verify_all_suites_exit_zero(capsys):

@@ -24,7 +24,11 @@ from fiedlertrees import (
     star_tree,
     tree_from_code,
 )
-from fiedlertrees.enumeration import _multiset_permutations, canonical_tree_codes
+from fiedlertrees.enumeration import (
+    _boundary_placements,
+    _multiset_permutations,
+    canonical_tree_codes,
+)
 from fiedlertrees.search import all_tree_sequences
 
 from helpers import (
@@ -286,6 +290,13 @@ def test_weighted_rooted_trees_match_the_placement_oracle(w0):
         expected = sorted(keys)
         got = list(enumerate_rooted_trees(seq, w0))
         assert [rooted_canonical_key(rbt) for rbt in got] == expected
+        # the keys the placements carry, as lemma5 reads them
+        carried = [
+            key
+            for rbt in enumerate_rooted_trees(seq)
+            for _, key in _boundary_placements(rbt, w0)
+        ]
+        assert carried == expected
         for rbt, (rcode, child_code) in zip(got, expected):
             unit = tree_from_code(rcode)
             first = min(

@@ -1,7 +1,6 @@
 """Characteristic sets, nodal domains, the geometric split, and path
 monotonicity of Dirichlet eigenvectors."""
 
-import math
 import random
 
 import numpy as np
@@ -25,7 +24,7 @@ from fiedlertrees import (
     verify_split,
     with_boundary_weight,
 )
-from fiedlertrees.nodal import DEFAULT_TAU_FACTOR, _separating_zeros, _tau
+from fiedlertrees.nodal import _separating_zeros, _tau
 from fiedlertrees.search import random_tree
 from fiedlertrees.trees import distances_from
 
@@ -245,14 +244,14 @@ def test_separating_zeros_match_the_branch_definition():
         f = np.array([rng.choice((-1, 0, 0, 0, 1)) * rng.random() for _ in range(t.n)])
         if not f.any():
             continue
-        tau = _tau(f, DEFAULT_TAU_FACTOR)
+        tau = _tau(f)
         assert _separating_zeros(t, f, tau) == _separating_zeros_by_definition(t, f, tau)
 
 
 def test_separating_zeros_on_a_hub_hung_from_a_path():
     t = _hub_on_path()
     _, f = algebraic_connectivity(t)
-    tau = _tau(f, DEFAULT_TAU_FACTOR)
+    tau = _tau(f)
     assert sum(abs(x) <= tau for x in f) == 802
     expected = _separating_zeros_by_definition(t, f, tau)
     assert expected == [250]
@@ -295,24 +294,7 @@ def test_check_monotone_paths_matches_the_per_path_definition():
         for g in (eigvec, growing, broken):
             if not np.any(g):
                 continue
-            expected = _monotone_by_definition(rbt, g, _tau(g, DEFAULT_TAU_FACTOR))
+            expected = _monotone_by_definition(rbt, g, _tau(g))
             assert check_monotone_paths(rbt, g) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
-
-
-@pytest.mark.parametrize("factor", [math.nan, math.inf, -1.0, 1.0, 2.0])
-def test_tau_rejects_factors_outside_unit_interval(factor):
-    t = path_tree(4)
-    with pytest.raises(ValueError, match="tau factor"):
-        _tau(np.array([1.0, -1.0]), factor)
-    with pytest.raises(ValueError, match="tau factor"):
-        analyze(t, factor)
-    rbt = with_boundary_weight(t, 0, 1.0)
-    with pytest.raises(ValueError, match="tau factor"):
-        check_monotone_paths(rbt, dirichlet_nu(rbt)[1], factor)
-
-
-def test_tau_accepts_a_zero_factor():
-    assert _tau(np.array([0.5, -2.0]), 0.0) == 0.0
-    assert set(analyze(path_tree(4), 0.0).charset.ids) == {1, 2}

@@ -63,8 +63,9 @@ def test_min_alpha_tree_star():
 
 
 def test_min_alpha_tree_cap():
+    # the path on 13 vertices: 11! = 39,916,800 Prufer words, over the cap
     with pytest.raises(EnumerationCapExceeded):
-        min_alpha_tree((2,) * 10 + (1, 1), cap=10)
+        min_alpha_tree((2,) * 11 + (1, 1))
 
 
 def test_min_alpha_tree_rejects_invalid():
@@ -265,6 +266,27 @@ def test_verify_enumerates_each_sequence_once(monkeypatch):
     # lemma2 and lemma5 share the w0 = 1 rooted trees of each sequence, and
     # lemma5 places its w0 = 1.5 and 3 weights on them
     assert sorted(rooted_calls) == sorted((seq, 1.0) for seq in expected)
+
+
+@pytest.mark.parametrize("suite", ["theorem1", "lemma2", "lemma5", "all"])
+def test_verify_refuses_an_over_cap_sequence_before_decoding(monkeypatch, suite):
+    import fiedlertrees.search as search
+
+    decoded = []
+    real = search.canonical_tree_codes
+
+    def recorded(seq):
+        decoded.append(tuple(seq))
+        return real(seq)
+
+    # of the sequences with n <= 7, only the path (2, 2, 2, 2, 2, 1, 1) has
+    # more than 100 Prufer words (5! = 120); the stream reaches it last
+    monkeypatch.setattr(search, "CAP", 100)
+    monkeypatch.setattr(search, "canonical_tree_codes", recorded)
+    with pytest.raises(EnumerationCapExceeded, match="120 labeled decodings exceed the cap 100"):
+        verify_suite(suite, nmax=7, samples=5, rng_seed=3)
+    expected = [seq for n in range(2, 8) for seq in all_tree_sequences(n)]
+    assert decoded == expected[:-1]
 
 
 @pytest.mark.parametrize("seed", [1, 9])
