@@ -4,10 +4,10 @@ JSON (or CSV for `explore`) goes to stdout or --out; diagnostics go to
 stderr, so outputs are pipeline safe.  All floating-point output is
 printed with 12 significant digits.
 
-Exit codes: 0 success, 2 parse error or invalid sequence, 3 input is not
-a tree (an edge weight that is not positive and finite included),
-4 boundary weight below 1 or not finite, 5 a verification suite failed,
-6 enumeration cap exceeded.
+Exit codes: 0 success, 2 parse error, invalid sequence, or an input or
+--out file that cannot be opened, 3 input is not a tree (an edge weight
+that is not positive and finite included), 4 boundary weight below 1 or
+not finite, 5 a verification suite failed, 6 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -266,6 +266,9 @@ def main(argv=None) -> int:
     except EnumerationCapExceeded as exc:
         print(f"enumeration cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -271,8 +271,7 @@ def enumerate_rooted_trees(
     deduplicated by rooted canonical code, in rooted-code order.  Each
     tree is tree_from_code of its rooted code, rooted at vertex 0.
 
-    With boundary_weight == 1 the designated boundary edge is the root's
-    first child in code order (the choice has no numeric effect).  With
+    With boundary_weight == 1 every edge keeps weight 1.  With
     boundary_weight > 1, each inequivalent root-incident edge placement is
     yielded as a distinct rooted tree, in child-code order.  codes, when
     given, are the canonical codes of seq (canonical_tree_codes' set, in

@@ -55,12 +55,12 @@ class FiedlerAnalysis:
     charset: CharacteristicSet
     domain_pos: frozenset[int]
     domain_neg: frozenset[int]
-    tau_zero: float
 
 
 @dataclass(frozen=True, eq=False)
 class GeometricSplit:
-    """Two rooted boundary trees covering the original tree.
+    """Two rooted boundary trees covering the original tree, each rooted at
+    vertex 0 with its boundary edge read from its weights.
 
     origin_pos / origin_neg map side vertex ids to original vertex ids;
     the root maps to the characteristic vertex, or to -1 when it is the
@@ -223,7 +223,7 @@ def analyze(t: Tree) -> FiedlerAnalysis:
     alpha, f = algebraic_connectivity(t)
     charset = characteristic_set(t, f)
     pos, neg = nodal_domains(t, f)
-    return FiedlerAnalysis(alpha, f, charset, pos, neg, _tau(f))
+    return FiedlerAnalysis(alpha, f, charset, pos, neg)
 
 
 def analysis_to_json(a: FiedlerAnalysis) -> dict:
@@ -238,44 +238,46 @@ def analysis_to_json(a: FiedlerAnalysis) -> dict:
 
 def _make_side(
     t: Tree,
-    vertices: list[int],
+    vertices: frozenset[int],
     attach: list[tuple[int, float]],
     origin_root: int,
 ) -> tuple[RootedBoundaryTree, tuple[int, ...]]:
     """Build one side of a split: a new root 0 joined to the listed original
     vertices with the given weights, plus all original edges inside the side.
-    Returns the rooted tree and the side-id -> original-id map."""
+    At most one attach weight may differ from 1; that edge becomes the
+    side's boundary edge.  Returns the rooted tree and the side-id ->
+    original-id map."""
     order = sorted(vertices)
     new_id = {orig: i + 1 for i, orig in enumerate(order)}
-    inside = set(vertices)
     edges: list[tuple[int, int, float]] = []
     for u, v, w in t.edges:
-        if u in inside and v in inside:
+        if u in vertices and v in vertices:
             edges.append((new_id[u], new_id[v], w))
-    boundary_ids = []
     for orig, w in attach:
         edges.append((0, new_id[orig], w))
-        boundary_ids.append(new_id[orig])
-    side_tree = Tree(len(order) + 1, edges)
-    # designate the heaviest boundary edge (the split edge when present),
-    # otherwise the smallest interior id
-    designated = max(boundary_ids, key=lambda i: (side_tree.weight(0, i), -i))
-    rbt = RootedBoundaryTree(side_tree, 0, designated)
+    rbt = RootedBoundaryTree(Tree(len(order) + 1, edges), 0)
     return rbt, (origin_root,) + tuple(order)
 
 
 def geometric_split(t: Tree, analysis: FiedlerAnalysis) -> GeometricSplit:
     """Split t at the characteristic set of its Fiedler vector.
 
+    The sides are read from the weak nodal domains of the analysis, which
+    analyze has checked to be connected, so no entry of the vector is
+    thresholded again here.
+
     Edge case: a new vertex is inserted on the characteristic edge uw and the
     two half-edges get weights |f(w)-f(u)|/|f(u)| (negative side) and
     |f(w)-f(u)|/|f(w)| (positive side); both are >= 1 because the endpoint
-    values have opposite signs.
+    values have opposite signs.  With a single sign-change edge and both
+    domains connected, no entry is zero, so the domains are the two sides
+    of the edge.
 
-    Vertex case: the characteristic vertex becomes the shared root; branches
-    are assigned by sign, and each branch on which f vanishes goes to the
-    currently smaller side (ties to the positive side).  All boundary edges
-    keep weight 1.
+    Vertex case: the characteristic vertex becomes the shared root.  A
+    branch at it that leaves the non-positive domain is positive, one
+    that leaves the non-negative domain is negative, and each branch on
+    which f vanishes goes to the currently smaller side (ties to the
+    positive side).  All boundary edges keep weight 1.
 
     The sides are rooted boundary trees, whose edges other than the
     boundary edge have weight 1, so t must have unit weights.
@@ -283,41 +285,38 @@ def geometric_split(t: Tree, analysis: FiedlerAnalysis) -> GeometricSplit:
     if not t.has_unit_weights():
         raise ValueError("expected a unit-weight tree")
     f = analysis.fiedler
-    tau = analysis.tau_zero
     cs = analysis.charset
     if cs.kind == "edge":
         u, w = cs.ids  # f[u] < 0 < f[w]
         diff = abs(float(f[w]) - float(f[u]))
         w1 = diff / abs(float(f[u]))
         w2 = diff / abs(float(f[w]))
-        comp_pos = next(c for c in branches_at(t, u, u) if w in c)
-        comp_neg = frozenset(range(t.n)) - comp_pos
-        pos_rbt, origin_pos = _make_side(t, sorted(comp_pos), [(w, w2)], -1)
-        neg_rbt, origin_neg = _make_side(t, sorted(comp_neg), [(u, w1)], -1)
+        pos_rbt, origin_pos = _make_side(t, analysis.domain_pos, [(w, w2)], -1)
+        neg_rbt, origin_neg = _make_side(t, analysis.domain_neg, [(u, w1)], -1)
         return GeometricSplit(pos_rbt, neg_rbt, origin_pos, origin_neg, w1, w2)
 
     v0 = cs.ids[0]
     pos_branches, neg_branches, zero_branches = [], [], []
-    for branch in branches_at(t, v0, v0):
-        if any(f[x] > tau for x in branch):
+    for branch in branches_at(t, v0):
+        if not branch <= analysis.domain_neg:
             pos_branches.append(branch)
-        elif any(f[x] < -tau for x in branch):
+        elif not branch <= analysis.domain_pos:
             neg_branches.append(branch)
         else:
             zero_branches.append(branch)
-    pos_verts = set().union(*pos_branches)
-    neg_verts = set().union(*neg_branches)
+    pos_verts = frozenset().union(*pos_branches)
+    neg_verts = frozenset().union(*neg_branches)
     for branch in zero_branches:
         if len(pos_verts) <= len(neg_verts):
             pos_verts |= branch
         else:
             neg_verts |= branch
 
-    def attach_edges(side: set[int]) -> list[tuple[int, float]]:
+    def attach_edges(side: frozenset[int]) -> list[tuple[int, float]]:
         return [(x, wt) for x, wt in t.neighbors(v0) if x in side]
 
-    pos_rbt, origin_pos = _make_side(t, sorted(pos_verts), attach_edges(pos_verts), v0)
-    neg_rbt, origin_neg = _make_side(t, sorted(neg_verts), attach_edges(neg_verts), v0)
+    pos_rbt, origin_pos = _make_side(t, pos_verts, attach_edges(pos_verts), v0)
+    neg_rbt, origin_neg = _make_side(t, neg_verts, attach_edges(neg_verts), v0)
     return GeometricSplit(pos_rbt, neg_rbt, origin_pos, origin_neg, None, None)
 
 

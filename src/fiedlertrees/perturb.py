@@ -47,23 +47,6 @@ class PerturbationRecord:
         }
 
 
-def _rebuild(
-    rbt: RootedBoundaryTree,
-    edges: list[tuple[int, int, float]],
-    n: int,
-    removed_designated: bool,
-) -> RootedBoundaryTree:
-    tree = Tree(n, edges)
-    designated = rbt.boundary_neighbor
-    if removed_designated:
-        if rbt.boundary_weight != 1.0:
-            raise ValueError(
-                "cannot detach the weighted boundary edge from the root"
-            )
-        designated = tree.neighbors(rbt.root)[0][0]
-    return RootedBoundaryTree(tree, rbt.root, designated)
-
-
 def perturb_p1(
     rbt: RootedBoundaryTree, w: int, vi: int, vj: int
 ) -> RootedBoundaryTree:
@@ -86,10 +69,11 @@ def perturb_p1(
         raise ValueError(f"need height({vi}) < height({vj})")
     if vj == w:
         raise ValueError("cannot reattach a pendant to itself")
+    if t.weight(w, vi) != 1.0:
+        raise ValueError("cannot detach the weighted boundary edge from the root")
     edges = [e for e in t.edges if {e[0], e[1]} != {w, vi}]
     edges.append((min(w, vj), max(w, vj), 1.0))
-    removed_designated = {w, vi} == {rbt.root, rbt.boundary_neighbor}
-    return _rebuild(rbt, edges, t.n, removed_designated)
+    return RootedBoundaryTree(Tree(t.n, edges), rbt.root)
 
 
 def perturb_p2(rbt: RootedBoundaryTree, vj: int) -> RootedBoundaryTree:
@@ -101,7 +85,7 @@ def perturb_p2(rbt: RootedBoundaryTree, vj: int) -> RootedBoundaryTree:
     if vj == rbt.root:
         raise ValueError("cannot attach the new pendant to the root")
     edges = list(t.edges) + [(vj, t.n, 1.0)]
-    return _rebuild(rbt, edges, t.n + 1, removed_designated=False)
+    return RootedBoundaryTree(Tree(t.n + 1, edges), rbt.root)
 
 
 def rearrange_branches(
@@ -152,7 +136,7 @@ def rearrange_branches(
             edges.append((min(x_j, s), max(x_j, s), wt))
         else:
             edges.append((u, v, wt))
-    return _rebuild(rbt, edges, t.n, removed_designated=False)
+    return RootedBoundaryTree(Tree(t.n, edges), rbt.root)
 
 
 def glue(t1: RootedBoundaryTree, t2: RootedBoundaryTree) -> Tree:

@@ -444,7 +444,7 @@ def _legal_p1_moves(rbt: RootedBoundaryTree) -> list[tuple[int, int, int]]:
         vi = t.neighbors(w)[0][0]
         if vi not in pos:
             continue
-        if {w, vi} == {rbt.root, rbt.boundary_neighbor} and rbt.boundary_weight != 1.0:
+        if t.weight(w, vi) != 1.0:
             continue
         for vj in line:
             if pos[vj] > pos[vi] and vj != w:

@@ -397,7 +397,7 @@ def dirichlet_nu(rbt: RootedBoundaryTree) -> tuple[float, np.ndarray]:
     # no matrix of the interior's order is built: a one-vertex block is the
     # weight of its edge to the root, a block below TREE_SOLVER_ORDER rows
     # is cut from the tree, a larger one is solved along it
-    branches = branches_at(tree, root, root)
+    branches = branches_at(tree, root)
     if max(map(len, branches)) >= TREE_SOLVER_ORDER:
         order, parent = tree.bfs(root)
     best_value = None

@@ -3,7 +3,9 @@ boundary trees.
 
 Vertices are 0-based contiguous integers.  Every structure is immutable
 after construction, so instances can be shared freely.  Edge weights are
-positive finite reals and default to 1.
+positive finite reals and default to 1.  A rooted boundary tree is a tree
+and a root, nothing more: which root edge is its boundary edge is read
+from the weights, here and nowhere else.
 """
 
 from __future__ import annotations
@@ -148,45 +150,48 @@ class Tree:
 
 
 class RootedBoundaryTree:
-    """Tree with a single boundary vertex, the root.
+    """A tree and its boundary vertex, the root.
 
-    Exactly one root-incident edge (the designated boundary edge) may carry
-    a weight >= 1; every other edge must have weight 1.  The interior is
-    every vertex except the root and must be nonempty.
+    Every edge has weight 1 except at most one root edge, the boundary
+    edge, whose weight must be >= 1.  The boundary edge is read from the
+    weights: the heaviest root edge, ties to the smallest neighbour id, so
+    with unit weights any root edge serves and none is stored.  The
+    interior is every vertex except the root and must be nonempty.
     """
 
-    __slots__ = ("tree", "root", "boundary_neighbor")
+    __slots__ = ("tree", "root")
 
-    def __init__(self, tree: Tree, root: int, boundary_neighbor: int | None = None):
+    def __init__(self, tree: Tree, root: int):
         if not 0 <= root < tree.n:
             raise ValueError(f"root {root} out of range")
         if tree.n < 2:
             raise ValueError("interior must be nonempty")
-        nbrs = [u for u, _ in tree.neighbors(root)]
-        if boundary_neighbor is None:
-            boundary_neighbor = nbrs[0]
-        if boundary_neighbor not in nbrs:
-            raise ValueError(
-                f"boundary neighbor {boundary_neighbor} is not adjacent to root {root}"
-            )
-        bw = tree.weight(root, boundary_neighbor)
-        if bw < 1.0:
-            raise ValueError(f"boundary edge weight {bw} must be >= 1")
-        for u, v, w in tree.edges:
-            if {u, v} == {root, boundary_neighbor}:
-                continue
-            if w != 1.0:
+        weighted = [(u, v, w) for u, v, w in tree.edges if w != 1.0]
+        for u, v, w in weighted:
+            if root not in (u, v):
                 raise ValueError(
-                    f"edge ({u},{v}) has weight {w}; only the designated "
-                    "boundary edge may differ from 1"
+                    f"edge ({u},{v}) has weight {w}; only the boundary edge "
+                    "at the root may differ from 1"
                 )
+            if w < 1.0:
+                raise ValueError(f"boundary edge weight {w} must be >= 1")
+        if len(weighted) > 1:
+            raise ValueError(
+                f"{len(weighted)} root edges have a weight other than 1; "
+                "only the boundary edge may"
+            )
         self.tree = tree
         self.root = root
-        self.boundary_neighbor = boundary_neighbor
+
+    @property
+    def boundary_neighbor(self) -> int:
+        """The root's neighbour across the boundary edge."""
+        # neighbours are sorted by id and max keeps the first maximum
+        return max(self.tree.neighbors(self.root), key=lambda e: e[1])[0]
 
     @property
     def boundary_weight(self) -> float:
-        return self.tree.weight(self.root, self.boundary_neighbor)
+        return max(w for _, w in self.tree.neighbors(self.root))
 
     def interior(self) -> tuple[int, ...]:
         """Interior vertex ids in increasing order."""
@@ -199,20 +204,13 @@ class RootedBoundaryTree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RootedBoundaryTree):
             return NotImplemented
-        return (
-            self.tree == other.tree
-            and self.root == other.root
-            and self.boundary_neighbor == other.boundary_neighbor
-        )
+        return self.tree == other.tree and self.root == other.root
 
     def __hash__(self) -> int:
-        return hash((self.tree, self.root, self.boundary_neighbor))
+        return hash((self.tree, self.root))
 
     def __repr__(self) -> str:
-        return (
-            f"RootedBoundaryTree(root={self.root}, "
-            f"boundary_neighbor={self.boundary_neighbor}, tree={self.tree!r})"
-        )
+        return f"RootedBoundaryTree(root={self.root}, tree={self.tree!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -321,21 +319,12 @@ def _hang(t: Tree, src: int) -> tuple[list[int], list[int], list[int]]:
     return order, depth, branch
 
 
-def branches_at(t: Tree, root: int, u: int) -> tuple[frozenset[int], ...]:
-    """Maximal subtrees of t minus u that do not contain the root.
-
-    For u == root this is every component of t minus root.  Branches are
-    returned sorted by their smallest vertex id.
-    """
-    for x in (root, u):
-        if not 0 <= x < t.n:
-            raise ValueError(f"vertex {x} out of range")
+def branches_at(t: Tree, u: int) -> tuple[frozenset[int], ...]:
+    """Components of t minus u, sorted by their smallest vertex id."""
     order, _, branch = _hang(t, u)
     groups: dict[int, list[int]] = {y: [] for y, _ in t.neighbors(u)}
     for v in order[1:]:
         groups[branch[v]].append(v)
-    if u != root:
-        del groups[branch[root]]
     return tuple(sorted(map(frozenset, groups.values()), key=min))
 
 
@@ -373,6 +362,7 @@ def with_boundary_weight(t: Tree, root: int, boundary_weight: float) -> RootedBo
 
     The weighted edge goes to the root neighbor with the deepest subtree
     (ties to the smallest neighbor id), which is the edge a trunk would use.
+    At weight 1 no edge is chosen.
     """
     if not 1.0 <= boundary_weight < math.inf:
         raise ValueError(f"boundary weight {boundary_weight} must be finite and >= 1")
@@ -380,6 +370,8 @@ def with_boundary_weight(t: Tree, root: int, boundary_weight: float) -> RootedBo
         raise ValueError(f"root {root} out of range")
     if not t.has_unit_weights():
         raise ValueError("expected a unit-weight tree")
+    if boundary_weight == 1.0:
+        return RootedBoundaryTree(t, root)
     # the deepest branches are those of the last BFS level
     order, depth, branch = _hang(t, root)
     deepest = depth[order[-1]]
@@ -390,14 +382,13 @@ def with_boundary_weight(t: Tree, root: int, boundary_weight: float) -> RootedBo
 def _weighted_root_edge(
     t: Tree, root: int, neighbor: int, boundary_weight: float
 ) -> RootedBoundaryTree:
-    """t rooted at root, with boundary_weight on its edge to neighbor."""
-    if boundary_weight != 1.0:
-        edges = [
-            (u, v, boundary_weight if {u, v} == {root, neighbor} else w)
-            for u, v, w in t.edges
-        ]
-        t = Tree(t.n, edges)
-    return RootedBoundaryTree(t, root, neighbor)
+    """The unit-weight t rooted at root, with boundary_weight on its edge
+    to neighbor."""
+    edges = [
+        (u, v, boundary_weight if {u, v} == {root, neighbor} else w)
+        for u, v, w in t.edges
+    ]
+    return RootedBoundaryTree(Tree(t.n, edges), root)
 
 
 # ---------------------------------------------------------------------------

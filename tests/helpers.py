@@ -7,7 +7,8 @@ edge-difference sum; the Dirichlet matrix is cut from the full
 Laplacian; root-to-leaf paths come from a depth-first walk;
 rooted codes come from a recursive walk over every root and root edge;
 eigenvalues of tree-structured matrices come from plain bisection on the
-count of negative pivots.
+count of negative pivots; the sides of a geometric split come from
+thresholding the Fiedler vector.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from itertools import permutations, product
 
 import numpy as np
 
-from fiedlertrees import RootedBoundaryTree, Tree, laplacian
+from fiedlertrees import RootedBoundaryTree, Tree, branches_at, laplacian
 from fiedlertrees.enumeration import prufer_decode
+from fiedlertrees.nodal import _tau
 
 
 def path_alpha(n: int) -> float:
@@ -176,3 +178,51 @@ def bisect_eigenvalue(up, diag, off, j: int) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def split_by_threshold(t: Tree, analysis) -> tuple:
+    """(pos side, origin_pos, neg side, origin_neg) of the geometric split
+    of the unit-weight t, with every entry of the Fiedler vector counted
+    as zero within nodal._tau of it.  Edge case (u, w): the positive side
+    is the branch at u that holds w, the rest is negative.  Vertex case
+    v0: a branch holding an entry above tau is positive, else one below
+    -tau negative, else zero; zero branches go in branch order to the
+    smaller side, ties to the positive one."""
+    f, cs = analysis.fiedler, analysis.charset
+    tau = _tau(f)
+    if cs.kind == "edge":
+        u, w = cs.ids
+        pos = next(b for b in branches_at(t, u) if w in b)
+        neg = frozenset(range(t.n)) - pos
+        diff = abs(f[w] - f[u])
+        attach_pos = {w: diff / abs(f[w])}
+        attach_neg = {u: diff / abs(f[u])}
+        origin_root = -1
+    else:
+        (v0,) = cs.ids
+        pos, neg, zero = set(), set(), []
+        for b in branches_at(t, v0):
+            if any(f[x] > tau for x in b):
+                pos |= b
+            elif any(f[x] < -tau for x in b):
+                neg |= b
+            else:
+                zero.append(b)
+        for b in zero:
+            if len(pos) <= len(neg):
+                pos |= b
+            else:
+                neg |= b
+        nbrs = {x for x, _ in t.neighbors(v0)}
+        attach_pos = dict.fromkeys(nbrs & pos, 1.0)
+        attach_neg = dict.fromkeys(nbrs & neg, 1.0)
+        origin_root = v0
+
+    def side(vertices, attach):
+        origin = (origin_root,) + tuple(sorted(vertices))
+        new_id = {v: i for i, v in enumerate(origin) if i}
+        edges = [(new_id[a], new_id[b]) for a, b, _ in t.edges if a in new_id and b in new_id]
+        edges += [(0, new_id[x], wt) for x, wt in attach.items()]
+        return RootedBoundaryTree(Tree(len(origin), edges), 0), origin
+
+    return (*side(pos, attach_pos), *side(neg, attach_neg))

@@ -59,6 +59,18 @@ def test_alpha_rejects_garbage(capsys, tmp_path):
     assert main(["alpha", str(f)]) == 2
 
 
+@pytest.mark.parametrize("where", ["missing", "directory", "out"])
+def test_unopenable_file_exits_2_without_traceback(capsys, tmp_path, p4_file, where):
+    argv = {
+        "missing": ["alpha", str(tmp_path / "missing.txt")],
+        "directory": ["alpha", str(tmp_path)],
+        "out": ["alpha", p4_file, "--out", str(tmp_path / "no" / "dir" / "x.json")],
+    }[where]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_nu_rooted_path(capsys, p3_file):
     code, doc = _run_json(capsys, ["nu", p3_file, "--root", "0"])
     assert code == 0

@@ -36,6 +36,7 @@ from helpers import (
     path_alpha,
     root_to_leaf_paths,
     spider,
+    split_by_threshold,
 )
 
 
@@ -217,6 +218,29 @@ def test_split_spider_vertex_case_with_zero_branch():
     assert interiors == set(range(1, 7))
 
 
+def test_split_sides_match_the_threshold_oracle():
+    # the sides are read from the weak nodal domains; the oracle thresholds
+    # the vector instead.  Equal-leg spiders and stars have alpha of
+    # multiplicity > 1, whose Fiedler vectors can vanish on whole branches.
+    rng = random.Random(73)
+    trees = [random_tree(rng, rng.randint(2, 60)) for _ in range(200)]
+    trees += [star_tree(n) for n in range(3, 12)] + [path_tree(n) for n in range(2, 12)]
+    trees += [spider(*[length] * legs) for legs in range(3, 7) for length in range(1, 5)]
+    kinds = set()
+    for t in trees:
+        try:
+            an = analyze(t)
+        except (AmbiguousCharacteristicSet, DisconnectedNodalDomainError):
+            continue
+        sp = geometric_split(t, an)
+        assert (sp.pos, sp.origin_pos, sp.neg, sp.origin_neg) == split_by_threshold(t, an)
+        zero_branch = an.charset.kind == "vertex" and any(
+            b <= an.domain_pos and b <= an.domain_neg for b in branches_at(t, an.charset.ids[0])
+        )
+        kinds.add((an.charset.kind, zero_branch))
+    assert kinds == {("edge", False), ("vertex", False), ("vertex", True)}
+
+
 def _separating_zeros_by_definition(t, f, tau):
     """Zero vertices z such that no branch at z holds both signs."""
     pos = {v for v in range(t.n) if f[v] > tau}
@@ -225,7 +249,7 @@ def _separating_zeros_by_definition(t, f, tau):
         z
         for z in range(t.n)
         if abs(f[z]) <= tau
-        and not any(b & pos and b & neg for b in branches_at(t, z, z))
+        and not any(b & pos and b & neg for b in branches_at(t, z))
     ]
 
 
@@ -286,7 +310,7 @@ def test_check_monotone_paths_matches_the_per_path_definition():
         interior = rbt.interior()
         growing = np.array([depth[v] + rng.random() * 0.1 for v in interior])
         # silence whole branches, then break one entry
-        for branch in branches_at(t, root, root):
+        for branch in branches_at(t, root):
             if rng.random() < 0.3:
                 growing[[interior.index(v) for v in branch]] = 0.0
         broken = growing.copy()

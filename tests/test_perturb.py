@@ -8,6 +8,8 @@ import pytest
 
 from fiedlertrees import (
     PerturbationRecord,
+    RootedBoundaryTree,
+    Tree,
     algebraic_connectivity,
     build_caterpillar,
     canonical_code,
@@ -73,6 +75,20 @@ def test_p1_preconditions():
         perturb_p1(rbt, 3, 0, 3)  # vj off the trunk
     with pytest.raises(ValueError):
         perturb_p1(with_boundary_weight(spider(2, 2, 2), 2, 1.0), 4, 3, 0)
+
+
+def test_p1_keeps_the_weighted_boundary_edge():
+    # spine (3, 3) rooted at spine end 0, the weight on its edge to pendant 2
+    cat = build_caterpillar((3, 3))
+    rbt = RootedBoundaryTree(
+        Tree(cat.n, [(u, v, 2.0 if (u, v) == (0, 2) else w) for u, v, w in cat.edges]), 0
+    )
+    assert trunk(rbt) == (0, 1, 4)
+    with pytest.raises(ValueError, match="cannot detach the weighted boundary edge"):
+        perturb_p1(rbt, 2, 0, 1)
+    assert _legal_p1_moves(rbt) == [(3, 0, 1), (3, 0, 4), (5, 1, 4)]
+    moved = perturb_p1(rbt, 3, 0, 1)
+    assert (moved.boundary_neighbor, moved.boundary_weight) == (2, 2.0)
 
 
 def test_p1_degree_bookkeeping():

@@ -55,7 +55,7 @@ def _blocks(rbt):
     order, parent = t.bfs(root)
     index = rbt.interior_index()
     full = dirichlet_matrix(rbt)
-    for branch in branches_at(t, root, root):
+    for branch in branches_at(t, root):
         sub = [v for v in order if v in branch]
         at = [index[v] for v in sub]
         yield spectral._tree_arrays(t, sub, parent), full[np.ix_(at, at)]
@@ -119,7 +119,7 @@ def test_eigenvalues_match_the_bisection_oracle(tree):
     laplace = spectral._tree_arrays(tree, order, parent)
     root = tree.n - 1
     order, parent = tree.bfs(root)
-    branch = max(branches_at(tree, root, root), key=len)
+    branch = max(branches_at(tree, root), key=len)
     block = spectral._tree_arrays(tree, [v for v in order if v in branch], parent)
     for arrays, j, kernel in ((laplace, 1, True), (block, 0, False)):
         value = spectral._tree_eigenpair(*arrays, j, kernel=kernel).value
@@ -220,7 +220,7 @@ def _check_against_dense_blocks(rbt, exact):
     if not exact:
         return
     index = rbt.interior_index()
-    for branch in branches_at(rbt.tree, rbt.root, rbt.root):
+    for branch in branches_at(rbt.tree, rbt.root):
         if len(branch) < spectral.TREE_SOLVER_ORDER:
             verts = sorted(branch)
             at = [index[v] for v in verts]

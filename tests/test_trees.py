@@ -118,14 +118,14 @@ def test_build_caterpillar_always_caterpillar():
 
 def test_branches_at_examples():
     p4 = path_tree(4)
-    assert branches_at(p4, 0, 2) == (frozenset({3}),)
+    assert branches_at(p4, 2) == (frozenset({0, 1}), frozenset({3}))
 
     s4 = star_tree(4)  # center 0, leaves 1..3
-    assert branches_at(s4, 1, 0) == (frozenset({2}), frozenset({3}))
+    assert branches_at(s4, 0) == (frozenset({1}), frozenset({2}), frozenset({3}))
 
     sp = spider(2, 2, 2)  # legs 1-2, 3-4, 5-6
-    got = branches_at(sp, 2, 0)
-    assert got == (frozenset({3, 4}), frozenset({5, 6}))
+    got = branches_at(sp, 0)
+    assert got == (frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6}))
 
 
 def test_branches_at_partition_property():
@@ -136,31 +136,62 @@ def test_branches_at_partition_property():
     rng = random.Random(11)
     for _ in range(30):
         t = random_tree(rng, rng.randint(3, 10))
-        root = rng.randrange(t.n)
         u = rng.randrange(t.n)
-        parts = branches_at(t, root, u)
+        parts = branches_at(t, u)
         union = set().union(*parts) if parts else set()
         assert all(not (a & b) for i, a in enumerate(parts) for b in parts[i + 1 :])
-        if u == root:
-            assert union == set(range(t.n)) - {u}
-        else:
-            # union misses u and the whole root-side component
-            assert u not in union and root not in union
+        assert union == set(range(t.n)) - {u}
 
 
 def test_rooted_boundary_tree_validation():
     t = path_tree(3)
-    rbt = RootedBoundaryTree(t, 0, 1)
+    rbt = RootedBoundaryTree(t, 0)
     assert rbt.boundary_weight == 1.0
     assert rbt.interior() == (1, 2)
-    with pytest.raises(ValueError):
-        RootedBoundaryTree(t, 0, 2)  # not adjacent
     weighted = Tree(3, [(0, 1, 0.5), (1, 2)])
     with pytest.raises(ValueError):
-        RootedBoundaryTree(weighted, 0, 1)  # boundary weight below 1
+        RootedBoundaryTree(weighted, 0)  # boundary weight below 1
     off_edge = Tree(3, [(0, 1), (1, 2, 2.0)])
     with pytest.raises(ValueError):
-        RootedBoundaryTree(off_edge, 0, 1)  # non-boundary edge weighted
+        RootedBoundaryTree(off_edge, 0)  # non-boundary edge weighted
+
+
+def test_rooted_boundary_tree_reads_the_boundary_edge_from_the_weights():
+    star = [(0, k) for k in range(1, 5)]
+    with pytest.raises(ValueError, match="only the boundary edge"):
+        RootedBoundaryTree(Tree(5, [(0, 1, 2.0)] + star[1:]), 2)  # weighted non-root edge
+    with pytest.raises(ValueError, match="only the boundary edge"):
+        RootedBoundaryTree(Tree(5, [(0, 1, 2.0), (0, 2, 1.5)] + star[2:]), 0)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        RootedBoundaryTree(Tree(5, star[:2] + [(0, 3, 0.5), (0, 4)]), 0)
+    with pytest.raises(ValueError, match="out of range"):
+        RootedBoundaryTree(Tree(5, star), 5)
+    with pytest.raises(ValueError, match="nonempty"):
+        RootedBoundaryTree(Tree(1, []), 0)
+    for k in range(1, 5):
+        edges = [(0, j, 2.5 if j == k else 1.0) for j in range(1, 5)]
+        rbt = RootedBoundaryTree(Tree(5, edges), 0)
+        assert (rbt.boundary_neighbor, rbt.boundary_weight) == (k, 2.5)
+        leaf = RootedBoundaryTree(Tree(5, edges), k)
+        assert (leaf.boundary_neighbor, leaf.boundary_weight) == (0, 2.5)
+    # with unit weights, the smallest neighbour id
+    units = ((path_tree(4), 1, 0), (path_tree(4), 3, 2), (star_tree(5), 2, 0), (star_tree(5), 0, 1))
+    for t, root, nbr in units:
+        rbt = RootedBoundaryTree(t, root)
+        assert (rbt.boundary_neighbor, rbt.boundary_weight) == (nbr, 1.0)
+    assert rbt == RootedBoundaryTree(star_tree(5), 0)
+    assert hash(rbt) == hash(RootedBoundaryTree(star_tree(5), 0))
+    assert rbt != RootedBoundaryTree(star_tree(5), 1)
+    assert repr(rbt) == f"RootedBoundaryTree(root=0, tree={star_tree(5)!r})"
+
+
+def test_with_boundary_weight_one_is_the_plain_rooted_tree():
+    rng = random.Random(29)
+    trees = [star_tree(6), path_tree(7), spider(1, 3, 3, 2)]
+    trees += [prufer_decode([rng.randrange(n) for _ in range(n - 2)], n) for n in range(3, 30)]
+    for t in trees:
+        for root in range(t.n):
+            assert with_boundary_weight(t, root, 1.0) == RootedBoundaryTree(t, root)
 
 
 def test_trunk_examples():
@@ -232,7 +263,7 @@ def test_with_boundary_weight_matches_branch_definition():
             dist = distances_from(t, root)
             depth = {
                 min(b & {u for u, _ in t.neighbors(root)}): max(dist[x] for x in b)
-                for b in branches_at(t, root, root)
+                for b in branches_at(t, root)
             }
             expected = min(depth, key=lambda u: (-depth[u], u))
             rbt = with_boundary_weight(t, root, 1.5)
