@@ -15,7 +15,6 @@ import time
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +67,10 @@ STRICT_MARGIN = 1e-10
 #: a search refuses a class with more candidates than this to walk:
 #: Prufer words to decode, or spine permutations
 CAP = 10_000_000
+
+#: random draws per sampled verify suite: trees for split and glue, and
+#: moves of each kind for perturb
+SAMPLES = 100
 
 SUITES = ("theorem1", "lemma2", "lemma5", "perturb", "glue", "split", "all")
 
@@ -460,185 +463,152 @@ def _suite_rng(rng_seed: int, name: str) -> random.Random:
     return random.Random(f"{rng_seed}:{name}")
 
 
-def _fail_list(failures: list, limit: int = 20) -> list:
-    return failures[:limit]
+def _report(name: str, checked: int, failures: list, **extra: object) -> dict:
+    """One suite's report: its first 20 failures, and passed when it has
+    none."""
+    return {
+        "name": name,
+        "checked": checked,
+        **extra,
+        "failures": failures[:20],
+        "passed": not failures,
+    }
 
 
-class _DegreeSequence:
-    """One degree sequence of the verify stream: its canonical codes,
-    sorted, and the w0 = 1 rooted trees with their Dirichlet pairs, solved
-    on first use.  The enumeration suites share both, and lemma5 places
-    its other boundary weights on those trees; nothing outlives the
-    sequence.  Raises EnumerationCapExceeded before any word is decoded
-    when seq has more than CAP Prufer words."""
+def _stream(
+    nmax: int, rooted: bool
+) -> Iterator[tuple[tuple[int, ...], list[str], list | None]]:
+    """Each degree sequence with n = 2..nmax once: the sequence, its
+    canonical codes, sorted, and, when rooted, its w0 = 1 rooted trees
+    with their Dirichlet pairs (rbt, nu, vector), else None.  Raises
+    EnumerationCapExceeded before any word of a sequence is decoded when
+    it has more than CAP Prufer words."""
+    for n in range(2, nmax + 1):
+        for seq in all_tree_sequences(n):
+            codes = sorted(_capped_codes(seq))
+            pairs = None
+            if rooted:
+                pairs = [
+                    (rbt, *dirichlet_nu(rbt))
+                    for rbt in enumerate_rooted_trees(seq, 1.0, codes=codes)
+                ]
+            yield seq, codes, pairs
 
-    def __init__(self, seq: tuple[int, ...]) -> None:
-        self.seq = seq
-        self.codes = sorted(_capped_codes(seq))
 
-    @cached_property
-    def rooted_unit(self) -> list[tuple[RootedBoundaryTree, float, np.ndarray]]:
-        return [
-            (rbt, *dirichlet_nu(rbt))
-            for rbt in enumerate_rooted_trees(self.seq, 1.0, codes=self.codes)
-        ]
+def _check_theorem1(
+    seq: tuple[int, ...], codes: list[str], rooted: list | None
+) -> tuple[int, list]:
+    minimizers = min_alpha_tree(seq, codes=codes).minimizers
+    return len(minimizers), [
+        {"sequence": list(seq), "minimizer": m}
+        for m in minimizers
+        if not (m["is_caterpillar"] and m["is_theorem1_shape"])
+    ]
 
 
-class _EnumerationSuite:
-    """A suite that checks every degree sequence with n = 2..nmax, one
-    sequence at a time, as the verify stream hands them over."""
-
-    name = ""
-
-    def __init__(self, nmax: int, **_: object) -> None:
-        self.nmax = nmax
-        self.checked = 0
-        self.failures: list = []
-
-    def step(self, s: _DegreeSequence) -> None:
-        raise NotImplementedError
-
-    def report(self) -> dict:
-        return {
-            "name": self.name,
-            "checked": self.checked,
-            "failures": _fail_list(self.failures),
-            "passed": not self.failures,
+def _check_lemma2(
+    seq: tuple[int, ...], codes: list[str], rooted: list | None
+) -> tuple[int, list]:
+    return len(rooted), [
+        {
+            "sequence": list(seq),
+            "root": rbt.root,
+            "edges": [[u, v] for u, v, _ in rbt.tree.edges],
         }
+        for rbt, _, vec in rooted
+        if not check_monotone_paths(rbt, vec)
+    ]
 
 
-class _Theorem1(_EnumerationSuite):
-    name = "alpha minimizers are monotone caterpillars"
-
-    def step(self, s: _DegreeSequence) -> None:
-        report = min_alpha_tree(s.seq, codes=s.codes)
-        self.checked += len(report.minimizers)
-        for m in report.minimizers:
-            if not (m["is_caterpillar"] and m["is_theorem1_shape"]):
-                self.failures.append({"sequence": list(s.seq), "minimizer": m})
-
-
-class _Lemma2(_EnumerationSuite):
-    name = "first Dirichlet eigenvectors grow along root paths"
-
-    def step(self, s: _DegreeSequence) -> None:
-        for rbt, _, vec in s.rooted_unit:
-            self.checked += 1
-            if not check_monotone_paths(rbt, vec):
-                self.failures.append(
-                    {
-                        "sequence": list(s.seq),
-                        "root": rbt.root,
-                        "edges": [[u, v] for u, v, _ in rbt.tree.edges],
-                    }
-                )
-
-
-class _Lemma5(_EnumerationSuite):
-    name = "nu argmin equals the monotone pendant-rooted caterpillar shape"
-
-    def step(self, s: _DegreeSequence) -> None:
-        for w0 in (1.0, 1.5, 3.0):
-            if w0 == 1.0:
-                instances = [
-                    (rbt, rooted_canonical_key(rbt), nu) for rbt, nu, _ in s.rooted_unit
-                ]
-            else:
-                instances = [
-                    (placed, key, dirichlet_nu(placed)[0])
-                    for rbt, _, _ in s.rooted_unit
-                    for placed, key in _boundary_placements(rbt, w0)
-                ]
-            minimum = min(v for _, _, v in instances)
-            argmin = set()
-            predicted = set()
-            for rbt, key, nu in instances:
-                key = str(key)
-                if _tied(nu, minimum):
-                    argmin.add(key)
-                if is_minimal_shape_rooted(rbt):
-                    predicted.add(key)
-            self.checked += 1
-            if argmin != predicted:
-                self.failures.append(
-                    {
-                        "sequence": list(s.seq),
-                        "w0": w0,
-                        "argmin_only": sorted(argmin - predicted),
-                        "predicted_only": sorted(predicted - argmin),
-                    }
-                )
+def _check_lemma5(
+    seq: tuple[int, ...], codes: list[str], rooted: list | None
+) -> tuple[int, list]:
+    """The nu argmin at w0 = 1, 1.5 and 3; the heavier boundary weights
+    are placed on the w0 = 1 rooted trees."""
+    failures = []
+    for w0 in (1.0, 1.5, 3.0):
+        if w0 == 1.0:
+            instances = [(rbt, rooted_canonical_key(rbt), nu) for rbt, nu, _ in rooted]
+        else:
+            instances = [
+                (placed, key, dirichlet_nu(placed)[0])
+                for rbt, _, _ in rooted
+                for placed, key in _boundary_placements(rbt, w0)
+            ]
+        minimum = min(v for _, _, v in instances)
+        argmin = set()
+        predicted = set()
+        for rbt, key, nu in instances:
+            key = str(key)
+            if _tied(nu, minimum):
+                argmin.add(key)
+            if is_minimal_shape_rooted(rbt):
+                predicted.add(key)
+        if argmin != predicted:
+            failures.append(
+                {
+                    "sequence": list(seq),
+                    "w0": w0,
+                    "argmin_only": sorted(argmin - predicted),
+                    "predicted_only": sorted(predicted - argmin),
+                }
+            )
+    return 3, failures
 
 
-class _Split(_EnumerationSuite):
-    """Every tree with n <= min(nmax, 8) from the stream, then samples
-    random trees with n <= nmax."""
+#: the suites that read the verify stream: each one's report name and its
+#: check of one degree sequence, (seq, codes, rooted) -> (checked, failures)
+_STREAM_CHECKS = {
+    "theorem1": ("alpha minimizers are monotone caterpillars", _check_theorem1),
+    "lemma2": ("first Dirichlet eigenvectors grow along root paths", _check_lemma2),
+    "lemma5": (
+        "nu argmin equals the monotone pendant-rooted caterpillar shape",
+        _check_lemma5,
+    ),
+}
 
-    name = "split sides reproduce alpha as their first Dirichlet eigenvalue"
 
-    def __init__(self, nmax: int, samples: int, rng_seed: int, **_: object) -> None:
-        super().__init__(min(nmax, 8))
-        self.sample_nmax = nmax
-        self.samples = samples
-        self.rng_seed = rng_seed
-        self.worst = 0.0
-
-    def _check(self, tree: Tree) -> None:
+def _suite_split(codes: list[str], nmax: int, rng_seed: int) -> dict:
+    """The trees of codes (every tree with n <= min(nmax, 8), from the
+    stream), then SAMPLES random trees with n <= nmax."""
+    rng = _suite_rng(rng_seed, "split")
+    trees = [tree_from_code(code) for code in codes]
+    trees += [random_tree(rng, rng.randint(2, nmax)) for _ in range(SAMPLES)]
+    worst = 0.0
+    failures = []
+    for tree in trees:
         analysis = analyze(tree)
-        split = geometric_split(tree, analysis)
-        r1, r2 = verify_split(tree, split, analysis.alpha)
-        self.checked += 1
-        self.worst = max(self.worst, r1, r2)
+        r1, r2 = verify_split(tree, geometric_split(tree, analysis), analysis.alpha)
+        worst = max(worst, r1, r2)
         if r1 > 1e-8 or r2 > 1e-8:
-            self.failures.append(
+            failures.append(
                 {
                     "edges": [[u, v] for u, v, _ in tree.edges],
                     "alpha": analysis.alpha,
                     "residuals": [r1, r2],
                 }
             )
-
-    def step(self, s: _DegreeSequence) -> None:
-        for code in s.codes:
-            self._check(tree_from_code(code))
-
-    def report(self) -> dict:
-        rng = _suite_rng(self.rng_seed, "split")
-        for _ in range(self.samples):
-            self._check(random_tree(rng, rng.randint(2, self.sample_nmax)))
-        return {
-            "name": self.name,
-            "checked": self.checked,
-            "worst_residual": self.worst,
-            "failures": _fail_list(self.failures),
-            "passed": not self.failures,
-        }
+    return _report(
+        "split sides reproduce alpha as their first Dirichlet eigenvalue",
+        len(trees),
+        failures,
+        worst_residual=worst,
+    )
 
 
-def _run_stream(suites: Sequence[_EnumerationSuite]) -> None:
-    """Enumerate each degree sequence once, for n = 2 up to the largest
-    nmax of the suites, and hand it to every suite whose range holds n."""
-    for n in range(2, max(s.nmax for s in suites) + 1):
-        readers = [s for s in suites if n <= s.nmax]
-        for seq in all_tree_sequences(n):
-            item = _DegreeSequence(seq)
-            for suite in readers:
-                suite.step(item)
-
-
-def _suite_perturb(samples: int, rng_seed: int, **_: object) -> dict:
+def _suite_perturb(rng_seed: int) -> dict:
     rng = _suite_rng(rng_seed, "perturb")
     failures = []
     records = []
     done_p1 = done_p2 = 0
     attempts = 0
-    while done_p1 < samples or done_p2 < samples:
+    while done_p1 < SAMPLES or done_p2 < SAMPLES:
         attempts += 1
-        if attempts > 100 * samples:  # pragma: no cover - sampling stall
+        if attempts > 100 * SAMPLES:  # pragma: no cover - sampling stall
             raise RuntimeError("could not sample enough legal perturbations")
         rbt = random_rooted_caterpillar(rng)
         before, _ = dirichlet_nu(rbt)
-        if done_p1 < samples:
+        if done_p1 < SAMPLES:
             moves = _legal_p1_moves(rbt)
             if moves:
                 w, vi, vj = rng.choice(moves)
@@ -648,7 +618,7 @@ def _suite_perturb(samples: int, rng_seed: int, **_: object) -> dict:
                 done_p1 += 1
                 if not after < before - STRICT_MARGIN * before:
                     failures.append(rec.to_json())
-        if done_p2 < samples:
+        if done_p2 < SAMPLES:
             line = trunk(rbt)
             vj = rng.choice(line[1:])
             after, _ = dirichlet_nu(perturb_p2(rbt, vj))
@@ -660,20 +630,18 @@ def _suite_perturb(samples: int, rng_seed: int, **_: object) -> dict:
             if not after < before - STRICT_MARGIN * before:
                 failures.append(rec.to_json())
     gaps = [(r.before_nu - r.after_nu) / r.before_nu for r in records]
-    return {
-        "name": "pendant moves strictly decrease nu",
-        "checked": len(records),
-        "min_relative_gap": min(gaps),
-        "failures": _fail_list(failures),
-        "passed": not failures,
-    }
+    return _report(
+        "pendant moves strictly decrease nu",
+        len(records),
+        failures,
+        min_relative_gap=min(gaps),
+    )
 
 
-def _suite_glue(samples: int, rng_seed: int, nmax: int = 9, **_: object) -> dict:
+def _suite_glue(nmax: int, rng_seed: int) -> dict:
     rng = _suite_rng(rng_seed, "glue")
     failures = []
-    checked = 0
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         n1 = rng.randint(2, max(3, nmax // 2 + 2))
         n2 = rng.randint(2, max(3, nmax // 2 + 2))
         w0 = rng.choice([1.0, 1.5, 2.0, 3.0])
@@ -683,7 +651,6 @@ def _suite_glue(samples: int, rng_seed: int, nmax: int = 9, **_: object) -> dict
         nu2, _ = dirichlet_nu(b)
         alpha, _ = algebraic_connectivity(glue(a, b))
         top = max(nu1, nu2)
-        checked += 1
         ok = alpha <= top + 1e-10
         if ok and abs(nu1 - nu2) > 1e-8:
             ok = alpha < top
@@ -699,56 +666,50 @@ def _suite_glue(samples: int, rng_seed: int, nmax: int = 9, **_: object) -> dict
     equality_ok = abs(alpha - nu) <= 1e-10 and abs(nu - (3 - math.sqrt(5)) / 2) <= 1e-10
     if not equality_ok:
         failures.append({"equality_case_alpha": alpha, "equality_case_nu": nu})
-    return {
-        "name": "gluing bounds alpha by the larger side nu",
-        "checked": checked + 1,
-        "failures": _fail_list(failures),
-        "passed": not failures,
-    }
+    return _report("gluing bounds alpha by the larger side nu", SAMPLES + 1, failures)
 
 
-_STREAM_SUITES = {
-    "theorem1": _Theorem1,
-    "lemma2": _Lemma2,
-    "lemma5": _Lemma5,
-    "split": _Split,
-}
-_SAMPLE_SUITES = {"perturb": _suite_perturb, "glue": _suite_glue}
-
-
-def verify_suite(
-    suite: str,
-    nmax: int = 8,
-    samples: int = 100,
-    rng_seed: int = 0,
-) -> dict:
+def verify_suite(suite: str, nmax: int = 8, rng_seed: int = 0) -> dict:
     """Run one named verification suite (or "all") and return a
     machine-readable report.  Deterministic for fixed arguments.
 
     theorem1, lemma2, lemma5 and split read one stream that enumerates
-    each degree sequence once; perturb, glue and split's random trees
-    are drawn afterwards, each from its own seeded generator."""
+    each degree sequence once, split only up to n = min(nmax, 8); perturb,
+    glue and split's random trees are drawn afterwards, each from its own
+    seeded generator."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
     if nmax < 2:
         raise ValueError(f"nmax must be >= 2, got {nmax}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
-    params = {"nmax": nmax, "samples": samples, "rng_seed": rng_seed}
-    stream = {
-        name: _STREAM_SUITES[name](**params) for name in names if name in _STREAM_SUITES
-    }
-    if stream:
-        _run_stream(list(stream.values()))
-    checks = [
-        {"suite": name}
-        | (stream[name].report() if name in stream else _SAMPLE_SUITES[name](**params))
-        for name in names
-    ]
+    streamed = [name for name in names if name in _STREAM_CHECKS]
+    checked = dict.fromkeys(streamed, 0)
+    failures: dict[str, list] = {name: [] for name in streamed}
+    split_codes: list[str] = []
+    # split reads the stream up to n = 8 only; perturb and glue never
+    last = nmax if streamed else min(nmax, 8) if "split" in names else 1
+    rooted = "lemma2" in names or "lemma5" in names
+    for seq, codes, pairs in _stream(last, rooted):
+        for name in streamed:
+            count, failed = _STREAM_CHECKS[name][1](seq, codes, pairs)
+            checked[name] += count
+            failures[name] += failed
+        if "split" in names and len(seq) <= 8:
+            split_codes += codes
+    checks = []
+    for name in names:
+        if name in _STREAM_CHECKS:
+            report = _report(_STREAM_CHECKS[name][0], checked[name], failures[name])
+        elif name == "perturb":
+            report = _suite_perturb(rng_seed)
+        elif name == "glue":
+            report = _suite_glue(nmax, rng_seed)
+        else:
+            report = _suite_split(split_codes, nmax, rng_seed)
+        checks.append({"suite": name} | report)
     return {
         "suite": suite,
-        "params": params,
+        "params": {"nmax": nmax, "rng_seed": rng_seed},
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
     }

@@ -82,10 +82,12 @@ def _check_symmetric(m: np.ndarray) -> None:
 
 
 def _fix_sign(x: np.ndarray) -> np.ndarray:
-    """Largest-magnitude entry positive; ties pick the smallest index."""
+    """Largest-magnitude entry positive, of a vector or of each row of a
+    2-D array; ties pick the smallest index."""
     mags = np.abs(x)
-    idx = int(np.argmax(mags == mags.max()))
-    return -x if x[idx] < 0 else x
+    first = (mags == mags.max(axis=-1, keepdims=True)).argmax(axis=-1)
+    lead = x[first] if x.ndim == 1 else x[np.arange(len(x)), first]
+    return np.where((lead < 0.0)[..., None], -x, x)
 
 
 def eig_smallest(m: np.ndarray, k: int) -> list[EigenPair]:
@@ -348,13 +350,8 @@ def _caterpillar_fiedler(spines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"exceeds certificate {bound[i]:.3e}"
         )
 
-    mags = np.abs(np.concatenate([g, h], axis=1))
-    first = np.argmax(mags == mags.max(axis=1, keepdims=True), axis=1)
-    # a pendant entry has the sign of its spine vertex
-    flip = g[np.arange(k), first % m] < 0.0
-    g[flip] *= -1.0
-    h[flip] *= -1.0
-    return alpha, g, h
+    f = _fix_sign(np.concatenate([g, h], axis=1))
+    return alpha, f[:, :m], f[:, m:]
 
 
 def algebraic_connectivity(t: Tree) -> tuple[float, np.ndarray]:

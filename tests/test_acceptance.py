@@ -61,18 +61,20 @@ def test_acceptance_1_closed_form_spectra():
 
 def test_acceptance_2_split_identity():
     start = time.perf_counter()
-    report = verify_suite("split", nmax=12, samples=200, rng_seed=1)
-    check = report["checks"][0]
+    # two seeds draw 2 * SAMPLES = 200 random trees on up to 12 vertices
+    checks = [verify_suite("split", nmax=12, rng_seed=seed)["checks"][0] for seed in (1, 2)]
+    passed = all(check["passed"] for check in checks)
+    worst = max(check["worst_residual"] for check in checks)
     elapsed = time.perf_counter() - start
-    ok = report["passed"] and elapsed < 120.0
+    ok = passed and elapsed < 120.0
     _report(
         2,
         "geometric split reproduces alpha",
         ok,
-        f"{check['checked']} trees, worst residual {check['worst_residual']:.2e}, {elapsed:.2f}s",
+        f"{sum(c['checked'] for c in checks)} trees, worst residual {worst:.2e}, {elapsed:.2f}s",
     )
-    assert report["passed"], check["failures"]
-    assert check["worst_residual"] <= 1e-8
+    assert passed, [check["failures"] for check in checks]
+    assert worst <= 1e-8
     assert elapsed < 120.0
 
 
@@ -94,18 +96,20 @@ def test_acceptance_3_monotone_eigenvectors():
 
 def test_acceptance_4_perturbations_strictly_decrease():
     start = time.perf_counter()
-    report = verify_suite("perturb", samples=200, rng_seed=2)
-    check = report["checks"][0]
+    # two seeds draw 2 * SAMPLES = 200 moves of each kind
+    checks = [verify_suite("perturb", rng_seed=seed)["checks"][0] for seed in (2, 3)]
+    passed = all(check["passed"] for check in checks)
+    gap = min(check["min_relative_gap"] for check in checks)
     elapsed = time.perf_counter() - start
-    ok = report["passed"] and elapsed < 60.0
+    ok = passed and elapsed < 60.0
     _report(
         4,
         "pendant moves strictly decrease nu",
         ok,
-        f"{check['checked']} moves, min gap {check['min_relative_gap']:.2e}, {elapsed:.2f}s",
+        f"{sum(c['checked'] for c in checks)} moves, min gap {gap:.2e}, {elapsed:.2f}s",
     )
-    assert report["passed"], check["failures"]
-    assert check["min_relative_gap"] > 1e-10
+    assert passed, [check["failures"] for check in checks]
+    assert gap > 1e-10
     assert elapsed < 60.0
 
 
@@ -127,7 +131,7 @@ def test_acceptance_5_rooted_minimizer_characterization():
 
 def test_acceptance_6_glue_inequality():
     start = time.perf_counter()
-    report = verify_suite("glue", samples=100, rng_seed=3)
+    report = verify_suite("glue", rng_seed=3)
     check = report["checks"][0]
 
     side = with_boundary_weight(path_tree(3), 0, 1.0)

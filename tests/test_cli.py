@@ -185,9 +185,7 @@ def test_explore_to_file(tmp_path, capsys):
 
 
 def test_verify_command(capsys):
-    code, doc = _run_json(
-        capsys, ["verify", "--suite", "glue", "--samples", "10", "--rng-seed", "7"]
-    )
+    code, doc = _run_json(capsys, ["verify", "--suite", "glue", "--rng-seed", "7"])
     assert code == 0
     assert doc["passed"] is True
 
@@ -197,8 +195,6 @@ def test_verify_command(capsys):
     [
         (["--suite", "theorem1", "--nmax", "1"], "nmax"),
         (["--suite", "all", "--nmax", "1"], "nmax"),
-        (["--suite", "perturb", "--samples", "0"], "samples"),
-        (["--suite", "glue", "--samples", "-1"], "samples"),
     ],
 )
 def test_verify_rejects_empty_ranges(capsys, argv, name):

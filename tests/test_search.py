@@ -19,6 +19,7 @@ from fiedlertrees import (
 )
 from fiedlertrees.search import (
     CSV_HEADER,
+    SAMPLES,
     EnumerationCapExceeded,
     all_tree_sequences,
     explore_partitions,
@@ -185,20 +186,20 @@ def test_verify_suite_smoke():
     rep = verify_suite("lemma5", nmax=6)
     assert rep["passed"]
 
-    rep = verify_suite("perturb", samples=25, rng_seed=5)
+    rep = verify_suite("perturb", rng_seed=5)
     assert rep["passed"]
 
-    rep = verify_suite("glue", samples=25, rng_seed=5)
+    rep = verify_suite("glue", rng_seed=5)
     assert rep["passed"]
 
-    rep = verify_suite("split", nmax=9, samples=25, rng_seed=5)
+    rep = verify_suite("split", nmax=9, rng_seed=5)
     assert rep["passed"]
     assert rep["checks"][0]["worst_residual"] <= 1e-8
 
 
 def test_verify_suite_all_and_determinism():
-    a = verify_suite("all", nmax=5, samples=10, rng_seed=3)
-    b = verify_suite("all", nmax=5, samples=10, rng_seed=3)
+    a = verify_suite("all", nmax=5, rng_seed=3)
+    b = verify_suite("all", nmax=5, rng_seed=3)
     assert a == b
     assert a["passed"]
     assert [c["suite"] for c in a["checks"]] == [
@@ -218,8 +219,6 @@ def test_verify_suite_all_and_determinism():
     [
         ("theorem1", {"nmax": 1}, "nmax"),
         ("all", {"nmax": 1}, "nmax"),
-        ("perturb", {"samples": 0}, "samples"),
-        ("glue", {"samples": -1}, "samples"),
     ],
 )
 def test_verify_suite_rejects_empty_ranges(suite, kwargs, name):
@@ -260,12 +259,35 @@ def test_verify_enumerates_each_sequence_once(monkeypatch):
     monkeypatch.setattr(enumeration, "canonical_tree_codes", counted)
     monkeypatch.setattr(search, "canonical_tree_codes", counted)
     monkeypatch.setattr(search, "enumerate_rooted_trees", counted_rooted)
-    assert verify_suite("all", nmax=7, samples=10, rng_seed=2)["passed"]
+    assert verify_suite("all", nmax=7, rng_seed=2)["passed"]
     expected = [seq for n in range(2, 8) for seq in all_tree_sequences(n)]
     assert sorted(calls) == sorted(expected)
     # lemma2 and lemma5 share the w0 = 1 rooted trees of each sequence, and
     # lemma5 places its w0 = 1.5 and 3 weights on them
     assert sorted(rooted_calls) == sorted((seq, 1.0) for seq in expected)
+
+
+@pytest.mark.parametrize("suite,last", [("split", 8), ("perturb", 1), ("glue", 1)])
+def test_verify_sampled_suites_enumerate_only_what_they_read(monkeypatch, suite, last):
+    import fiedlertrees.enumeration as enumeration
+    import fiedlertrees.search as search
+
+    calls = []
+    real = enumeration.canonical_tree_codes
+
+    def counted(seq):
+        calls.append(tuple(seq))
+        return real(seq)
+
+    def rooted(*args, **kwargs):
+        raise AssertionError("no sampled suite reads the rooted trees")
+
+    monkeypatch.setattr(enumeration, "canonical_tree_codes", counted)
+    monkeypatch.setattr(search, "canonical_tree_codes", counted)
+    monkeypatch.setattr(search, "enumerate_rooted_trees", rooted)
+    assert verify_suite(suite, nmax=10, rng_seed=2)["passed"]
+    # split's random trees still reach n = 10; its enumeration stops at 8
+    assert calls == [seq for n in range(2, last + 1) for seq in all_tree_sequences(n)]
 
 
 @pytest.mark.parametrize("suite", ["theorem1", "lemma2", "lemma5", "all"])
@@ -284,18 +306,18 @@ def test_verify_refuses_an_over_cap_sequence_before_decoding(monkeypatch, suite)
     monkeypatch.setattr(search, "CAP", 100)
     monkeypatch.setattr(search, "canonical_tree_codes", recorded)
     with pytest.raises(EnumerationCapExceeded, match="120 labeled decodings exceed the cap 100"):
-        verify_suite(suite, nmax=7, samples=5, rng_seed=3)
+        verify_suite(suite, nmax=7, rng_seed=3)
     expected = [seq for n in range(2, 8) for seq in all_tree_sequences(n)]
     assert decoded == expected[:-1]
 
 
 @pytest.mark.parametrize("seed", [1, 9])
 def test_verify_all_equals_the_single_suites(seed):
-    both = verify_suite("all", nmax=7, samples=10, rng_seed=seed)
+    both = verify_suite("all", nmax=7, rng_seed=seed)
     singles = [
         check
         for name in ("theorem1", "lemma2", "lemma5", "perturb", "glue", "split")
-        for check in verify_suite(name, nmax=7, samples=10, rng_seed=seed)["checks"]
+        for check in verify_suite(name, nmax=7, rng_seed=seed)["checks"]
     ]
     assert both["checks"] == singles
 
@@ -326,15 +348,17 @@ def test_enumerate_rooted_trees_with_codes_matches_enumeration():
 
 def test_verify_stream_counts_match_tree_counts():
     # OEIS A000055 (free trees) and A000081 (rooted trees) for n = 2..9;
-    # split enumerates n <= 8 only, then draws its samples
+    # split enumerates n <= 8 only, then draws SAMPLES random trees
     free = [1, 1, 2, 3, 6, 11, 23, 47]
     rooted = [1, 2, 4, 9, 20, 48, 115, 286]
     sequences = sum(1 for n in range(2, 10) for _ in all_tree_sequences(n))
     checks = {
         c["suite"]: c["checked"]
-        for c in verify_suite("all", nmax=9, samples=5, rng_seed=4)["checks"]
+        for c in verify_suite("all", nmax=9, rng_seed=4)["checks"]
     }
     assert checks["theorem1"] == sequences  # no ties at n <= 9
     assert checks["lemma2"] == sum(rooted)
     assert checks["lemma5"] == 3 * sequences
-    assert checks["split"] == sum(free[:-1]) + 5
+    assert checks["split"] == sum(free[:-1]) + SAMPLES
+    assert checks["perturb"] == 2 * SAMPLES  # P1 and P2 moves
+    assert checks["glue"] == SAMPLES + 1  # and the equality case
