@@ -21,9 +21,15 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Iterator, Sequence
-from math import factorial, inf
+from math import factorial
 
-from .trees import RootedBoundaryTree, Tree, _weighted_root_edge, validate_tree_sequence
+from .trees import (
+    RootedBoundaryTree,
+    Tree,
+    _check_boundary_weight,
+    _weighted_root_edge,
+    validate_tree_sequence,
+)
 
 
 def prufer_decode(word: Sequence[int], n: int) -> Tree:
@@ -279,8 +285,7 @@ def enumerate_rooted_trees(
     """
     if not validate_tree_sequence(seq):
         raise ValueError(f"invalid tree sequence {tuple(seq)}")
-    if not 1.0 <= boundary_weight < inf:
-        raise ValueError(f"boundary weight {boundary_weight} must be finite and >= 1")
+    _check_boundary_weight(boundary_weight)
     rcodes = set()
     for code in canonical_tree_codes(seq) if codes is None else codes:
         t = tree_from_code(code)

@@ -14,7 +14,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .spectral import _caterpillar_fiedler, algebraic_connectivity, dirichlet_nu
 from .trees import (
     RootedBoundaryTree,
     Tree,
+    _check_boundary_weight,
     build_caterpillar,
     is_caterpillar,
     path_tree,
@@ -79,41 +80,28 @@ class EnumerationCapExceeded(RuntimeError):
     """The enumeration would walk more than CAP candidates."""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SearchReport:
-    """Result of one exhaustive search.
+    """Result of one exhaustive search, its fields in JSON order.
 
     minimizers holds one dict per argmin instance carrying its canonical
     code, edge list, and the structural predicate evaluations relevant to
     the search kind.  Every minimizer value is within TIE_RTOL relative of
-    min_value.
+    min_value.  The fields that do not apply to the search kind are None.
     """
 
-    sequence: tuple[int, ...]
+    sequence: list[int]
     min_value: float
-    minimizers: list[dict]
     instance_count: int
-    elapsed: float
+    minimizers: list[dict]
     all_caterpillars: bool | None = None
     all_theorem1_shape: bool | None = None
     all_minimal_shape: bool | None = None
     boundary_weight: float | None = None
+    elapsed: float
 
     def to_json(self) -> dict:
-        out = {
-            "sequence": list(self.sequence),
-            "min_value": float(self.min_value),
-            "instance_count": self.instance_count,
-            "minimizers": self.minimizers,
-        }
-        for key in ("all_caterpillars", "all_theorem1_shape", "all_minimal_shape"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.boundary_weight is not None:
-            out["boundary_weight"] = float(self.boundary_weight)
-        out["elapsed"] = float(self.elapsed)
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -138,8 +126,12 @@ def _require_sequence(seq: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(seq, reverse=True))
 
 
-def _tied(value: float, minimum: float) -> bool:
-    return value <= minimum + TIE_RTOL * abs(minimum)
+def _argmin(values: Sequence[float]) -> tuple[float, list[int]]:
+    """The least of values and the positions, in order, of the values tied
+    with it: those within TIE_RTOL relative of it."""
+    minimum = min(values)
+    top = minimum + TIE_RTOL * abs(minimum)
+    return minimum, [i for i, value in enumerate(values) if value <= top]
 
 
 def _check_cap(total: int, candidates: str) -> None:
@@ -152,6 +144,35 @@ def _capped_codes(seq: tuple[int, ...]) -> set[str]:
     word is decoded when seq has more than CAP Prufer words."""
     _check_cap(prufer_count(seq), "labeled decodings")
     return canonical_tree_codes(seq)
+
+
+def _alpha_report(
+    seq: tuple[int, ...], start: float, count: int, band: list[tuple[Tree, float, dict]]
+) -> SearchReport:
+    """The report of an alpha search over count candidates of seq, begun
+    at perf_counter() time start.  band holds the minimizers as (tree,
+    alpha, extra keys); their dicts, extra keys after alpha, go in code order."""
+    minimizers = [
+        {
+            "code": canonical_code(tree),
+            "alpha": alpha,
+            **extra,
+            "edges": [[u, v] for u, v, _ in tree.edges],
+            "is_caterpillar": is_caterpillar(tree),
+            "is_theorem1_shape": is_theorem1_shape(tree, analyze(tree)),
+        }
+        for tree, alpha, extra in band
+    ]
+    minimizers.sort(key=lambda m: m["code"])
+    return SearchReport(
+        sequence=list(seq),
+        min_value=min(alpha for _, alpha, _ in band),
+        instance_count=count,
+        minimizers=minimizers,
+        all_caterpillars=all(m["is_caterpillar"] for m in minimizers),
+        all_theorem1_shape=all(m["is_theorem1_shape"] for m in minimizers),
+        elapsed=time.perf_counter() - start,
+    )
 
 
 def min_alpha_tree(
@@ -172,31 +193,10 @@ def min_alpha_tree(
     seq = _require_sequence(seq)
     if codes is None:
         codes = _capped_codes(seq)
-    values = {code: algebraic_connectivity(tree_from_code(code))[0] for code in codes}
-    minimum = min(values.values())
-    minimizers = []
-    for code in sorted(c for c, v in values.items() if _tied(v, minimum)):
-        tree = tree_from_code(code)
-        cat = is_caterpillar(tree)
-        shape = is_theorem1_shape(tree, analyze(tree))
-        minimizers.append(
-            {
-                "code": code,
-                "alpha": values[code],
-                "edges": [[u, v] for u, v, _ in tree.edges],
-                "is_caterpillar": cat,
-                "is_theorem1_shape": shape,
-            }
-        )
-    return SearchReport(
-        sequence=seq,
-        min_value=minimum,
-        minimizers=minimizers,
-        instance_count=len(values),
-        elapsed=time.perf_counter() - start,
-        all_caterpillars=all(m["is_caterpillar"] for m in minimizers),
-        all_theorem1_shape=all(m["is_theorem1_shape"] for m in minimizers),
-    )
+    trees = [tree_from_code(code) for code in codes]
+    values = [algebraic_connectivity(tree)[0] for tree in trees]
+    band = [(trees[i], values[i], {}) for i in _argmin(values)[1]]
+    return _alpha_report(seq, start, len(trees), band)
 
 
 def spine_arrangements(interior: Sequence[int]) -> list[tuple[int, ...]]:
@@ -240,57 +240,33 @@ def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
         slack = 3.0 * 2.0 * (2 * seq[0]) * len(seq) * sys.float_info.epsilon
         top = least + TIE_RTOL * least + slack
         band = [arr for arr, value in zip(arrangements, approx.tolist()) if value <= top]
-    values: list[tuple[tuple[int, ...], Tree, float]] = []
-    for arr in band:
-        tree = build_caterpillar(arr)
-        values.append((arr, tree, algebraic_connectivity(tree)[0]))
-    minimum = min(v for _, _, v in values)
-    minimizers = []
-    for arr, tree, value in values:
-        if not _tied(value, minimum):
-            continue
-        minimizers.append(
-            {
-                "code": canonical_code(tree),
-                "alpha": value,
-                "arrangement": list(arr),
-                "edges": [[u, v] for u, v, _ in tree.edges],
-                "is_caterpillar": True,
-                "is_theorem1_shape": is_theorem1_shape(tree, analyze(tree)),
-            }
-        )
-    minimizers.sort(key=lambda m: m["code"])
-    return SearchReport(
-        sequence=seq,
-        min_value=minimum,
-        minimizers=minimizers,
-        instance_count=len(arrangements),
-        elapsed=time.perf_counter() - start,
-        all_caterpillars=True,
-        all_theorem1_shape=all(m["is_theorem1_shape"] for m in minimizers),
-    )
+    trees = [build_caterpillar(arr) for arr in band]
+    values = [algebraic_connectivity(tree)[0] for tree in trees]
+    tied = [
+        (trees[i], values[i], {"arrangement": list(band[i])}) for i in _argmin(values)[1]
+    ]
+    return _alpha_report(seq, start, len(arrangements), tied)
 
 
 def min_nu_rooted(seq: Sequence[int], boundary_weight: float = 1.0) -> SearchReport:
     """Argmin set of the first Dirichlet eigenvalue over every rooted tree
     with the given degree multiset.  Raises EnumerationCapExceeded when
     the enumeration would decode more than CAP Prufer words."""
+    _check_boundary_weight(boundary_weight)
     start = time.perf_counter()
     seq = _require_sequence(seq)
-    instances = []
-    for rbt in enumerate_rooted_trees(seq, boundary_weight, codes=_capped_codes(seq)):
-        nu, _ = dirichlet_nu(rbt)
-        instances.append((rbt, nu))
-    minimum = min(v for _, v in instances)
+    codes = _capped_codes(seq)
+    instances = list(enumerate_rooted_trees(seq, boundary_weight, codes=codes))
+    values = [dirichlet_nu(rbt)[0] for rbt in instances]
+    minimum, tied = _argmin(values)
     minimizers = []
-    for rbt, value in instances:
-        if not _tied(value, minimum):
-            continue
+    for i in tied:
+        rbt = instances[i]
         key = rooted_canonical_key(rbt)
         minimizers.append(
             {
                 "code": key if isinstance(key, str) else list(key),
-                "nu": value,
+                "nu": values[i],
                 "root": rbt.root,
                 "edges": [[u, v, w] for u, v, w in rbt.tree.edges],
                 "is_minimal_shape": is_minimal_shape_rooted(rbt),
@@ -298,13 +274,13 @@ def min_nu_rooted(seq: Sequence[int], boundary_weight: float = 1.0) -> SearchRep
         )
     minimizers.sort(key=lambda m: str(m["code"]))
     return SearchReport(
-        sequence=seq,
+        sequence=list(seq),
         min_value=minimum,
-        minimizers=minimizers,
         instance_count=len(instances),
-        elapsed=time.perf_counter() - start,
+        minimizers=minimizers,
         all_minimal_shape=all(m["is_minimal_shape"] for m in minimizers),
-        boundary_weight=boundary_weight,
+        boundary_weight=float(boundary_weight),
+        elapsed=time.perf_counter() - start,
     )
 
 
@@ -535,15 +511,11 @@ def _check_lemma5(
                 for rbt, _, _ in rooted
                 for placed, key in _boundary_placements(rbt, w0)
             ]
-        minimum = min(v for _, _, v in instances)
-        argmin = set()
-        predicted = set()
-        for rbt, key, nu in instances:
-            key = str(key)
-            if _tied(nu, minimum):
-                argmin.add(key)
-            if is_minimal_shape_rooted(rbt):
-                predicted.add(key)
+        tied = _argmin([nu for _, _, nu in instances])[1]
+        argmin = {str(instances[i][1]) for i in tied}
+        predicted = {
+            str(key) for rbt, key, _ in instances if is_minimal_shape_rooted(rbt)
+        }
         if argmin != predicted:
             failures.append(
                 {

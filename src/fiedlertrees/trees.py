@@ -357,6 +357,12 @@ def trunk(rbt: RootedBoundaryTree) -> tuple[int, ...]:
     return tuple(reversed(line))
 
 
+def _check_boundary_weight(boundary_weight: float) -> None:
+    """Raise ValueError unless boundary_weight is finite and >= 1."""
+    if not 1.0 <= boundary_weight < math.inf:
+        raise ValueError(f"boundary weight {boundary_weight} must be finite and >= 1")
+
+
 def with_boundary_weight(t: Tree, root: int, boundary_weight: float) -> RootedBoundaryTree:
     """Root a unit-weight tree and put boundary_weight on one root edge.
 
@@ -364,8 +370,7 @@ def with_boundary_weight(t: Tree, root: int, boundary_weight: float) -> RootedBo
     (ties to the smallest neighbor id), which is the edge a trunk would use.
     At weight 1 no edge is chosen.
     """
-    if not 1.0 <= boundary_weight < math.inf:
-        raise ValueError(f"boundary weight {boundary_weight} must be finite and >= 1")
+    _check_boundary_weight(boundary_weight)
     if not 0 <= root < t.n:
         raise ValueError(f"root {root} out of range")
     if not t.has_unit_weights():

@@ -224,6 +224,28 @@ def test_verify_failure_maps_to_exit_5(capsys, monkeypatch):
     assert main(["verify", "--suite", "glue"]) == 5
 
 
+def test_verify_lists_the_first_20_failures(capsys, monkeypatch):
+    import fiedlertrees.search as search
+    from fiedlertrees.search import all_tree_sequences
+
+    # no rooted tree has the predicted shape, so lemma5 fails at every
+    # sequence with n <= 6 and every boundary weight: 12 times 3 checks
+    monkeypatch.setattr(search, "is_minimal_shape_rooted", lambda rbt: False)
+    code, doc = _run_json(capsys, ["verify", "--suite", "lemma5", "--nmax", "6"])
+    assert code == 5
+    assert doc["passed"] is False
+    (check,) = doc["checks"]
+    assert check["checked"] == 36
+    assert check["passed"] is False
+    failed = [
+        (list(seq), w0)
+        for n in range(2, 7)
+        for seq in all_tree_sequences(n)
+        for w0 in (1.0, 1.5, 3.0)
+    ]
+    assert [(f["sequence"], f["w0"]) for f in check["failures"]] == failed[:20]
+
+
 def test_round_trip_through_edge_list(tmp_path, capsys):
     from fiedlertrees import format_edge_list
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from fiedlertrees import (
@@ -13,6 +14,7 @@ from fiedlertrees import (
     min_alpha_caterpillar,
     min_alpha_tree,
     min_nu_rooted,
+    rooted_canonical_key,
     spine_arrangements,
     tree_from_code,
     verify_suite,
@@ -20,6 +22,7 @@ from fiedlertrees import (
 from fiedlertrees.search import (
     CSV_HEADER,
     SAMPLES,
+    TIE_RTOL,
     EnumerationCapExceeded,
     all_tree_sequences,
     explore_partitions,
@@ -94,12 +97,16 @@ def test_caterpillar_searches_refuse_too_many_spine_permutations():
 
 
 def test_min_alpha_caterpillar_agrees_with_full_search():
-    # restricting the search to caterpillars never changes the minimum
+    # Theorem 1: every alpha minimizer is a caterpillar, so restricting the
+    # search to caterpillars changes neither the minimum nor the minimizers
     for n in range(2, 10):
         for seq in all_tree_sequences(n):
             full = min_alpha_tree(seq)
             cats = min_alpha_caterpillar(seq)
             assert cats.min_value == pytest.approx(full.min_value, rel=1e-10)
+            assert [m["code"] for m in cats.minimizers] == [
+                m["code"] for m in full.minimizers
+            ]
 
 
 def test_min_alpha_caterpillar_path_unique():
@@ -131,6 +138,69 @@ def test_min_nu_rooted_weighted():
     assert rep.boundary_weight == 1.5
     assert rep.instance_count == 3  # the inner root admits two placements
     assert rep.all_minimal_shape
+
+
+def test_min_nu_rooted_checks_the_boundary_weight_before_enumerating(monkeypatch):
+    import re
+
+    import fiedlertrees.enumeration as enumeration
+    import fiedlertrees.search as search
+
+    def never(seq):
+        raise AssertionError("enumerated before the boundary weight was checked")
+
+    monkeypatch.setattr(enumeration, "canonical_tree_codes", never)
+    monkeypatch.setattr(search, "canonical_tree_codes", never)
+    # 151,200 Prufer words, and the 13-vertex path, over the cap
+    for seq in [(4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1), (2,) * 11 + (1, 1)]:
+        for w0 in (math.nan, 0.5):
+            message = f"boundary weight {w0} must be finite and >= 1"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                min_nu_rooted(seq, w0)
+
+
+def _at_the_tie_edge(keys):
+    """Values for sorted keys k0 < k1 < k2: k2 holds the minimum m, k0
+    exactly m + TIE_RTOL m, and k1 the next float above that."""
+    least = 0.3
+    edge = least + TIE_RTOL * least
+    k0, k1, k2 = sorted(keys)
+    return {k0: edge, k1: float(np.nextafter(edge, 2.0)), k2: least}
+
+
+def test_tie_band_edge_in_min_alpha_tree(monkeypatch):
+    import fiedlertrees.search as search
+
+    seq = (3, 2, 2, 2, 1, 1, 1)
+    values = _at_the_tie_edge(canonical_tree_codes(seq))
+    monkeypatch.setattr(
+        search, "algebraic_connectivity", lambda t: (values[canonical_code(t)], None)
+    )
+    # handed over in reverse, so code order comes from the search
+    rep = min_alpha_tree(seq, codes=sorted(values, reverse=True))
+    k0, _, k2 = sorted(values)
+    assert rep.min_value == values[k2]
+    assert [(m["code"], m["alpha"]) for m in rep.minimizers] == [
+        (k0, values[k0]),
+        (k2, values[k2]),
+    ]
+
+
+def test_tie_band_edge_in_min_nu_rooted(monkeypatch):
+    import fiedlertrees.search as search
+
+    seq = (2, 2, 2, 1, 1)  # the path on five vertices, rooted three ways
+    values = _at_the_tie_edge(rooted_canonical_key(r) for r in enumerate_rooted_trees(seq))
+    monkeypatch.setattr(
+        search, "dirichlet_nu", lambda rbt: (values[rooted_canonical_key(rbt)], None)
+    )
+    rep = min_nu_rooted(seq)
+    k0, _, k2 = sorted(values)
+    assert rep.min_value == values[k2]
+    assert [(m["code"], m["nu"]) for m in rep.minimizers] == [
+        (k0, values[k0]),
+        (k2, values[k2]),
+    ]
 
 
 def test_explore_partitions_rows():
