@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .nodal import analyze, analysis_to_json, check_monotone_paths, geometric_split
@@ -32,6 +31,7 @@ from .spectral import dirichlet_nu
 from .trees import (
     EdgeListParseError,
     NotATreeError,
+    _check_boundary_weight,
     read_edge_list,
     validate_tree_sequence,
     with_boundary_weight,
@@ -78,6 +78,16 @@ def _parse_seq(text: str) -> tuple[int, ...]:
     return seq
 
 
+def _boundary_weight_ok(w0: float) -> bool:
+    """Whether trees' boundary-weight rule accepts --w0; if not, say why."""
+    try:
+        _check_boundary_weight(w0)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_alpha(args) -> int:
     tree = read_edge_list(args.file)
     analysis = analyze(tree)
@@ -90,8 +100,7 @@ def _cmd_nu(args) -> int:
     if not 0 <= args.root < tree.n:
         print(f"error: root {args.root} out of range", file=sys.stderr)
         return EXIT_PARSE
-    if not 1.0 <= args.w0 < math.inf:
-        print(f"error: --w0 {args.w0} must be finite and >= 1", file=sys.stderr)
+    if not _boundary_weight_ok(args.w0):
         return EXIT_BAD_W0
     rbt = with_boundary_weight(tree, args.root, args.w0)
     nu, vec = dirichlet_nu(rbt)
@@ -160,8 +169,7 @@ def _cmd_min_cat(args) -> int:
 
 
 def _cmd_min_rooted(args) -> int:
-    if not 1.0 <= args.w0 < math.inf:
-        print(f"error: --w0 {args.w0} must be finite and >= 1", file=sys.stderr)
+    if not _boundary_weight_ok(args.w0):
         return EXIT_BAD_W0
     seq = _parse_seq(args.seq)
     report = min_nu_rooted(seq, args.w0)

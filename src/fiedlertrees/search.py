@@ -19,15 +19,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .enumeration import (
-    _boundary_placements,
     _multiset_permutations,
+    _peel,
     _permutation_count,
     canonical_code,
     canonical_tree_codes,
     enumerate_rooted_trees,
     prufer_count,
     prufer_decode,
-    rooted_canonical_key,
     tree_from_code,
 )
 from .nodal import (
@@ -50,6 +49,7 @@ from .trees import (
     RootedBoundaryTree,
     Tree,
     _check_boundary_weight,
+    _weighted_root_edge,
     build_caterpillar,
     is_caterpillar,
     path_tree,
@@ -248,25 +248,114 @@ def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
     return _alpha_report(seq, start, len(arrangements), tied)
 
 
+@dataclass(frozen=True)
+class _Rooted:
+    """A unit-weight rooted tree as enumerate_rooted_trees yields it,
+    tree_from_code of its rooted code, rooted at vertex 0: the tree, that
+    code, and its children's (id, rooted code), in child order."""
+
+    rbt: RootedBoundaryTree
+    code: str
+    children: list[tuple[int, str]]
+
+
+def _rooted_trees(seq: tuple[int, ...], codes: Iterable[str]) -> list[_Rooted]:
+    """The w0 = 1 rooted trees of seq, whose canonical codes are codes, in
+    rooted-code order, each with the codes of one leaf peel."""
+    rooted = []
+    for rbt in enumerate_rooted_trees(seq, 1.0, codes=codes):
+        sub = _peel(rbt.tree, 0)[1]
+        children = [(child, sub[child]) for child, _ in rbt.tree.neighbors(0)]
+        rooted.append(_Rooted(rbt, sub[0], children))
+    return rooted
+
+
+def _branch_pair(table: dict, code: str, w0: float) -> tuple[float, np.ndarray]:
+    """dirichlet_nu of the branch with rooted code code hung from a fresh
+    root by an edge of weight w0, solved once per table.
+
+    A rooted tree's Dirichlet matrix is block diagonal, one block per
+    branch at the root, and a block depends only on the branch's rooted
+    code and the weight of its root edge: the table is keyed by both."""
+    pair = table.get((code, w0))
+    if pair is None:
+        t = tree_from_code("(" + code + ")")
+        hung = RootedBoundaryTree(t, 0) if w0 == 1.0 else _weighted_root_edge(t, 0, 1, w0)
+        pair = table[code, w0] = dirichlet_nu(hung)
+    return pair
+
+
+def _rooted_pair(table: dict, r: _Rooted) -> tuple[float, np.ndarray]:
+    """dirichlet_nu(r.rbt), read from the table entries of its branches.
+
+    As in dirichlet_nu, the first least branch in child order carries the
+    vector and the others are zero.  tree_from_code numbers vertices in
+    preorder, so a branch's ids are contiguous from its child's, and
+    interior position = id - 1.  The vector is flipped if its sum is
+    negative."""
+    best = None
+    for child, code in r.children:
+        nu, vec = _branch_pair(table, code, 1.0)
+        if best is None or nu < best[0]:
+            best = nu, vec, child - 1
+    nu, branch, first = best
+    vec = np.zeros(r.rbt.tree.n - 1)
+    vec[first : first + len(branch)] = branch
+    if vec.sum() < 0:
+        vec = -vec
+    return nu, vec
+
+
+def _placements(
+    table: dict, rooted: list[_Rooted], w0: float
+) -> list[tuple[int, int | None, str | tuple[str, str], float]]:
+    """Every rooted tree of boundary weight w0 on the unit trees rooted, as
+    (position in rooted, weighted child, key, nu), in enumerate_rooted_trees'
+    order, with nu from the table.
+
+    At w0 = 1 each unit tree is one instance, with no weighted child, keyed
+    by its rooted code.  Above, each distinct child code gives one, on the
+    first child with that code, keyed (root code, child code) as
+    rooted_canonical_key keys it; it is valued at the least of that
+    child's entry at w0 and the other children's entries at weight 1."""
+    out = []
+    for i, r in enumerate(rooted):
+        unit = [_branch_pair(table, code, 1.0)[0] for _, code in r.children]
+        if w0 == 1.0:
+            out.append((i, None, r.code, min(unit)))
+            continue
+        placed = set()
+        for j, (child, code) in enumerate(r.children):
+            if code not in placed:
+                placed.add(code)
+                nu = min([_branch_pair(table, code, w0)[0], *unit[:j], *unit[j + 1 :]])
+                out.append((i, child, (r.code, code), nu))
+    return out
+
+
 def min_nu_rooted(seq: Sequence[int], boundary_weight: float = 1.0) -> SearchReport:
     """Argmin set of the first Dirichlet eigenvalue over every rooted tree
     with the given degree multiset.  Raises EnumerationCapExceeded when
-    the enumeration would decode more than CAP Prufer words."""
+    the enumeration would decode more than CAP Prufer words.
+
+    Every instance is valued from one branch table (_placements): each
+    distinct (branch code, boundary weight) is solved once, and a placed
+    tree is built only for the minimizers."""
     _check_boundary_weight(boundary_weight)
     start = time.perf_counter()
     seq = _require_sequence(seq)
-    codes = _capped_codes(seq)
-    instances = list(enumerate_rooted_trees(seq, boundary_weight, codes=codes))
-    values = [dirichlet_nu(rbt)[0] for rbt in instances]
-    minimum, tied = _argmin(values)
+    rooted = _rooted_trees(seq, _capped_codes(seq))
+    instances = _placements({}, rooted, boundary_weight)
+    minimum, tied = _argmin([nu for _, _, _, nu in instances])
     minimizers = []
-    for i in tied:
-        rbt = instances[i]
-        key = rooted_canonical_key(rbt)
+    for i, child, key, nu in (instances[k] for k in tied):
+        rbt = rooted[i].rbt
+        if child is not None:
+            rbt = _weighted_root_edge(rbt.tree, rbt.root, child, boundary_weight)
         minimizers.append(
             {
                 "code": key if isinstance(key, str) else list(key),
-                "nu": values[i],
+                "nu": nu,
                 "root": rbt.root,
                 "edges": [[u, v, w] for u, v, w in rbt.tree.edges],
                 "is_minimal_shape": is_minimal_shape_rooted(rbt),
@@ -452,27 +541,26 @@ def _report(name: str, checked: int, failures: list, **extra: object) -> dict:
 
 
 def _stream(
-    nmax: int, rooted: bool
+    nmax: int, table: dict | None
 ) -> Iterator[tuple[tuple[int, ...], list[str], list | None]]:
     """Each degree sequence with n = 2..nmax once: the sequence, its
-    canonical codes, sorted, and, when rooted, its w0 = 1 rooted trees
-    with their Dirichlet pairs (rbt, nu, vector), else None.  Raises
-    EnumerationCapExceeded before any word of a sequence is decoded when
-    it has more than CAP Prufer words."""
+    canonical codes, sorted, and, when a branch table is given, its w0 = 1
+    rooted trees with their Dirichlet pairs (_Rooted, nu, vector), else
+    None.  Each pair is read from the table entries of the tree's
+    branches (_rooted_pair), so every distinct branch is solved once per
+    table.  Raises EnumerationCapExceeded before any word of a sequence
+    is decoded when it has more than CAP Prufer words."""
     for n in range(2, nmax + 1):
         for seq in all_tree_sequences(n):
             codes = sorted(_capped_codes(seq))
             pairs = None
-            if rooted:
-                pairs = [
-                    (rbt, *dirichlet_nu(rbt))
-                    for rbt in enumerate_rooted_trees(seq, 1.0, codes=codes)
-                ]
+            if table is not None:
+                pairs = [(r, *_rooted_pair(table, r)) for r in _rooted_trees(seq, codes)]
             yield seq, codes, pairs
 
 
 def _check_theorem1(
-    seq: tuple[int, ...], codes: list[str], rooted: list | None
+    seq: tuple[int, ...], codes: list[str], rooted: list | None, table: dict | None
 ) -> tuple[int, list]:
     minimizers = min_alpha_tree(seq, codes=codes).minimizers
     return len(minimizers), [
@@ -483,39 +571,33 @@ def _check_theorem1(
 
 
 def _check_lemma2(
-    seq: tuple[int, ...], codes: list[str], rooted: list | None
+    seq: tuple[int, ...], codes: list[str], rooted: list | None, table: dict | None
 ) -> tuple[int, list]:
     return len(rooted), [
         {
             "sequence": list(seq),
-            "root": rbt.root,
-            "edges": [[u, v] for u, v, _ in rbt.tree.edges],
+            "root": r.rbt.root,
+            "edges": [[u, v] for u, v, _ in r.rbt.tree.edges],
         }
-        for rbt, _, vec in rooted
-        if not check_monotone_paths(rbt, vec)
+        for r, _, vec in rooted
+        if not check_monotone_paths(r.rbt, vec)
     ]
 
 
 def _check_lemma5(
-    seq: tuple[int, ...], codes: list[str], rooted: list | None
+    seq: tuple[int, ...], codes: list[str], rooted: list | None, table: dict | None
 ) -> tuple[int, list]:
-    """The nu argmin at w0 = 1, 1.5 and 3; the heavier boundary weights
-    are placed on the w0 = 1 rooted trees."""
+    """The nu argmin at w0 = 1, 1.5 and 3, ranked as min_nu_rooted ranks
+    it (_placements, from the branch table).  The predicted shape reads no
+    weights, so it is decided once per w0 = 1 rooted tree."""
+    trees = [r for r, _, _ in rooted]
+    shaped = [is_minimal_shape_rooted(r.rbt) for r in trees]
     failures = []
     for w0 in (1.0, 1.5, 3.0):
-        if w0 == 1.0:
-            instances = [(rbt, rooted_canonical_key(rbt), nu) for rbt, nu, _ in rooted]
-        else:
-            instances = [
-                (placed, key, dirichlet_nu(placed)[0])
-                for rbt, _, _ in rooted
-                for placed, key in _boundary_placements(rbt, w0)
-            ]
-        tied = _argmin([nu for _, _, nu in instances])[1]
-        argmin = {str(instances[i][1]) for i in tied}
-        predicted = {
-            str(key) for rbt, key, _ in instances if is_minimal_shape_rooted(rbt)
-        }
+        instances = _placements(table, trees, w0)
+        tied = _argmin([nu for _, _, _, nu in instances])[1]
+        argmin = {str(instances[k][2]) for k in tied}
+        predicted = {str(key) for i, _, key, _ in instances if shaped[i]}
         if argmin != predicted:
             failures.append(
                 {
@@ -529,7 +611,8 @@ def _check_lemma5(
 
 
 #: the suites that read the verify stream: each one's report name and its
-#: check of one degree sequence, (seq, codes, rooted) -> (checked, failures)
+#: check of one degree sequence,
+#: (seq, codes, rooted, branch table) -> (checked, failures)
 _STREAM_CHECKS = {
     "theorem1": ("alpha minimizers are monotone caterpillars", _check_theorem1),
     "lemma2": ("first Dirichlet eigenvectors grow along root paths", _check_lemma2),
@@ -660,10 +743,11 @@ def verify_suite(suite: str, nmax: int = 8, rng_seed: int = 0) -> dict:
     split_codes: list[str] = []
     # split reads the stream up to n = 8 only; perturb and glue never
     last = nmax if streamed else min(nmax, 8) if "split" in names else 1
-    rooted = "lemma2" in names or "lemma5" in names
-    for seq, codes, pairs in _stream(last, rooted):
+    # one branch table per call: the rooted suites' Dirichlet pairs
+    table = {} if "lemma2" in names or "lemma5" in names else None
+    for seq, codes, pairs in _stream(last, table):
         for name in streamed:
-            count, failed = _STREAM_CHECKS[name][1](seq, codes, pairs)
+            count, failed = _STREAM_CHECKS[name][1](seq, codes, pairs, table)
             checked[name] += count
             failures[name] += failed
         if "split" in names and len(seq) <= 8:

@@ -8,7 +8,8 @@ Laplacian; root-to-leaf paths come from a depth-first walk;
 rooted codes come from a recursive walk over every root and root edge;
 eigenvalues of tree-structured matrices come from plain bisection on the
 count of negative pivots; the sides of a geometric split come from
-thresholding the Fiedler vector.
+thresholding the Fiedler vector; the rooted nu argmin comes from one
+dirichlet_nu per enumerated rooted tree.
 """
 
 from __future__ import annotations
@@ -19,9 +20,19 @@ from itertools import permutations, product
 
 import numpy as np
 
-from fiedlertrees import RootedBoundaryTree, Tree, branches_at, laplacian
+from fiedlertrees import (
+    RootedBoundaryTree,
+    Tree,
+    branches_at,
+    dirichlet_nu,
+    enumerate_rooted_trees,
+    is_minimal_shape_rooted,
+    laplacian,
+    rooted_canonical_key,
+)
 from fiedlertrees.enumeration import prufer_decode
 from fiedlertrees.nodal import _tau
+from fiedlertrees.search import TIE_RTOL
 
 
 def path_alpha(n: int) -> float:
@@ -139,6 +150,38 @@ def rooted_placement_keys(t: Tree) -> set[tuple[str, str]]:
         (subtree_code(t, root, -1), subtree_code(t, child, root))
         for root in range(t.n)
         for child, _ in t.neighbors(root)
+    }
+
+
+def min_nu_rooted_by_instance(seq, boundary_weight: float) -> dict:
+    """min_nu_rooted(seq, boundary_weight).to_json() without elapsed, from
+    one dirichlet_nu per rooted tree enumerate_rooted_trees yields: every
+    instance within TIE_RTOL relative of the least is a minimizer."""
+    seq = sorted(seq, reverse=True)
+    instances = list(enumerate_rooted_trees(seq, boundary_weight))
+    values = [dirichlet_nu(rbt)[0] for rbt in instances]
+    least = min(values)
+    minimizers = []
+    for rbt, nu in zip(instances, values):
+        if nu <= least + TIE_RTOL * abs(least):
+            key = rooted_canonical_key(rbt)
+            minimizers.append(
+                {
+                    "code": key if isinstance(key, str) else list(key),
+                    "nu": nu,
+                    "root": rbt.root,
+                    "edges": [[u, v, w] for u, v, w in rbt.tree.edges],
+                    "is_minimal_shape": is_minimal_shape_rooted(rbt),
+                }
+            )
+    minimizers.sort(key=lambda m: str(m["code"]))
+    return {
+        "sequence": seq,
+        "min_value": least,
+        "instance_count": len(instances),
+        "minimizers": minimizers,
+        "all_minimal_shape": all(m["is_minimal_shape"] for m in minimizers),
+        "boundary_weight": float(boundary_weight),
     }
 
 

@@ -9,12 +9,15 @@ from fiedlertrees import (
     build_caterpillar,
     canonical_code,
     canonical_tree_codes,
+    dirichlet_nu,
     enumerate_rooted_trees,
     is_caterpillar,
     min_alpha_caterpillar,
     min_alpha_tree,
     min_nu_rooted,
+    path_tree,
     rooted_canonical_key,
+    rooted_code,
     spine_arrangements,
     tree_from_code,
     verify_suite,
@@ -29,7 +32,14 @@ from fiedlertrees.search import (
     partition_rows_to_csv,
 )
 
-from helpers import NU_M2, NU_STAR4_LEAF, dirichlet_path_nu, path_alpha, spider
+from helpers import (
+    NU_M2,
+    NU_STAR4_LEAF,
+    dirichlet_path_nu,
+    min_nu_rooted_by_instance,
+    path_alpha,
+    spider,
+)
 
 
 def test_all_tree_sequences_counts():
@@ -190,9 +200,21 @@ def test_tie_band_edge_in_min_nu_rooted(monkeypatch):
     import fiedlertrees.search as search
 
     seq = (2, 2, 2, 1, 1)  # the path on five vertices, rooted three ways
-    values = _at_the_tie_edge(rooted_canonical_key(r) for r in enumerate_rooted_trees(seq))
+    keys = [rooted_code(path_tree(5), root) for root in range(3)]
+    values = _at_the_tie_edge(keys)
+
+    def hung(j):
+        """The code of a j-vertex path hung from a fresh root by an end."""
+        return "(" * (j + 1) + ")" * (j + 1)
+
+    # min_nu_rooted solves branches, each hung from a fresh root, and a
+    # rooted tree's nu is its least branch's: rooted at i, the path has
+    # branches of i and 4 - i vertices, and the one-vertex branch stays
+    # above every value
+    branch = {hung(4): values[keys[0]], hung(3): values[keys[1]]}
+    branch |= {hung(2): values[keys[2]], hung(1): 1.0}
     monkeypatch.setattr(
-        search, "dirichlet_nu", lambda rbt: (values[rooted_canonical_key(rbt)], None)
+        search, "dirichlet_nu", lambda rbt: (branch[rooted_canonical_key(rbt)], None)
     )
     rep = min_nu_rooted(seq)
     k0, _, k2 = sorted(values)
@@ -201,6 +223,58 @@ def test_tie_band_edge_in_min_nu_rooted(monkeypatch):
         (k0, values[k0]),
         (k2, values[k2]),
     ]
+
+
+def test_branch_table_reproduces_dirichlet_nu_bitwise():
+    from fiedlertrees.search import _placements, _rooted_pair, _rooted_trees
+
+    table = {}  # one table for every sequence, as verify_suite keeps it
+    count = 0
+    for n in range(2, 10):
+        for seq in all_tree_sequences(n):
+            rooted = _rooted_trees(seq, canonical_tree_codes(seq))
+            count += len(rooted)
+            for r in rooted:
+                nu, vec = _rooted_pair(table, r)
+                want_nu, want_vec = dirichlet_nu(r.rbt)
+                assert nu == want_nu
+                assert np.array_equal(vec, want_vec)
+            # every instance in enumerate_rooted_trees' order and key, and
+            # valued as dirichlet_nu values the tree it stands for
+            for w0 in (1.0, 1.5, 3.0):
+                got = [(key, nu) for _, _, key, nu in _placements(table, rooted, w0)]
+                want = [
+                    (rooted_canonical_key(rbt), dirichlet_nu(rbt)[0])
+                    for rbt in enumerate_rooted_trees(seq, w0)
+                ]
+                assert got == want
+    assert count == sum([1, 2, 4, 9, 20, 48, 115, 286])  # A000081, n = 2..9
+
+
+def test_min_nu_rooted_agrees_with_one_solve_per_instance():
+    for n in range(2, 9):
+        for seq in all_tree_sequences(n):
+            for w0 in (1.0, 1.5, 3.0):
+                doc = min_nu_rooted(seq, w0).to_json()
+                del doc["elapsed"]
+                assert doc == min_nu_rooted_by_instance(seq, w0)
+
+
+def test_lemma5_solves_each_branch_once_per_weight(monkeypatch):
+    import fiedlertrees.search as search
+
+    solved = []
+    real = search.dirichlet_nu
+
+    def counted(rbt):
+        solved.append(rbt)
+        return real(rbt)
+
+    monkeypatch.setattr(search, "dirichlet_nu", counted)
+    assert verify_suite("lemma5", nmax=8)["passed"]
+    # a branch of a rooted tree with n <= 8 is one of the 85 rooted trees
+    # with at most 7 vertices (A000081), solved at w0 = 1, 1.5 and 3
+    assert len(solved) <= 3 * sum([1, 1, 2, 4, 9, 20, 48])
 
 
 def test_explore_partitions_rows():
