@@ -24,10 +24,10 @@ from .enumeration import (
     canonical_tree_codes,
     enumerate_rooted_trees,
     enumerate_trees,
-    prufer_count,
     prufer_decode,
     rooted_canonical_key,
     rooted_code,
+    skeleton_word_count,
     tree_from_code,
 )
 from .spectral import (

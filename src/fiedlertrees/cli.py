@@ -13,6 +13,7 @@ not finite, 5 a verification suite failed, 6 enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -193,7 +194,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fiedlertrees",
         description=(

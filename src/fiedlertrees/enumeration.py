@@ -1,20 +1,29 @@
 """Exhaustive enumeration of unlabeled trees with a prescribed degree
 sequence.
 
-The labeled substrate is the Prufer correspondence: fixing the degree
-assignment "vertex i has degree d_i" (degrees sorted non-increasing),
-the labeled trees realizing it are exactly the decodings of the
-multiset permutations of the word in which vertex i appears d_i - 1
-times.  The permutations are streamed in lexicographic order; decoding
-every one and deduplicating by a canonical code yields each unlabeled
-tree exactly once.
+The labeled substrate is the Prufer correspondence on the skeleton: the
+tree left on the k internal vertices (degree >= 2) once every leaf of a
+tree with n >= 3 is stripped.  Internal vertex i (degrees sorted
+non-increasing) has skeleton degree s_i <= d_i and carries d_i - s_i
+pendant leaves; its exponent e_i = s_i - 1 is how often it appears in
+the skeleton's Prufer word, so 0 <= e_i <= d_i - 1 and sum e_i = k - 2.
+Vertices of equal degree are interchangeable, so only the exponent
+vectors that are non-increasing within each run of equal d_i are walked:
+sorting any tree's internal vertices by (d_i, s_i) gives one of them.
+Each vector's multiset word is streamed through its permutations in
+lexicographic order, every word is decoded, and deduplicating by a
+canonical code yields each unlabeled tree exactly once.  The edge and
+the stars (k <= 1) decode their one full word instead.
 
-Each word is cheap.  Every word over 0 .. n-1 decodes to a tree, so
+Each word is cheap.  Every word over 0 .. k-1 decodes to a tree, so
 prufer_decode checks the range and builds the Tree without re-validating
 it.  One leaf peel builds every code string: it strips the leaves layer
 by layer, each stripped vertex getting its subtree code from its sorted
 child codes.  It stops at the center, which carries the canonical code,
-or at a root kept to the end, which carries the rooted code.
+or at a root kept to the end, which carries the rooted code.  Stripping
+every leaf keeps the center, so the peel of a skeleton, with each
+vertex's pendant leaves folded in as "()" child codes, gives the code of
+the whole tree.
 """
 
 from __future__ import annotations
@@ -59,14 +68,6 @@ def prufer_decode(word: Sequence[int], n: int) -> Tree:
     return Tree._trusted(n, edges)
 
 
-def prufer_count(seq: Sequence[int]) -> int:
-    """Number of labeled Prufer words for the fixed degree assignment,
-    (n-2)! / prod (d_i - 1)!."""
-    if not validate_tree_sequence(seq):
-        raise ValueError(f"invalid tree sequence {tuple(seq)}")
-    return _permutation_count(d - 1 for d in seq)
-
-
 def _permutation_count(multiplicities: Iterable[int]) -> int:
     """Number of distinct permutations of a multiset with the given
     multiplicities, (sum m)! / prod m!."""
@@ -96,11 +97,79 @@ def _multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
         a[j + 1 :] = a[:j:-1]
 
 
+def _internal_degrees(seq: Sequence[int]) -> list[int]:
+    """The degrees >= 2 of the valid tree sequence seq, non-increasing."""
+    seq_desc = tuple(sorted(seq, reverse=True))
+    if not validate_tree_sequence(seq_desc):
+        raise ValueError(f"invalid tree sequence {seq_desc}")
+    return [d for d in seq_desc if d >= 2]
+
+
+def _exponent_vectors(inner: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every skeleton exponent vector of the k >= 2 non-increasing internal
+    degrees inner: 0 <= e_i <= d_i - 1, sum e_i = k - 2, e non-increasing
+    within each run of equal degrees, in decreasing lexicographic order."""
+    k = len(inner)
+    # after[i]: the positions after i in i's run; room[i]: the most that
+    # the runs after i's can take
+    after, room = [0] * k, [0] * k
+    for i in range(k - 2, -1, -1):
+        if inner[i + 1] == inner[i]:
+            after[i], room[i] = after[i + 1] + 1, room[i + 1]
+        else:
+            room[i] = room[i + 1] + (inner[i + 1] - 1) * (after[i + 1] + 1)
+    e = [0] * k
+    rest = [0] * (k + 1)  # rest[i]: what positions i.. still have to take
+    rest[0] = k - 2
+    start = 0
+    while True:
+        # fill the tail greedily; room[] keeps every partial vector feasible,
+        # so the last position takes exactly what is left
+        for i in range(start, k):
+            top = min(inner[i] - 1, rest[i])
+            if i and inner[i] == inner[i - 1]:
+                top = min(top, e[i - 1])
+            e[i] = top
+            rest[i + 1] = rest[i] - top
+        yield tuple(e)
+        # lower the last entry whose run and the runs after it still take
+        # the rest when it is one less
+        i = k - 1
+        while i >= 0 and not (e[i] and (e[i] - 1) * (after[i] + 1) + room[i] >= rest[i]):
+            i -= 1
+        if i < 0:
+            return
+        e[i] -= 1
+        rest[i + 1] += 1
+        start = i + 1
+
+
+def _word_counts(seq: Sequence[int]) -> Iterator[int]:
+    """The number of words canonical_tree_codes(seq) decodes for each
+    skeleton exponent vector, (k - 2)! / prod e_i!, or the one full word of
+    the edge and the stars (k <= 1)."""
+    inner = _internal_degrees(seq)
+    if len(inner) <= 1:
+        yield 1
+        return
+    for e in _exponent_vectors(inner):
+        yield _permutation_count(e)
+
+
+def skeleton_word_count(seq: Sequence[int]) -> int:
+    """Number of Prufer words canonical_tree_codes(seq) decodes: the sum
+    over the skeleton exponent vectors of (k - 2)! / prod e_i!, counted
+    without walking a word."""
+    return sum(_word_counts(seq))
+
+
 # ---------------------------------------------------------------------------
 # canonical codes (rooted subtree sorting)
 
 
-def _peel(t: Tree, root: int | None = None) -> tuple[list[int], list[str]]:
+def _peel(
+    t: Tree, root: int | None = None, pendants: Sequence[int] | None = None
+) -> tuple[list[int], list[str]]:
     """The vertices left after stripping the leaves of t layer by layer,
     and the code of the subtree every vertex carries: its sorted child
     codes concatenated inside parentheses.  Each stripped vertex gets its
@@ -109,7 +178,11 @@ def _peel(t: Tree, root: int | None = None) -> tuple[list[int], list[str]]:
     With a root, the root is never stripped, the peel runs until only the
     root is left, and every code is rooted there.  Without one, the peel
     stops at the one or two centers, sorted; a bicentral tree stores at
-    both centers the least of the codes rooted at either."""
+    both centers the least of the codes rooted at either.
+
+    pendants, when given, counts for each vertex the leaves already
+    stripped from it: each vertex starts with that many "()" child codes,
+    so the codes are those of t with those leaves hung back on."""
     adj = t._adj
     degree = [len(a) for a in adj]
     left, stop = t.n, 2
@@ -118,7 +191,7 @@ def _peel(t: Tree, root: int | None = None) -> tuple[list[int], list[str]]:
         # the last vertex left
         degree[root] += 1
         stop = 1
-    children: list[list[str]] = [[] for _ in range(t.n)]
+    children = [["()"] * p for p in pendants or [0] * t.n]
     codes = [""] * t.n
     layer = [v for v in range(t.n) if degree[v] <= 1]
     while left > stop:
@@ -213,17 +286,22 @@ def tree_from_code(code: str) -> Tree:
 
 def canonical_tree_codes(seq: Sequence[int]) -> set[str]:
     """Canonical codes of every unlabeled tree with degree multiset seq,
-    from decoding each Prufer word of the sorted degree assignment."""
-    seq_desc = tuple(sorted(seq, reverse=True))
-    if not validate_tree_sequence(seq_desc):
-        raise ValueError(f"invalid tree sequence {seq_desc}")
-    n = len(seq_desc)
-    word = [i for i, d in enumerate(seq_desc) for _ in range(d - 1)]
+    from decoding each skeleton Prufer word of each exponent vector."""
+    inner = _internal_degrees(seq)
+    k = len(inner)
+    if k <= 1:
+        # the edge and the stars: the full word puts every edge on vertex 0
+        n = len(seq)
+        centers, subtree = _peel(prufer_decode([0] * (n - 2), n))
+        return {subtree[centers[0]]}
     codes = set()
-    for w in _multiset_permutations(word):
-        # a decoded word has unit weights: no check needed before the peel
-        centers, subtree = _peel(prufer_decode(w, n))
-        codes.add(subtree[centers[0]])
+    for e in _exponent_vectors(inner):
+        pendants = [d - 1 - x for d, x in zip(inner, e)]
+        word = [i for i, x in enumerate(e) for _ in range(x)]
+        for w in _multiset_permutations(word):
+            # a decoded word has unit weights: no check needed before the peel
+            centers, subtree = _peel(prufer_decode(w, k), pendants=pendants)
+            codes.add(subtree[centers[0]])
     return codes
 
 

@@ -22,10 +22,10 @@ from .enumeration import (
     _multiset_permutations,
     _peel,
     _permutation_count,
+    _word_counts,
     canonical_code,
     canonical_tree_codes,
     enumerate_rooted_trees,
-    prufer_count,
     prufer_decode,
     tree_from_code,
 )
@@ -66,7 +66,7 @@ TIE_RTOL = 1e-9
 STRICT_MARGIN = 1e-10
 
 #: a search refuses a class with more candidates than this to walk:
-#: Prufer words to decode, or spine permutations
+#: skeleton Prufer words to decode, or spine permutations
 CAP = 10_000_000
 
 #: random draws per sampled verify suite: trees for split and glue, and
@@ -141,8 +141,13 @@ def _check_cap(total: int, candidates: str) -> None:
 
 def _capped_codes(seq: tuple[int, ...]) -> set[str]:
     """canonical_tree_codes(seq).  Raises EnumerationCapExceeded before any
-    word is decoded when seq has more than CAP Prufer words."""
-    _check_cap(prufer_count(seq), "labeled decodings")
+    word is decoded when seq has more than CAP skeleton words
+    (enumeration.skeleton_word_count).  The count stops at its first
+    partial sum over CAP, which the message reports."""
+    total = 0
+    for words in _word_counts(seq):
+        total += words
+        _check_cap(total, "skeleton words")
     return canonical_tree_codes(seq)
 
 
@@ -186,7 +191,7 @@ def min_alpha_tree(
     caller that already has them skips the enumeration.
 
     Raises EnumerationCapExceeded when the enumeration would decode more
-    than CAP Prufer words; the caterpillar-restricted search
+    than CAP skeleton words; the caterpillar-restricted search
     (min_alpha_caterpillar) handles those sequences.
     """
     start = time.perf_counter()
@@ -336,7 +341,7 @@ def _placements(
 def min_nu_rooted(seq: Sequence[int], boundary_weight: float = 1.0) -> SearchReport:
     """Argmin set of the first Dirichlet eigenvalue over every rooted tree
     with the given degree multiset.  Raises EnumerationCapExceeded when
-    the enumeration would decode more than CAP Prufer words.
+    the enumeration would decode more than CAP skeleton words.
 
     Every instance is valued from one branch table (_placements): each
     distinct (branch code, boundary weight) is solved once, and a placed
@@ -549,7 +554,7 @@ def _stream(
     None.  Each pair is read from the table entries of the tree's
     branches (_rooted_pair), so every distinct branch is solved once per
     table.  Raises EnumerationCapExceeded before any word of a sequence
-    is decoded when it has more than CAP Prufer words."""
+    is decoded when it has more than CAP skeleton words."""
     for n in range(2, nmax + 1):
         for seq in all_tree_sequences(n):
             codes = sorted(_capped_codes(seq))

@@ -123,8 +123,9 @@ def test_min_tree_invalid_sequence(capsys):
     assert main(["min-tree", "--seq", "2,x,2"]) == 2
 
 
-# the path on 13 vertices: 11! = 39,916,800 Prufer words, over the 10^7 cap
-OVER_CAP = ",".join(["2"] * 11 + ["1", "1"])
+# the path on 15 vertices: its 13-vertex skeleton path has 11! = 39,916,800
+# Prufer words, over the 10^7 cap
+OVER_CAP = ",".join(["2"] * 13 + ["1", "1"])
 
 
 def test_min_tree_cap_exceeded(capsys):
@@ -135,7 +136,7 @@ def test_min_rooted_cap_exceeded(capsys):
     assert main(["min-rooted", "--seq", OVER_CAP, "--w0", "1.5"]) == 6
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "39916800 labeled decodings exceed the cap 10000000" in captured.err
+    assert "39916800 skeleton words exceed the cap 10000000" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -17,19 +17,22 @@ from fiedlertrees import (
     enumerate_trees,
     is_caterpillar,
     path_tree,
-    prufer_count,
     prufer_decode,
     rooted_canonical_key,
     rooted_code,
+    skeleton_word_count,
     star_tree,
     tree_from_code,
 )
+import fiedlertrees.enumeration as enumeration
 from fiedlertrees.enumeration import (
     _boundary_placements,
+    _exponent_vectors,
     _multiset_permutations,
+    _permutation_count,
     canonical_tree_codes,
 )
-from fiedlertrees.search import all_tree_sequences
+from fiedlertrees.search import CAP, EnumerationCapExceeded, _capped_codes, all_tree_sequences
 
 from helpers import (
     brute_force_isomorphic,
@@ -74,12 +77,33 @@ def test_decoded_trees_equal_validated_trees():
         assert all(t.neighbors(v) == ref.neighbors(v) for v in range(n))
 
 
-def test_prufer_count_examples():
-    assert prufer_count((2, 2, 1, 1)) == 2
-    assert prufer_count((3, 2, 2, 2, 1, 1, 1)) == 60
-    assert prufer_count((3, 1, 1, 1)) == 1
+def test_skeleton_word_count_examples():
+    assert skeleton_word_count((1, 1)) == 1
+    assert skeleton_word_count((3, 1, 1, 1)) == 1
+    assert skeleton_word_count((2, 2, 1, 1)) == 1
+    # skeleton degrees (3, 1, 1, 1), (2, 2, 1, 1) and (1, 2, 2, 1): 1 + 2 + 2
+    assert skeleton_word_count((3, 2, 2, 2, 1, 1, 1)) == 5
+    assert skeleton_word_count((4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1)) == 224
+    assert skeleton_word_count((3, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1)) == 114
+    # a path's skeleton is the path on n - 2 vertices
+    assert skeleton_word_count((2,) * 13 + (1, 1)) == math.factorial(11)
     with pytest.raises(ValueError):
-        prufer_count((2, 2, 2))
+        skeleton_word_count((2, 2, 2))
+
+
+def test_exponent_vectors_match_brute_force():
+    # every vector of the product space that meets the bounds, the sum and
+    # the order within each run of equal degrees, in decreasing order
+    for inner in [(2, 2), (3, 2, 2, 2), (4, 3, 3, 2, 2, 2), (5, 4, 4, 3, 2, 2), (3,) * 6, (6, 2)]:
+        k = len(inner)
+        expected = [
+            e
+            for e in itertools.product(*(range(d) for d in inner))
+            if sum(e) == k - 2
+            and all(e[i] >= e[i + 1] for i in range(k - 1) if inner[i] == inner[i + 1])
+        ]
+        expected.sort(reverse=True)
+        assert list(_exponent_vectors(inner)) == expected
 
 
 def test_multiset_permutations_cover_all_words_once():
@@ -87,7 +111,7 @@ def test_multiset_permutations_cover_all_words_once():
         seq_desc = tuple(sorted(seq, reverse=True))
         word = [i for i, d in enumerate(seq_desc) for _ in range(d - 1)]
         words = list(_multiset_permutations(word))
-        assert len(set(words)) == len(words) == prufer_count(seq)
+        assert len(set(words)) == len(words) == _permutation_count(d - 1 for d in seq)
         assert words == sorted(words)
         # every word realizes the fixed degree assignment
         for w in words:
@@ -107,11 +131,12 @@ def test_labeled_decode_count_matches_formula():
                     [s for s, c in counts.items() for _ in range(c)]
                 )
             )
-            assert len(words) == prufer_count(seq)
+            count = _permutation_count(d - 1 for d in seq)
+            assert len(words) == count
             expected = math.factorial(n - 2)
             for d in seq:
                 expected //= math.factorial(d - 1)
-            assert prufer_count(seq) == expected
+            assert count == expected
 
 
 def test_canonical_code_on_relabelings():
@@ -215,16 +240,48 @@ def test_enumerate_trees_counts_match_brute_force():
             assert len(list(enumerate_trees(seq))) == oracle[seq]
 
 
-def test_enumerate_trees_counts_match_networkx():
-    # independent oracle beyond brute-force reach: the WROM free-tree generator
-    for n in range(7, 10):
-        oracle: dict[tuple[int, ...], int] = {}
+def test_canonical_tree_codes_match_networkx():
+    # independent oracle beyond brute-force reach: the WROM free-tree
+    # generator, grouped by degree multiset
+    for n in range(2, 13):
+        oracle: dict[tuple[int, ...], set[str]] = {}
         for g in nx.nonisomorphic_trees(n):
-            seq = tuple(sorted((d for _, d in g.degree()), reverse=True))
-            oracle[seq] = oracle.get(seq, 0) + 1
+            t = Tree(n, list(g.edges()))
+            oracle.setdefault(degree_sequence(t), set()).add(canonical_code(t))
         assert set(oracle) == set(all_tree_sequences(n))
-        for seq, count in oracle.items():
-            assert len(list(enumerate_trees(seq))) == count
+        for seq, codes in oracle.items():
+            assert canonical_tree_codes(seq) == codes
+
+
+def test_decoded_words_match_skeleton_word_count(monkeypatch):
+    calls = []
+    real = enumeration.prufer_decode
+
+    def counted(word, n):
+        calls.append(n)
+        return real(word, n)
+
+    monkeypatch.setattr(enumeration, "prufer_decode", counted)
+    for n in range(2, 11):
+        for seq in all_tree_sequences(n):
+            calls.clear()
+            trees = len(canonical_tree_codes(seq))
+            assert len(calls) == skeleton_word_count(seq) >= trees
+
+
+def test_over_cap_sequences_raise_before_decoding(monkeypatch):
+    def never(word, n):
+        raise AssertionError("decoded a word of an over-cap sequence")
+
+    monkeypatch.setattr(enumeration, "prufer_decode", never)
+    with pytest.raises(EnumerationCapExceeded, match="39916800 skeleton words exceed the cap"):
+        _capped_codes((2,) * 13 + (1, 1))
+    # spine degrees 2..13 (n = 80): the count stops at its first partial
+    # sum over the cap instead of walking all 46,683,899,639 words
+    with pytest.raises(EnumerationCapExceeded) as caught:
+        _capped_codes(tuple(range(13, 1, -1)) + (1,) * 68)
+    reported = int(str(caught.value).split()[0])
+    assert CAP < reported < 46_683_899_639
 
 
 def test_enumerate_trees_yields_distinct_correct_trees():

@@ -77,9 +77,9 @@ def test_min_alpha_tree_star():
 
 
 def test_min_alpha_tree_cap():
-    # the path on 13 vertices: 11! = 39,916,800 Prufer words, over the cap
+    # the path on 15 vertices: 11! = 39,916,800 skeleton words, over the cap
     with pytest.raises(EnumerationCapExceeded):
-        min_alpha_tree((2,) * 11 + (1, 1))
+        min_alpha_tree((2,) * 13 + (1, 1))
 
 
 def test_min_alpha_tree_rejects_invalid():
@@ -161,8 +161,8 @@ def test_min_nu_rooted_checks_the_boundary_weight_before_enumerating(monkeypatch
 
     monkeypatch.setattr(enumeration, "canonical_tree_codes", never)
     monkeypatch.setattr(search, "canonical_tree_codes", never)
-    # 151,200 Prufer words, and the 13-vertex path, over the cap
-    for seq in [(4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1), (2,) * 11 + (1, 1)]:
+    # 224 skeleton words, and the 15-vertex path, over the cap
+    for seq in [(4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1), (2,) * 13 + (1, 1)]:
         for w0 in (math.nan, 0.5):
             message = f"boundary weight {w0} must be finite and >= 1"
             with pytest.raises(ValueError, match=re.escape(message)):
@@ -446,10 +446,10 @@ def test_verify_refuses_an_over_cap_sequence_before_decoding(monkeypatch, suite)
         return real(seq)
 
     # of the sequences with n <= 7, only the path (2, 2, 2, 2, 2, 1, 1) has
-    # more than 100 Prufer words (5! = 120); the stream reaches it last
-    monkeypatch.setattr(search, "CAP", 100)
+    # more than 5 skeleton words (3! = 6); the stream reaches it last
+    monkeypatch.setattr(search, "CAP", 5)
     monkeypatch.setattr(search, "canonical_tree_codes", recorded)
-    with pytest.raises(EnumerationCapExceeded, match="120 labeled decodings exceed the cap 100"):
+    with pytest.raises(EnumerationCapExceeded, match="6 skeleton words exceed the cap 5"):
         verify_suite(suite, nmax=7, rng_seed=3)
     expected = [seq for n in range(2, 8) for seq in all_tree_sequences(n)]
     assert decoded == expected[:-1]
