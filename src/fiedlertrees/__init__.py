@@ -2,6 +2,7 @@
 weighted trees, with exhaustive extremal search over degree sequences."""
 
 from .trees import (
+    BoundaryWeightError,
     EdgeListParseError,
     NotATreeError,
     RootedBoundaryTree,

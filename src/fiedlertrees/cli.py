@@ -7,7 +7,8 @@ printed with 12 significant digits.
 Exit codes: 0 success, 2 parse error, invalid sequence, or an input or
 --out file that cannot be opened, 3 input is not a tree (an edge weight
 that is not positive and finite included), 4 boundary weight below 1 or
-not finite, 5 a verification suite failed, 6 enumeration cap exceeded.
+not finite (BoundaryWeightError), 5 a verification suite failed, 6
+enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from .search import (
 )
 from .spectral import dirichlet_nu
 from .trees import (
+    BoundaryWeightError,
     EdgeListParseError,
     NotATreeError,
-    _check_boundary_weight,
     read_edge_list,
-    validate_tree_sequence,
     with_boundary_weight,
 )
 
@@ -70,23 +70,12 @@ def _emit_json(obj: dict, out: str | None) -> None:
 
 
 def _parse_seq(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated --seq; the searches check that
+    they are a tree sequence."""
     try:
-        seq = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"could not parse degree sequence {text!r}") from None
-    if not validate_tree_sequence(seq):
-        raise ValueError(f"{text!r} is not a valid tree sequence")
-    return seq
-
-
-def _boundary_weight_ok(w0: float) -> bool:
-    """Whether trees' boundary-weight rule accepts --w0; if not, say why."""
-    try:
-        _check_boundary_weight(w0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
 
 
 def _cmd_alpha(args) -> int:
@@ -98,11 +87,6 @@ def _cmd_alpha(args) -> int:
 
 def _cmd_nu(args) -> int:
     tree = read_edge_list(args.file)
-    if not 0 <= args.root < tree.n:
-        print(f"error: root {args.root} out of range", file=sys.stderr)
-        return EXIT_PARSE
-    if not _boundary_weight_ok(args.w0):
-        return EXIT_BAD_W0
     rbt = with_boundary_weight(tree, args.root, args.w0)
     nu, vec = dirichlet_nu(rbt)
     _emit_json(
@@ -170,8 +154,6 @@ def _cmd_min_cat(args) -> int:
 
 
 def _cmd_min_rooted(args) -> int:
-    if not _boundary_weight_ok(args.w0):
-        return EXIT_BAD_W0
     seq = _parse_seq(args.seq)
     report = min_nu_rooted(seq, args.w0)
     _emit_json(report.to_json(), args.out)
@@ -268,6 +250,9 @@ def main(argv=None) -> int:
     except NotATreeError as exc:
         print(f"not a tree: {exc}", file=sys.stderr)
         return EXIT_NOT_A_TREE
+    except BoundaryWeightError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_W0
     except EnumerationCapExceeded as exc:
         print(f"enumeration cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -36,8 +36,8 @@ from .trees import (
     RootedBoundaryTree,
     Tree,
     _check_boundary_weight,
+    _tree_sequence,
     _weighted_root_edge,
-    validate_tree_sequence,
 )
 
 
@@ -99,10 +99,7 @@ def _multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 def _internal_degrees(seq: Sequence[int]) -> list[int]:
     """The degrees >= 2 of the valid tree sequence seq, non-increasing."""
-    seq_desc = tuple(sorted(seq, reverse=True))
-    if not validate_tree_sequence(seq_desc):
-        raise ValueError(f"invalid tree sequence {seq_desc}")
-    return [d for d in seq_desc if d >= 2]
+    return [d for d in _tree_sequence(seq) if d >= 2]
 
 
 def _exponent_vectors(inner: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -309,8 +306,6 @@ def enumerate_trees(seq: Sequence[int]) -> Iterator[Tree]:
     """Every unlabeled tree with degree multiset seq, exactly once, in
     lexicographic canonical-code order.  Each yielded tree carries the
     deterministic labeling decoded from its own canonical code."""
-    if not validate_tree_sequence(seq):
-        raise ValueError(f"invalid tree sequence {tuple(seq)}")
     for code in sorted(canonical_tree_codes(seq)):
         yield tree_from_code(code)
 
@@ -361,8 +356,7 @@ def enumerate_rooted_trees(
     given, are the canonical codes of seq (canonical_tree_codes' set, in
     any order), so a caller that already has them skips the enumeration.
     """
-    if not validate_tree_sequence(seq):
-        raise ValueError(f"invalid tree sequence {tuple(seq)}")
+    _tree_sequence(seq)  # raises unless seq is a tree sequence
     _check_boundary_weight(boundary_weight)
     rcodes = set()
     for code in canonical_tree_codes(seq) if codes is None else codes:

@@ -18,14 +18,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .nodal import FiedlerAnalysis
-from .trees import (
-    RootedBoundaryTree,
-    Tree,
-    distances_from,
-    is_caterpillar,
-    spine_path,
-    trunk,
-)
+from .trees import RootedBoundaryTree, Tree, _split_spine, spine_path, trunk
 
 
 @dataclass(frozen=True)
@@ -188,27 +181,21 @@ def is_minimal_shape_rooted(rbt: RootedBoundaryTree) -> bool:
 def is_theorem1_shape(t: Tree, analysis: FiedlerAnalysis) -> bool:
     """Shape of algebraic-connectivity minimizers for a degree sequence.
 
-    True iff t is a caterpillar and, on each weak nodal domain, the degrees
-    of the non-pendant vertices are non-decreasing moving away from the
-    characteristic set.  A characteristic vertex is counted as the first
+    True iff t is a caterpillar whose non-pendant degrees are
+    non-decreasing along the spine moving away from the characteristic
+    set, on both sides.  A characteristic vertex is counted as the first
     element of both sides; the endpoints of a characteristic edge start
     their own sides.  Equalities are allowed throughout.
     """
-    if not is_caterpillar(t):
+    spine = spine_path(t)
+    if spine is None:
         return False
-    cs = analysis.charset
-    dist = [distances_from(t, v) for v in cs.ids]
-    anchor_dist = [min(d[v] for d in dist) for v in range(t.n)]
-
-    def side_ok(members: list[int]) -> bool:
-        members = sorted(members, key=lambda v: (anchor_dist[v], v))
-        for a, b in zip(members, members[1:]):
-            if not t.has_edge(a, b):
-                return False  # non-pendant side vertices must chain up
-        degs = [t.degree(v) for v in members]
-        return all(x <= y for x, y in zip(degs, degs[1:]))
-
-    non_pendant = [v for v in range(t.n) if t.degree(v) >= 2]
-    pos_side = [v for v in non_pendant if v in analysis.domain_pos]
-    neg_side = [v for v in non_pendant if v in analysis.domain_neg]
-    return side_ok(pos_side) and side_ok(neg_side)
+    if len(spine) < 2:
+        return True  # the edge and the stars
+    degrees = [t.degree(v) for v in spine]
+    ids = [spine.index(v) for v in analysis.charset.ids]
+    start = [degrees[ids[0]]] if len(ids) == 1 else []
+    return all(
+        all(a <= b for a, b in zip(run, run[1:]))
+        for run in (start + side for side in _split_spine(degrees, ids))
+    )

@@ -49,13 +49,14 @@ from .trees import (
     RootedBoundaryTree,
     Tree,
     _check_boundary_weight,
+    _split_spine,
+    _tree_sequence,
     _weighted_root_edge,
     build_caterpillar,
     is_caterpillar,
     path_tree,
     spine_path,
     trunk,
-    validate_tree_sequence,
     with_boundary_weight,
 )
 
@@ -119,13 +120,6 @@ class PartitionRow:
     right_degrees: tuple[int, ...]
 
 
-def _require_sequence(seq: Sequence[int]) -> tuple[int, ...]:
-    seq = tuple(int(d) for d in seq)
-    if not validate_tree_sequence(seq):
-        raise ValueError(f"invalid tree sequence {seq}")
-    return tuple(sorted(seq, reverse=True))
-
-
 def _argmin(values: Sequence[float]) -> tuple[float, list[int]]:
     """The least of values and the positions, in order, of the values tied
     with it: those within TIE_RTOL relative of it."""
@@ -135,8 +129,16 @@ def _argmin(values: Sequence[float]) -> tuple[float, list[int]]:
 
 
 def _check_cap(total: int, candidates: str) -> None:
+    """Raise EnumerationCapExceeded when total is over CAP.  A total of
+    10^100 or more is given as the power of ten at or below it, because
+    str() refuses an int of more than 4,300 digits."""
     if total > CAP:
-        raise EnumerationCapExceeded(f"{total} {candidates} exceed the cap {CAP}")
+        count = total
+        if total >= 10**100:
+            power = int(math.log10(total))
+            power -= 10**power > total  # log10 rounded up to the next power
+            count = f"at least 10^{power}"
+        raise EnumerationCapExceeded(f"{count} {candidates} exceed the cap {CAP}")
 
 
 def _capped_codes(seq: tuple[int, ...]) -> set[str]:
@@ -195,7 +197,7 @@ def min_alpha_tree(
     (min_alpha_caterpillar) handles those sequences.
     """
     start = time.perf_counter()
-    seq = _require_sequence(seq)
+    seq = _tree_sequence(seq)
     if codes is None:
         codes = _capped_codes(seq)
     trees = [tree_from_code(code) for code in codes]
@@ -232,7 +234,7 @@ def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
     Raises EnumerationCapExceeded when the spine degrees have more than
     CAP permutations."""
     start = time.perf_counter()
-    seq = _require_sequence(seq)
+    seq = _tree_sequence(seq)
     arrangements = _capped_arrangements(seq)
     band = arrangements
     if len(arrangements) > 1:  # one arrangement needs no ranking; m <= 1 has one
@@ -296,8 +298,7 @@ def _rooted_pair(table: dict, r: _Rooted) -> tuple[float, np.ndarray]:
     As in dirichlet_nu, the first least branch in child order carries the
     vector and the others are zero.  tree_from_code numbers vertices in
     preorder, so a branch's ids are contiguous from its child's, and
-    interior position = id - 1.  The vector is flipped if its sum is
-    negative."""
+    interior position = id - 1."""
     best = None
     for child, code in r.children:
         nu, vec = _branch_pair(table, code, 1.0)
@@ -306,8 +307,6 @@ def _rooted_pair(table: dict, r: _Rooted) -> tuple[float, np.ndarray]:
     nu, branch, first = best
     vec = np.zeros(r.rbt.tree.n - 1)
     vec[first : first + len(branch)] = branch
-    if vec.sum() < 0:
-        vec = -vec
     return nu, vec
 
 
@@ -348,7 +347,7 @@ def min_nu_rooted(seq: Sequence[int], boundary_weight: float = 1.0) -> SearchRep
     tree is built only for the minimizers."""
     _check_boundary_weight(boundary_weight)
     start = time.perf_counter()
-    seq = _require_sequence(seq)
+    seq = _tree_sequence(seq)
     rooted = _rooted_trees(seq, _capped_codes(seq))
     instances = _placements({}, rooted, boundary_weight)
     minimum, tied = _argmin([nu for _, _, _, nu in instances])
@@ -393,7 +392,7 @@ def explore_partitions(seq: Sequence[int]) -> list[PartitionRow]:
     assumed or checked.  Raises EnumerationCapExceeded when the spine
     degrees have more than CAP permutations.
     """
-    seq = _require_sequence(seq)
+    seq = _tree_sequence(seq)
     arrangements = _capped_arrangements(seq)
     if len(arrangements[0]) < 2:
         # the single edge changes sign across itself; the star (alpha 1)
@@ -409,10 +408,8 @@ def explore_partitions(seq: Sequence[int]) -> list[PartitionRow]:
         _caterpillar_charsets(g, h),
         g[:, 0].tolist(),
     ):
-        # spine degrees before and after the characteristic set, outward
-        # (an edge's ends belong to the sides, a vertex to neither); the
-        # part holding spine vertex 0 has the sign of its entry
-        before, after = arr[: max(cs.ids)][::-1], arr[min(cs.ids) + 1 :]
+        # the part holding spine vertex 0 has the sign of its entry
+        before, after = _split_spine(arr, cs.ids)
         left, right = (before, after) if g0 > 0 else (after, before)
         rows.append(
             PartitionRow(

@@ -386,8 +386,9 @@ def dirichlet_nu(rbt: RootedBoundaryTree) -> tuple[float, np.ndarray]:
     The interior graph may be disconnected (several branches at the root);
     the matrix is then block diagonal, the eigenvalue is the minimum over
     blocks, and the returned vector is supported on the first minimizing
-    block and zero elsewhere.  The vector is unit norm and oriented so its
-    entry sum is non-negative.
+    block and zero elsewhere.  The vector is unit norm and positive on its
+    block: a block's first eigenvector is a Perron vector, of one sign,
+    and _fix_sign makes it positive.
     """
     tree, root = rbt.tree, rbt.root
     index = rbt.interior_index()
@@ -419,6 +420,4 @@ def dirichlet_nu(rbt: RootedBoundaryTree) -> tuple[float, np.ndarray]:
             best_positions = positions
     vec = np.zeros(len(index))
     vec[best_positions] = best_vector
-    if vec.sum() < 0:
-        vec = -vec
     return float(best_value), vec

@@ -22,6 +22,10 @@ class EdgeListParseError(ValueError):
     """An edge-list file or string could not be parsed."""
 
 
+class BoundaryWeightError(ValueError):
+    """A boundary weight is below 1 or not finite."""
+
+
 class Tree:
     """Weighted undirected tree on vertices ``0 .. n-1``.
 
@@ -228,6 +232,15 @@ def validate_tree_sequence(seq: Sequence[int]) -> bool:
     return sum(seq) == 2 * (n - 1)
 
 
+def _tree_sequence(seq: Sequence[int]) -> tuple[int, ...]:
+    """seq as ints sorted non-increasing; ValueError unless
+    validate_tree_sequence accepts it as given."""
+    seq = tuple(seq)
+    if not validate_tree_sequence(seq):
+        raise ValueError(f"invalid tree sequence {seq}")
+    return tuple(sorted(map(int, seq), reverse=True))
+
+
 def degree_sequence(t: Tree) -> tuple[int, ...]:
     """Degree multiset of t, sorted non-increasing."""
     return tuple(sorted(t.degrees(), reverse=True))
@@ -267,6 +280,13 @@ def spine_path(t: Tree) -> list[int] | None:
         prev = order[-1]
         order.append(nxt)
     return order
+
+
+def _split_spine(spine: Sequence, ids: Sequence[int]) -> tuple[Sequence, Sequence]:
+    """The entries of spine before and after the characteristic set at
+    spine positions ids, each ordered outward.  An edge's two ends start
+    their own sides; a vertex belongs to neither."""
+    return spine[: max(ids)][::-1], spine[min(ids) + 1 :]
 
 
 def is_caterpillar(t: Tree) -> bool:
@@ -358,9 +378,9 @@ def trunk(rbt: RootedBoundaryTree) -> tuple[int, ...]:
 
 
 def _check_boundary_weight(boundary_weight: float) -> None:
-    """Raise ValueError unless boundary_weight is finite and >= 1."""
+    """Raise BoundaryWeightError unless boundary_weight is finite and >= 1."""
     if not 1.0 <= boundary_weight < math.inf:
-        raise ValueError(f"boundary weight {boundary_weight} must be finite and >= 1")
+        raise BoundaryWeightError(f"boundary weight {boundary_weight} must be finite and >= 1")
 
 
 def with_boundary_weight(t: Tree, root: int, boundary_weight: float) -> RootedBoundaryTree:

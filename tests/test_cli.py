@@ -139,6 +139,19 @@ def test_min_rooted_cap_exceeded(capsys):
     assert "39916800 skeleton words exceed the cap 10000000" in captured.err
 
 
+@pytest.mark.parametrize("command", ["min-tree", "min-rooted"])
+def test_cap_exceeded_by_a_count_too_long_to_print(capsys, command):
+    # the 2,002-vertex path: its skeleton has 1998! (about 8.3e5728) words,
+    # more digits than str() converts
+    seq = ",".join(["2"] * 2000 + ["1", "1"])
+    assert main([command, "--seq", seq]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "enumeration cap exceeded: at least 10^5728 skeleton words exceed the cap 10000000\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -164,6 +177,29 @@ def test_spine_permutation_cap_exits_6(capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "spine permutations exceed the cap" in captured.err
+
+
+BAD_W0 = "must be finite and >= 1"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["min-tree", "--seq", "3,1"], 2, "invalid tree sequence (3, 1)"),
+        (["nu", "P3", "--root", "99"], 2, "root 99 out of range"),
+        # the boundary weight is checked before the root
+        (["nu", "P3", "--root", "99", "--w0", "0.5"], 4, f"boundary weight 0.5 {BAD_W0}"),
+        # --seq is parsed before the search checks the boundary weight,
+        # which it checks before the sequence
+        (["min-rooted", "--seq", "x", "--w0", "nan"], 2, "could not parse degree sequence 'x'"),
+        (["min-rooted", "--seq", "3,1", "--w0", "nan"], 4, f"boundary weight nan {BAD_W0}"),
+    ],
+)
+def test_the_first_fault_found_decides_the_exit(capsys, p3_file, argv, code, message):
+    assert main([p3_file if a == "P3" else a for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_min_cat_and_min_rooted(capsys):

@@ -1,9 +1,11 @@
 """Pendant perturbations, branch rearrangement, gluing, and the shape
 predicates for eigenvalue minimizers."""
 
+import itertools
 import math
 import random
 
+import networkx as nx
 import pytest
 
 from fiedlertrees import (
@@ -15,6 +17,7 @@ from fiedlertrees import (
     canonical_code,
     degree_sequence,
     dirichlet_nu,
+    enumerate_trees,
     glue,
     is_caterpillar,
     is_minimal_shape_rooted,
@@ -30,6 +33,7 @@ from fiedlertrees import (
 )
 from fiedlertrees.search import (
     _legal_p1_moves,
+    all_tree_sequences,
     random_rooted_caterpillar,
 )
 
@@ -253,6 +257,38 @@ def test_is_theorem1_shape_cases():
     assert not is_theorem1_shape(sp, analyze(sp))
     best = build_caterpillar((2, 2, 2, 3))
     assert is_theorem1_shape(best, analyze(best))
+
+
+def _theorem1_shape_by_networkx(t, charset_ids) -> bool:
+    """The paper's statement, read directly: t is a caterpillar, and along
+    every shortest path in its non-pendant subgraph that starts at the
+    nearest characteristic vertex the degrees do not decrease."""
+    g = nx.Graph([(u, v) for u, v, _ in t.edges])
+    inner = g.subgraph([v for v in g if g.degree(v) >= 2])
+    if inner and not (nx.is_connected(inner) and max(d for _, d in inner.degree()) <= 2):
+        return False
+    starts = [v for v in charset_ids if v in inner]
+    for v in inner:
+        start = min(starts, key=lambda s: nx.shortest_path_length(inner, s, v))
+        degrees = [g.degree(x) for x in nx.shortest_path(inner, start, v)]
+        if degrees != sorted(degrees):
+            return False
+    return True
+
+
+def test_is_theorem1_shape_matches_networkx():
+    trees = [
+        t for n in range(2, 11) for seq in all_tree_sequences(n) for t in enumerate_trees(seq)
+    ]
+    trees += [build_caterpillar(a) for a in set(itertools.permutations((2, 2, 3, 3, 4, 4, 5)))]
+    answers = set()
+    for t in trees:
+        analysis = analyze(t)
+        expected = _theorem1_shape_by_networkx(t, analysis.charset.ids)
+        assert is_theorem1_shape(t, analysis) is expected, t
+        answers.add(expected)
+    assert answers == {True, False}
+    assert len(trees) == 200 + 630
 
 
 def test_perturbation_record_json():

@@ -1,16 +1,19 @@
 """Extremal searches, the partition explorer, and verification suites."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fiedlertrees import (
+    Tree,
     build_caterpillar,
     canonical_code,
     canonical_tree_codes,
     dirichlet_nu,
     enumerate_rooted_trees,
+    enumerate_trees,
     is_caterpillar,
     min_alpha_caterpillar,
     min_alpha_tree,
@@ -18,15 +21,19 @@ from fiedlertrees import (
     path_tree,
     rooted_canonical_key,
     rooted_code,
+    skeleton_word_count,
     spine_arrangements,
     tree_from_code,
     verify_suite,
 )
 from fiedlertrees.search import (
+    CAP,
     CSV_HEADER,
     SAMPLES,
     TIE_RTOL,
     EnumerationCapExceeded,
+    _argmin,
+    _check_cap,
     all_tree_sequences,
     explore_partitions,
     partition_rows_to_csv,
@@ -85,6 +92,53 @@ def test_min_alpha_tree_cap():
 def test_min_alpha_tree_rejects_invalid():
     with pytest.raises(ValueError):
         min_alpha_tree((2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        canonical_tree_codes,
+        skeleton_word_count,
+        lambda seq: list(enumerate_trees(seq)),
+        lambda seq: list(enumerate_rooted_trees(seq)),
+        min_alpha_tree,
+        min_alpha_caterpillar,
+        min_nu_rooted,
+        explore_partitions,
+    ],
+    ids=[
+        "canonical_tree_codes",
+        "skeleton_word_count",
+        "enumerate_trees",
+        "enumerate_rooted_trees",
+        "min_alpha_tree",
+        "min_alpha_caterpillar",
+        "min_nu_rooted",
+        "explore_partitions",
+    ],
+)
+def test_entry_points_refuse_a_non_integer_degree(entry):
+    # truncated, the degrees would be the valid (2, 2, 1, 1)
+    with pytest.raises(ValueError, match=re.escape("invalid tree sequence (2.9, 2, 1, 1)")):
+        entry((2.9, 2, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "total, count",
+    [
+        (CAP + 1, str(CAP + 1)),
+        (10**100 - 1, str(10**100 - 1)),
+        (10**100, "at least 10^100"),
+        (10**100 + 1, "at least 10^100"),
+        # log10 rounds this up to 5000.0
+        (10**5000 - 1, "at least 10^4999"),
+    ],
+    ids=["cap+1", "10^100-1", "10^100", "10^100+1", "10^5000-1"],
+)
+def test_cap_message_counts(total, count):
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        _check_cap(total, "words")
+    assert str(exc.value) == f"{count} words exceed the cap {CAP}"
 
 
 def test_spine_arrangements_counts():
@@ -506,3 +560,45 @@ def test_verify_stream_counts_match_tree_counts():
     assert checks["split"] == sum(free[:-1]) + SAMPLES
     assert checks["perturb"] == 2 * SAMPLES  # P1 and P2 moves
     assert checks["glue"] == SAMPLES + 1  # and the equality case
+
+
+def _greedy_tree_code(seq) -> str:
+    """canonical_code of the greedy tree of seq: the BFS tree whose
+    degrees do not increase in BFS order.  Vertex i has the i-th largest
+    degree, and each vertex takes the next unused ids as its children."""
+    degrees = sorted(seq, reverse=True)
+    edges, nxt = [], 1
+    for v, d in enumerate(degrees):
+        children = d - (v > 0)
+        edges += [(v, c) for c in range(nxt, nxt + children)]
+        nxt += children
+    return canonical_code(Tree(len(degrees), edges))
+
+
+def _spectral_radii(code: str) -> tuple[float, float]:
+    """Largest adjacency and Laplacian eigenvalues of tree_from_code(code),
+    by numpy from its edge list."""
+    t = tree_from_code(code)
+    adjacency = np.zeros((t.n, t.n))
+    for u, v, _ in t.edges:
+        adjacency[u, v] = adjacency[v, u] = 1.0
+    laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
+    return np.linalg.eigvalsh(adjacency)[-1], np.linalg.eigvalsh(laplacian)[-1]
+
+
+@pytest.mark.parametrize("radius", [0, 1], ids=["adjacency", "laplacian"])
+def test_greedy_tree_alone_maximizes_the_spectral_radius(radius):
+    # a known answer for enumerate-rank-argmin that does not come from the
+    # paper under test: the greedy tree is the unique maximizer of the
+    # adjacency (Biyikoglu and Leydold, Electron. J. Combin. 15 (2008)
+    # R119) and the Laplacian spectral radius (Biyikoglu, Hellmuth and
+    # Leydold, Electron. J. Linear Algebra 18 (2009)) among the trees of a
+    # degree sequence
+    checked = 0
+    for n in range(3, 11):
+        for seq in all_tree_sequences(n):
+            codes = sorted(canonical_tree_codes(seq))
+            tied = _argmin([-_spectral_radii(code)[radius] for code in codes])[1]
+            assert [codes[i] for i in tied] == [_greedy_tree_code(seq)], seq
+            checked += 1
+    assert checked == 66

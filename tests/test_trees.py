@@ -6,6 +6,7 @@ import random
 import pytest
 
 from fiedlertrees import (
+    BoundaryWeightError,
     NotATreeError,
     RootedBoundaryTree,
     Tree,
@@ -298,5 +299,7 @@ def test_tree_rejects_non_finite_weight(w):
 
 @pytest.mark.parametrize("w0", [math.nan, math.inf])
 def test_with_boundary_weight_rejects_non_finite_weight(w0):
-    with pytest.raises(ValueError, match="must be finite and >= 1"):
+    # a ValueError subclass, which the CLI maps to exit 4 rather than 2
+    assert issubclass(BoundaryWeightError, ValueError)
+    with pytest.raises(BoundaryWeightError, match="must be finite and >= 1"):
         with_boundary_weight(path_tree(4), 1, w0)
