@@ -32,13 +32,7 @@ import heapq
 from collections.abc import Iterable, Iterator, Sequence
 from math import factorial
 
-from .trees import (
-    RootedBoundaryTree,
-    Tree,
-    _check_boundary_weight,
-    _tree_sequence,
-    _weighted_root_edge,
-)
+from .trees import RootedBoundaryTree, Tree, _tree_sequence
 
 
 def prufer_decode(word: Sequence[int], n: int) -> Tree:
@@ -324,49 +318,20 @@ def rooted_canonical_key(rbt: RootedBoundaryTree) -> tuple[str, str] | str:
     return codes[rbt.root], codes[rbt.boundary_neighbor]
 
 
-def _boundary_placements(
-    rbt: RootedBoundaryTree, boundary_weight: float
-) -> Iterator[tuple[RootedBoundaryTree, tuple[str, str]]]:
-    """The inequivalent placements of boundary_weight != 1 on a root edge
-    of the unit-weight rbt: one tree per distinct child subtree code, on
-    the first child (by id) with that code, each with its
-    rooted_canonical_key."""
-    t, root = rbt.tree, rbt.root
-    codes = _peel(t, root)[1]
-    first: dict[str, int] = {}
-    for child, _ in t.neighbors(root):
-        first.setdefault(codes[child], child)
-    for code, child in first.items():
-        yield _weighted_root_edge(t, root, child, boundary_weight), (codes[root], code)
-
-
 def enumerate_rooted_trees(
-    seq: Sequence[int],
-    boundary_weight: float = 1.0,
-    *,
-    codes: Iterable[str] | None = None,
+    seq: Sequence[int], *, codes: Iterable[str] | None = None
 ) -> Iterator[RootedBoundaryTree]:
     """Every (unlabeled tree, root choice) pair with degree multiset seq,
     deduplicated by rooted canonical code, in rooted-code order.  Each
-    tree is tree_from_code of its rooted code, rooted at vertex 0.
-
-    With boundary_weight == 1 every edge keeps weight 1.  With
-    boundary_weight > 1, each inequivalent root-incident edge placement is
-    yielded as a distinct rooted tree, in child-code order.  codes, when
-    given, are the canonical codes of seq (canonical_tree_codes' set, in
-    any order), so a caller that already has them skips the enumeration.
+    tree is tree_from_code of its rooted code, rooted at vertex 0, with
+    unit weights.  codes, when given, are the canonical codes of seq
+    (canonical_tree_codes' set, in any order), so a caller that already
+    has them skips the enumeration.
     """
     _tree_sequence(seq)  # raises unless seq is a tree sequence
-    _check_boundary_weight(boundary_weight)
     rcodes = set()
     for code in canonical_tree_codes(seq) if codes is None else codes:
         t = tree_from_code(code)
         rcodes.update(_peel(t, root)[1][root] for root in range(t.n))
     for rcode in sorted(rcodes):
-        # preorder ids put the root's children in code order
-        rbt = RootedBoundaryTree(tree_from_code(rcode), 0)
-        if boundary_weight == 1.0:
-            yield rbt
-        else:
-            for placed, _ in _boundary_placements(rbt, boundary_weight):
-                yield placed
+        yield RootedBoundaryTree(tree_from_code(rcode), 0)

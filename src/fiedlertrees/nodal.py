@@ -220,10 +220,12 @@ def nodal_domains(t: Tree, f) -> tuple[frozenset[int], frozenset[int]]:
 
 def analyze(t: Tree) -> FiedlerAnalysis:
     """Full Fiedler analysis: alpha, vector, characteristic set, domains."""
-    alpha, f = algebraic_connectivity(t)
-    charset = characteristic_set(t, f)
-    pos, neg = nodal_domains(t, f)
-    return FiedlerAnalysis(alpha, f, charset, pos, neg)
+    return _analysis(t, *algebraic_connectivity(t))
+
+
+def _analysis(t: Tree, alpha: float, f: np.ndarray) -> FiedlerAnalysis:
+    """The Fiedler analysis of t from its solved alpha and vector f."""
+    return FiedlerAnalysis(alpha, f, characteristic_set(t, f), *nodal_domains(t, f))
 
 
 def analysis_to_json(a: FiedlerAnalysis) -> dict:

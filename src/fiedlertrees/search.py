@@ -30,6 +30,7 @@ from .enumeration import (
     tree_from_code,
 )
 from .nodal import (
+    _analysis,
     _caterpillar_charsets,
     analyze,
     check_monotone_paths,
@@ -154,11 +155,15 @@ def _capped_codes(seq: tuple[int, ...]) -> set[str]:
 
 
 def _alpha_report(
-    seq: tuple[int, ...], start: float, count: int, band: list[tuple[Tree, float, dict]]
+    seq: tuple[int, ...],
+    start: float,
+    count: int,
+    band: list[tuple[Tree, tuple[float, np.ndarray], dict]],
 ) -> SearchReport:
     """The report of an alpha search over count candidates of seq, begun
     at perf_counter() time start.  band holds the minimizers as (tree,
-    alpha, extra keys); their dicts, extra keys after alpha, go in code order."""
+    (alpha, Fiedler vector) as algebraic_connectivity solved it, extra
+    keys); their dicts, extra keys after alpha, go in code order."""
     minimizers = [
         {
             "code": canonical_code(tree),
@@ -166,14 +171,14 @@ def _alpha_report(
             **extra,
             "edges": [[u, v] for u, v, _ in tree.edges],
             "is_caterpillar": is_caterpillar(tree),
-            "is_theorem1_shape": is_theorem1_shape(tree, analyze(tree)),
+            "is_theorem1_shape": is_theorem1_shape(tree, _analysis(tree, alpha, f)),
         }
-        for tree, alpha, extra in band
+        for tree, (alpha, f), extra in band
     ]
     minimizers.sort(key=lambda m: m["code"])
     return SearchReport(
         sequence=list(seq),
-        min_value=min(alpha for _, alpha, _ in band),
+        min_value=min(alpha for _, (alpha, _), _ in band),
         instance_count=count,
         minimizers=minimizers,
         all_caterpillars=all(m["is_caterpillar"] for m in minimizers),
@@ -201,8 +206,8 @@ def min_alpha_tree(
     if codes is None:
         codes = _capped_codes(seq)
     trees = [tree_from_code(code) for code in codes]
-    values = [algebraic_connectivity(tree)[0] for tree in trees]
-    band = [(trees[i], values[i], {}) for i in _argmin(values)[1]]
+    pairs = [algebraic_connectivity(tree) for tree in trees]
+    band = [(trees[i], pairs[i], {}) for i in _argmin([alpha for alpha, _ in pairs])[1]]
     return _alpha_report(seq, start, len(trees), band)
 
 
@@ -248,18 +253,20 @@ def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
         top = least + TIE_RTOL * least + slack
         band = [arr for arr, value in zip(arrangements, approx.tolist()) if value <= top]
     trees = [build_caterpillar(arr) for arr in band]
-    values = [algebraic_connectivity(tree)[0] for tree in trees]
+    pairs = [algebraic_connectivity(tree) for tree in trees]
     tied = [
-        (trees[i], values[i], {"arrangement": list(band[i])}) for i in _argmin(values)[1]
+        (trees[i], pairs[i], {"arrangement": list(band[i])})
+        for i in _argmin([alpha for alpha, _ in pairs])[1]
     ]
     return _alpha_report(seq, start, len(arrangements), tied)
 
 
 @dataclass(frozen=True)
 class _Rooted:
-    """A unit-weight rooted tree as enumerate_rooted_trees yields it,
-    tree_from_code of its rooted code, rooted at vertex 0: the tree, that
-    code, and its children's (id, rooted code), in child order."""
+    """A unit-weight rooted tree, tree_from_code of its rooted code, rooted
+    at vertex 0: the tree, that code, and its children's (id, rooted code)
+    in id order, which preorder ids make code order.  _placements puts
+    the boundary weights on it."""
 
     rbt: RootedBoundaryTree
     code: str
@@ -270,7 +277,7 @@ def _rooted_trees(seq: tuple[int, ...], codes: Iterable[str]) -> list[_Rooted]:
     """The w0 = 1 rooted trees of seq, whose canonical codes are codes, in
     rooted-code order, each with the codes of one leaf peel."""
     rooted = []
-    for rbt in enumerate_rooted_trees(seq, 1.0, codes=codes):
+    for rbt in enumerate_rooted_trees(seq, codes=codes):
         sub = _peel(rbt.tree, 0)[1]
         children = [(child, sub[child]) for child, _ in rbt.tree.neighbors(0)]
         rooted.append(_Rooted(rbt, sub[0], children))
@@ -314,14 +321,15 @@ def _placements(
     table: dict, rooted: list[_Rooted], w0: float
 ) -> list[tuple[int, int | None, str | tuple[str, str], float]]:
     """Every rooted tree of boundary weight w0 on the unit trees rooted, as
-    (position in rooted, weighted child, key, nu), in enumerate_rooted_trees'
-    order, with nu from the table.
+    (position in rooted, weighted child, key, nu), with nu from the table:
+    the one enumeration of the weighted instances.
 
     At w0 = 1 each unit tree is one instance, with no weighted child, keyed
     by its rooted code.  Above, each distinct child code gives one, on the
-    first child with that code, keyed (root code, child code) as
-    rooted_canonical_key keys it; it is valued at the least of that
-    child's entry at w0 and the other children's entries at weight 1."""
+    first child by id with that code, in child order, keyed (root code,
+    child code), which is rooted_canonical_key of the placed tree; it is
+    valued at the least of that child's entry at w0 and the other
+    children's entries at weight 1."""
     out = []
     for i, r in enumerate(rooted):
         unit = [_branch_pair(table, code, 1.0)[0] for _, code in r.children]

@@ -177,8 +177,7 @@ class RootedBoundaryTree:
                     f"edge ({u},{v}) has weight {w}; only the boundary edge "
                     "at the root may differ from 1"
                 )
-            if w < 1.0:
-                raise ValueError(f"boundary edge weight {w} must be >= 1")
+            _check_boundary_weight(w)
         if len(weighted) > 1:
             raise ValueError(
                 f"{len(weighted)} root edges have a weight other than 1; "

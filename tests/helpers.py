@@ -8,8 +8,10 @@ Laplacian; root-to-leaf paths come from a depth-first walk;
 rooted codes come from a recursive walk over every root and root edge;
 eigenvalues of tree-structured matrices come from plain bisection on the
 count of negative pivots; the sides of a geometric split come from
-thresholding the Fiedler vector; the rooted nu argmin comes from one
-dirichlet_nu per enumerated rooted tree.
+thresholding the Fiedler vector; the rooted trees carrying a boundary
+weight come from trying the weight on every root edge of every unit
+rooted tree; the rooted nu argmin comes from one dirichlet_nu per such
+tree.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from fiedlertrees import (
 from fiedlertrees.enumeration import prufer_decode
 from fiedlertrees.nodal import _tau
 from fiedlertrees.search import TIE_RTOL
+from fiedlertrees.trees import _weighted_root_edge
 
 
 def path_alpha(n: int) -> float:
@@ -153,12 +156,25 @@ def rooted_placement_keys(t: Tree) -> set[tuple[str, str]]:
     }
 
 
+def placed_rooted_trees(seq, boundary_weight: float) -> list[RootedBoundaryTree]:
+    """Every rooted tree of seq with boundary_weight on one root edge, by
+    brute force: boundary_weight tried on each root edge, in child-id
+    order, of each unit rooted tree enumerate_rooted_trees yields, keeping
+    the first tree of each rooted_canonical_key."""
+    placed: dict = {}
+    for rbt in enumerate_rooted_trees(seq):
+        for child, _ in rbt.tree.neighbors(rbt.root):
+            tree = _weighted_root_edge(rbt.tree, rbt.root, child, boundary_weight)
+            placed.setdefault(rooted_canonical_key(tree), tree)
+    return list(placed.values())
+
+
 def min_nu_rooted_by_instance(seq, boundary_weight: float) -> dict:
     """min_nu_rooted(seq, boundary_weight).to_json() without elapsed, from
-    one dirichlet_nu per rooted tree enumerate_rooted_trees yields: every
+    one dirichlet_nu per rooted tree placed_rooted_trees finds: every
     instance within TIE_RTOL relative of the least is a minimizer."""
     seq = sorted(seq, reverse=True)
-    instances = list(enumerate_rooted_trees(seq, boundary_weight))
+    instances = placed_rooted_trees(seq, boundary_weight)
     values = [dirichlet_nu(rbt)[0] for rbt in instances]
     least = min(values)
     minimizers = []

@@ -16,9 +16,9 @@ from fiedlertrees import (
     enumerate_rooted_trees,
     enumerate_trees,
     is_caterpillar,
+    min_nu_rooted,
     path_tree,
     prufer_decode,
-    rooted_canonical_key,
     rooted_code,
     skeleton_word_count,
     star_tree,
@@ -26,13 +26,19 @@ from fiedlertrees import (
 )
 import fiedlertrees.enumeration as enumeration
 from fiedlertrees.enumeration import (
-    _boundary_placements,
     _exponent_vectors,
     _multiset_permutations,
     _permutation_count,
     canonical_tree_codes,
 )
-from fiedlertrees.search import CAP, EnumerationCapExceeded, _capped_codes, all_tree_sequences
+from fiedlertrees.search import (
+    CAP,
+    EnumerationCapExceeded,
+    _capped_codes,
+    _placements,
+    _rooted_trees,
+    all_tree_sequences,
+)
 
 from helpers import (
     brute_force_isomorphic,
@@ -318,22 +324,6 @@ def test_enumerate_rooted_trees_oracle_root_sweep():
             assert rooted_code(rbt.tree, rbt.root) in expected
 
 
-def test_enumerate_rooted_trees_weighted_placements():
-    # inner-rooted 4-path has two inequivalent root edges, end-rooted has one
-    plain = list(enumerate_rooted_trees((2, 2, 1, 1), 1.0))
-    weighted = list(enumerate_rooted_trees((2, 2, 1, 1), 1.5))
-    assert len(plain) == 2
-    assert len(weighted) == 3
-    for rbt in weighted:
-        assert rbt.boundary_weight == 1.5
-        others = [
-            w
-            for u, v, w in rbt.tree.edges
-            if {u, v} != {rbt.root, rbt.boundary_neighbor}
-        ]
-        assert all(w == 1.0 for w in others)
-
-
 @pytest.mark.parametrize("w0", [1.5, 3.0])
 def test_weighted_rooted_trees_match_the_placement_oracle(w0):
     # every placement of the weighted root edge on networkx's free trees
@@ -343,40 +333,28 @@ def test_weighted_rooted_trees_match_the_placement_oracle(w0):
             t = Tree(n, g.edges())
             oracle.setdefault(degree_sequence(t), set()).update(rooted_placement_keys(t))
     assert set(oracle) == {seq for n in range(2, 9) for seq in all_tree_sequences(n)}
+
+    def placed_edges(rcode, child_code):
+        """The edges of tree_from_code(rcode) with w0 on the edge from the
+        root to its first child by id whose subtree code is child_code."""
+        unit = tree_from_code(rcode)
+        first = min(c for c, _ in unit.neighbors(0) if subtree_code(unit, c, 0) == child_code)
+        return first, [[u, v, w0 if (u, v) == (0, first) else 1.0] for u, v, _ in unit.edges]
+
     for seq, keys in oracle.items():
-        expected = sorted(keys)
-        got = list(enumerate_rooted_trees(seq, w0))
-        assert [rooted_canonical_key(rbt) for rbt in got] == expected
-        # the keys the placements carry, as lemma5 reads them
-        carried = [
-            key
-            for rbt in enumerate_rooted_trees(seq)
-            for _, key in _boundary_placements(rbt, w0)
-        ]
-        assert carried == expected
-        for rbt, (rcode, child_code) in zip(got, expected):
-            unit = tree_from_code(rcode)
-            first = min(
-                c for c, _ in unit.neighbors(0) if subtree_code(unit, c, 0) == child_code
-            )
-            assert (rbt.root, rbt.boundary_neighbor) == (0, first)
-            assert [e[:2] for e in rbt.tree.edges] == [e[:2] for e in unit.edges]
-            for u, v, w in rbt.tree.edges:
-                assert w == (w0 if (u, v) == (0, first) else 1.0)
-
-
-def test_enumerate_rooted_trees_rejects_small_weight():
-    with pytest.raises(ValueError):
-        list(enumerate_rooted_trees((2, 1, 1), 0.9))
+        rooted = _rooted_trees(seq, canonical_tree_codes(seq))
+        # the instances min_nu_rooted and lemma5 rank, in key order
+        instances = _placements({}, rooted, w0)
+        assert [key for _, _, key, _ in instances] == sorted(keys)
+        for i, child, key, _ in instances:
+            assert rooted[i].rbt.tree == tree_from_code(key[0])
+            assert child == placed_edges(*key)[0]
+        for m in min_nu_rooted(seq, w0).minimizers:
+            assert m["root"] == 0
+            assert m["edges"] == placed_edges(*m["code"])[1]
 
 
 def test_enumeration_deterministic():
     a = [t.edges for t in enumerate_trees((3, 2, 2, 1, 1, 1))]
     b = [t.edges for t in enumerate_trees((3, 2, 2, 1, 1, 1))]
     assert a == b
-
-
-@pytest.mark.parametrize("w0", [math.nan, math.inf])
-def test_enumerate_rooted_trees_rejects_non_finite_weight(w0):
-    with pytest.raises(ValueError, match="must be finite and >= 1"):
-        list(enumerate_rooted_trees((2, 1, 1), w0))

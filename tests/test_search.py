@@ -45,6 +45,7 @@ from helpers import (
     dirichlet_path_nu,
     min_nu_rooted_by_instance,
     path_alpha,
+    placed_rooted_trees,
     spider,
 )
 
@@ -179,6 +180,38 @@ def test_min_alpha_caterpillar_path_unique():
     assert rep.min_value == pytest.approx(path_alpha(6), rel=1e-11)
 
 
+def test_alpha_searches_solve_each_candidate_once(monkeypatch):
+    import fiedlertrees.nodal as nodal
+    import fiedlertrees.search as search
+
+    solved = []
+    built = []
+    real_solve = search.algebraic_connectivity
+    real_build = search.build_caterpillar
+
+    def counted(t):
+        solved.append(canonical_code(t))
+        return real_solve(t)
+
+    def counted_build(spine):
+        built.append(tuple(spine))
+        return real_build(spine)
+
+    monkeypatch.setattr(search, "algebraic_connectivity", counted)
+    monkeypatch.setattr(nodal, "algebraic_connectivity", counted)
+    monkeypatch.setattr(search, "build_caterpillar", counted_build)
+    # the minimizers' analysis reads the pair the ranking solved
+    rep = min_alpha_tree((4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1))
+    assert rep.instance_count == 73
+    assert len(solved) == len(set(solved)) == 73
+    for seq in [(3, 2, 2, 2, 1, 1, 1), (3, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1), (3, 3, 1, 1, 1, 1)]:
+        solved.clear()
+        built.clear()
+        rep = min_alpha_caterpillar(seq)
+        # one dense solve per arrangement of the band, none for the report
+        assert len(solved) == len(built) >= len(rep.minimizers)
+
+
 def test_min_nu_rooted_examples():
     rep = min_nu_rooted((2, 2, 1, 1))
     assert rep.instance_count == 2
@@ -237,8 +270,10 @@ def test_tie_band_edge_in_min_alpha_tree(monkeypatch):
 
     seq = (3, 2, 2, 2, 1, 1, 1)
     values = _at_the_tie_edge(canonical_tree_codes(seq))
+    real = search.algebraic_connectivity
+    # the report analyses each minimizer from the vector the search solved
     monkeypatch.setattr(
-        search, "algebraic_connectivity", lambda t: (values[canonical_code(t)], None)
+        search, "algebraic_connectivity", lambda t: (values[canonical_code(t)], real(t)[1])
     )
     # handed over in reverse, so code order comes from the search
     rep = min_alpha_tree(seq, codes=sorted(values, reverse=True))
@@ -293,13 +328,13 @@ def test_branch_table_reproduces_dirichlet_nu_bitwise():
                 want_nu, want_vec = dirichlet_nu(r.rbt)
                 assert nu == want_nu
                 assert np.array_equal(vec, want_vec)
-            # every instance in enumerate_rooted_trees' order and key, and
+            # every instance in the brute-force oracle's order and key, and
             # valued as dirichlet_nu values the tree it stands for
             for w0 in (1.0, 1.5, 3.0):
                 got = [(key, nu) for _, _, key, nu in _placements(table, rooted, w0)]
                 want = [
                     (rooted_canonical_key(rbt), dirichlet_nu(rbt)[0])
-                    for rbt in enumerate_rooted_trees(seq, w0)
+                    for rbt in placed_rooted_trees(seq, w0)
                 ]
                 assert got == want
     assert count == sum([1, 2, 4, 9, 20, 48, 115, 286])  # A000081, n = 2..9
@@ -450,9 +485,9 @@ def test_verify_enumerates_each_sequence_once(monkeypatch):
         calls.append(tuple(seq))
         return real(seq)
 
-    def counted_rooted(seq, boundary_weight=1.0, **kwargs):
-        rooted_calls.append((tuple(seq), boundary_weight))
-        return real_rooted(seq, boundary_weight, **kwargs)
+    def counted_rooted(seq, **kwargs):
+        rooted_calls.append(tuple(seq))
+        return real_rooted(seq, **kwargs)
 
     monkeypatch.setattr(enumeration, "canonical_tree_codes", counted)
     monkeypatch.setattr(search, "canonical_tree_codes", counted)
@@ -460,9 +495,9 @@ def test_verify_enumerates_each_sequence_once(monkeypatch):
     assert verify_suite("all", nmax=7, rng_seed=2)["passed"]
     expected = [seq for n in range(2, 8) for seq in all_tree_sequences(n)]
     assert sorted(calls) == sorted(expected)
-    # lemma2 and lemma5 share the w0 = 1 rooted trees of each sequence, and
+    # lemma2 and lemma5 share the unit rooted trees of each sequence, and
     # lemma5 places its w0 = 1.5 and 3 weights on them
-    assert sorted(rooted_calls) == sorted((seq, 1.0) for seq in expected)
+    assert sorted(rooted_calls) == sorted(expected)
 
 
 @pytest.mark.parametrize("suite,last", [("split", 8), ("perturb", 1), ("glue", 1)])
@@ -539,9 +574,8 @@ def test_enumerate_rooted_trees_with_codes_matches_enumeration():
     for n in range(2, 9):
         for seq in all_tree_sequences(n):
             codes = sorted(canonical_tree_codes(seq), reverse=True)
-            for w0 in (1.0, 1.5, 3.0):
-                got = flat(enumerate_rooted_trees(seq, w0, codes=codes))
-                assert got == flat(enumerate_rooted_trees(seq, w0))
+            got = flat(enumerate_rooted_trees(seq, codes=codes))
+            assert got == flat(enumerate_rooted_trees(seq))
 
 
 def test_verify_stream_counts_match_tree_counts():

@@ -18,7 +18,6 @@ from fiedlertrees import (
     branches_at,
     build_caterpillar,
     dirichlet_nu,
-    enumerate_rooted_trees,
     geometric_split,
     laplacian,
     path_tree,
@@ -29,7 +28,7 @@ from fiedlertrees import (
 from fiedlertrees import spectral
 from fiedlertrees.search import random_tree
 
-from helpers import bisect_eigenvalue, broom, dirichlet_matrix, spider
+from helpers import bisect_eigenvalue, broom, dirichlet_matrix, placed_rooted_trees, spider
 
 EPS = np.finfo(float).eps
 
@@ -243,7 +242,7 @@ def test_small_interior_blocks_equal_the_dense_slices(w0):
     rng = random.Random(int(w0 * 20))
     for n in range(2, 9):
         for seq in all_tree_sequences(n):
-            for rbt in enumerate_rooted_trees(seq, w0):
+            for rbt in placed_rooted_trees(seq, w0):
                 _check_against_dense_blocks(rbt, True)
     for _ in range(25):
         t = random_tree(rng, rng.randint(2, 60))

@@ -163,7 +163,7 @@ def test_rooted_boundary_tree_reads_the_boundary_edge_from_the_weights():
         RootedBoundaryTree(Tree(5, [(0, 1, 2.0)] + star[1:]), 2)  # weighted non-root edge
     with pytest.raises(ValueError, match="only the boundary edge"):
         RootedBoundaryTree(Tree(5, [(0, 1, 2.0), (0, 2, 1.5)] + star[2:]), 0)
-    with pytest.raises(ValueError, match="must be >= 1"):
+    with pytest.raises(BoundaryWeightError, match="boundary weight 0.5 must be finite and >= 1"):
         RootedBoundaryTree(Tree(5, star[:2] + [(0, 3, 0.5), (0, 4)]), 0)
     with pytest.raises(ValueError, match="out of range"):
         RootedBoundaryTree(Tree(5, star), 5)
