@@ -134,11 +134,12 @@ def characteristic_set(t: Tree, f) -> CharacteristicSet:
     return CharacteristicSet("vertex", (candidates[0],))
 
 
-def _caterpillar_charsets(g: np.ndarray, h: np.ndarray) -> list[CharacteristicSet]:
+def _caterpillar_charsets(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """characteristic_set of each row's Fiedler vector of a caterpillar in
     build_caterpillar's layout, given by its spine entries g (k, m) and the
     entry h (k, m) of every pendant of each spine vertex (0 where it has
-    none).
+    none), as two arrays (k,): whether it is an edge, and its first spine
+    position, z for the vertex z and i for the edge {i, i + 1}.
 
     A pendant entry has the sign of its spine vertex, so only spine edges
     change sign.  A pendant never separates: with sum(f) = 0 the rest of
@@ -168,29 +169,17 @@ def _caterpillar_charsets(g: np.ndarray, h: np.ndarray) -> list[CharacteristicSe
         & ~mixed_before(pos, neg)
         & ~mixed_before(pos[:, ::-1], neg[:, ::-1])[:, ::-1]
     )
-    sets = []
-    for row, (edges, zeros, i, z) in enumerate(
-        zip(
-            change.sum(axis=1).tolist(),
-            separates.sum(axis=1).tolist(),
-            change.argmax(axis=1).tolist(),
-            separates.argmax(axis=1).tolist(),
-        )
-    ):
-        if edges == 1:
-            ids = (i, i + 1) if g[row, i] < 0 else (i + 1, i)
-            sets.append(CharacteristicSet("edge", ids))
-        elif edges > 1:
-            raise AmbiguousCharacteristicSet(
-                f"{edges} sign-change edges at tau={tau[row]:.3e}"
-            )
-        elif zeros != 1:
-            raise AmbiguousCharacteristicSet(
-                f"{zeros} separating zero vertices at tau={tau[row]:.3e}"
-            )
+    edges, zeros = change.sum(axis=1), separates.sum(axis=1)
+    bad = np.flatnonzero((edges > 1) | ((edges == 0) & (zeros != 1)))
+    if bad.size:
+        row = bad[0]
+        if edges[row]:
+            what = f"{edges[row]} sign-change edges"
         else:
-            sets.append(CharacteristicSet("vertex", (z,)))
-    return sets
+            what = f"{zeros[row]} separating zero vertices"
+        raise AmbiguousCharacteristicSet(f"{what} at tau={tau[row]:.3e}")
+    edge = edges == 1
+    return edge, np.where(edge, change.argmax(axis=1), separates.argmax(axis=1))
 
 
 def _connected(t: Tree, vertices: frozenset[int]) -> bool:

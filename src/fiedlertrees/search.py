@@ -45,7 +45,12 @@ from .perturb import (
     perturb_p1,
     perturb_p2,
 )
-from .spectral import _caterpillar_fiedler, algebraic_connectivity, dirichlet_nu
+from .spectral import (
+    _caterpillar_alpha,
+    _caterpillar_fiedler,
+    algebraic_connectivity,
+    dirichlet_nu,
+)
 from .trees import (
     RootedBoundaryTree,
     Tree,
@@ -233,8 +238,9 @@ def _capped_arrangements(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
 def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
     """Argmin of the algebraic connectivity over all caterpillars with the
     given degree multiset, enumerated as spine arrangements.  One batched
-    bisection ranks every arrangement; only those near the minimum get a
-    Tree and the dense solve whose values the report carries.
+    bisection ranks every arrangement, to full precision only those that
+    can still reach the tie band; only those within it get a Tree and the
+    dense solve whose values the report carries.
 
     Raises EnumerationCapExceeded when the spine degrees have more than
     CAP permutations."""
@@ -243,13 +249,14 @@ def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
     arrangements = _capped_arrangements(seq)
     band = arrangements
     if len(arrangements) > 1:  # one arrangement needs no ranking; m <= 1 has one
-        approx = _caterpillar_fiedler(np.array(arrangements))[0]
-        least = float(approx.min())
+        slack = 3.0 * 2.0 * (2 * seq[0]) * len(seq) * sys.float_info.epsilon
         # bisection and eigh each put alpha within ||L||_1 n eps of the
         # exact value (||L||_1 = 2 max degree), so they differ by at most
         # twice that, and an arrangement tied with the eigh minimum has a
-        # bisected alpha at most TIE_RTOL least + 3 times that above least
-        slack = 3.0 * 2.0 * (2 * seq[0]) * len(seq) * sys.float_info.epsilon
+        # bisected alpha at most TIE_RTOL least + 3 times that (slack)
+        # above least; the bisection stops every arrangement above that band
+        approx = _caterpillar_alpha(np.array(arrangements), (TIE_RTOL, slack))
+        least = float(approx.min())
         top = least + TIE_RTOL * least + slack
         band = [arr for arr, value in zip(arrangements, approx.tolist()) if value <= top]
     trees = [build_caterpillar(arr) for arr in band]
@@ -408,29 +415,30 @@ def explore_partitions(seq: Sequence[int]) -> list[PartitionRow]:
         arr = arrangements[0]
         alpha, kind, pos = (1.0, "vertex", "0") if arr else (2.0, "edge", "0|1")
         return [PartitionRow(seq, arr, alpha, kind, pos, (), ())]
-    alphas, g, h = _caterpillar_fiedler(np.array(arrangements))
+    spines = np.array(arrangements)
+    alphas, g, h = _caterpillar_fiedler(spines)
+    edge, first = _caterpillar_charsets(g, h)
+    printed = [float(f"{alpha:.12g}") for alpha in alphas.tolist()]
+    order = np.lexsort((*spines.T[::-1], printed))
+    m = spines.shape[1]
+    # (kind, ids, charset_pos) of a vertex set and an edge set by position
+    labels = [
+        [("vertex", (z,), str(z)) for z in range(m)],
+        [("edge", (z, z + 1), f"{z}|{z + 1}") for z in range(m)],
+    ]
     rows = []
-    for arr, alpha, cs, g0 in zip(
-        arrangements,
-        alphas.tolist(),
-        _caterpillar_charsets(g, h),
-        g[:, 0].tolist(),
+    for i, alpha, e, z, g0 in zip(
+        order.tolist(),
+        alphas[order].tolist(),
+        edge[order].tolist(),
+        first[order].tolist(),
+        (g[order, 0] > 0).tolist(),
     ):
+        kind, ids, pos = labels[e][z]
         # the part holding spine vertex 0 has the sign of its entry
-        before, after = _split_spine(arr, cs.ids)
-        left, right = (before, after) if g0 > 0 else (after, before)
-        rows.append(
-            PartitionRow(
-                sequence=seq,
-                arrangement=arr,
-                alpha=alpha,
-                charset_kind=cs.kind,
-                charset_pos="|".join(str(i) for i in sorted(cs.ids)),
-                left_degrees=left,
-                right_degrees=right,
-            )
-        )
-    rows.sort(key=lambda r: (float(f"{r.alpha:.12g}"), r.arrangement))
+        before, after = _split_spine(arrangements[i], ids)
+        left, right = (before, after) if g0 else (after, before)
+        rows.append(PartitionRow(seq, arrangements[i], alpha, kind, pos, left, right))
     return rows
 
 
@@ -440,19 +448,14 @@ CSV_HEADER = "sequence,arrangement,alpha,charset_kind,charset_pos,left_degrees,r
 def partition_rows_to_csv(rows: Sequence[PartitionRow]) -> str:
     """CSV with degree lists encoded as '|'-separated integers."""
     lines = [CSV_HEADER]
+    last = None
     for r in rows:
+        if r.sequence != last:  # explore's rows share one sequence
+            last, seq = r.sequence, "|".join(map(str, r.sequence))
         lines.append(
-            ",".join(
-                [
-                    "|".join(str(d) for d in r.sequence),
-                    "|".join(str(d) for d in r.arrangement),
-                    f"{r.alpha:.12g}",
-                    r.charset_kind,
-                    r.charset_pos,
-                    "|".join(str(d) for d in r.left_degrees),
-                    "|".join(str(d) for d in r.right_degrees),
-                ]
-            )
+            f"{seq},{'|'.join(map(str, r.arrangement))},{r.alpha:.12g},"
+            f"{r.charset_kind},{r.charset_pos},"
+            f"{'|'.join(map(str, r.left_degrees))},{'|'.join(map(str, r.right_degrees))}"
         )
     return "\n".join(lines) + "\n"
 

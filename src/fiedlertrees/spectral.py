@@ -18,10 +18,13 @@ every bracket, and a final bisection narrows it to relative width eps
 (count bisection safeguarding a fast root finder, as in Parlett, "The
 Symmetric Eigenvalue Problem", ch. 3).  The vector comes by inverse
 iteration with the same elimination.  A third
-path serves the caterpillar searches: ``_caterpillar_fiedler`` solves
+path serves the caterpillar searches: ``_caterpillar_alpha`` ranks
 every spine arrangement of a degree multiset at once, with the same count
 collapsed to the spine's tridiagonal (each pendant pivot is 1 - x > 0
-below x = 1) and run as one numpy bisection over a (k, m) array.  Every
+below x = 1) and run as one numpy bisection over an (m, k) array, one
+contiguous row per spine position, from which converged arrangements
+and, given a tie band, those that can no longer reach it drop out;
+``_caterpillar_fiedler`` adds the vectors.  Every
 path's pairs pass the residual certificate.  Eigenvectors
 follow a fixed sign convention so results are reproducible across runs:
 the entry of largest magnitude is positive, ties resolved to the
@@ -269,16 +272,67 @@ def _tree_eigenpair(
     return EigenPair(value, x, res)
 
 
-def _caterpillar_fiedler(spines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Alpha and the Fiedler vector of build_caterpillar(row) for every row
-    of spines, a (k, m) array of spine degrees with m >= 2, all rows at once.
+def _spine_pivots(s: np.ndarray, p: np.ndarray, x: np.ndarray, tiny) -> np.ndarray:
+    """Spine pivots of L - x I, d_i = s_i - x - p_i / (1 - x) - 1 / d_(i-1),
+    for the columns of the (m, k) arrays s and p and each x (k,), each of
+    magnitude below tiny replaced by -tiny; an (m, k) array."""
+    d = np.subtract(s, x)
+    d -= p / (1.0 - x)
+    for i in range(len(d)):
+        if i:
+            d[i] -= 1.0 / d[i - 1]
+        np.copyto(d[i], -tiny, where=np.abs(d[i]) < tiny)
+    return d
+
+
+def _caterpillar_alpha(spines, band: tuple[float, float] | None = None) -> np.ndarray:
+    """Alpha of build_caterpillar(row) for every row of spines, a (k, m)
+    array of spine degrees with m >= 2, all rows at once.
 
     Below x = 1 every pendant pivot of L - x I is 1 - x > 0, so after the
     pendants the count of negative pivots is that of the spine's
-    tridiagonal d_i = s_i - x - p_i / (1 - x) - 1 / d_(i-1), p_i the
-    pendant count of spine vertex i.  A caterpillar with two or more spine
-    vertices is no star, so alpha < 1: bisection on "count > 1" over [0, 1]
-    finds it.
+    tridiagonal (_spine_pivots), p_i the pendant count of spine vertex i.
+    A caterpillar with two or more spine vertices is no star, so alpha <
+    1: bisection on "count > 1" over [0, 1] finds it.  The count runs on
+    the transposed (m, k) array, one contiguous row per spine position,
+    and a row leaves the batch once its bracket stops narrowing.
+
+    band = (rtol, slack) stops the rows that cannot reach the tie band
+    min(alpha) (1 + rtol) + slack: a row leaves once its lo exceeds that
+    bound taken at the least hi, which is never below min(alpha), and
+    keeps the midpoint of its bracket then, a value above the band.
+    Every other row bisects exactly as without band.
+    """
+    s = np.asarray(spines, dtype=float)
+    k = len(s)
+    p = s - 2.0
+    p[:, [0, -1]] += 1.0
+    s, p = s.T.copy(), p.T.copy()
+    lo, hi = np.zeros(k), np.ones(k)  # every row's bracket once it leaves
+    rows, low, high = np.arange(k), lo.copy(), hi.copy()  # the batch's
+    least = 1.0
+    while rows.size:
+        mid = 0.5 * (low + high)
+        keep = (high - low > _EPS * high) & (low < mid) & (mid < high)
+        if band is not None:
+            least = min(least, high.min())
+            keep &= ~(low > least + band[0] * least + band[1])
+        if not keep.all():
+            lo[rows[~keep]], hi[rows[~keep]] = low[~keep], high[~keep]
+            rows, low, high, mid = rows[keep], low[keep], high[keep], mid[keep]
+            s, p = s[:, keep], p[:, keep]
+        # the unit off-diagonals make LAPACK's dstebz floor _SAFE_MIN
+        above = np.count_nonzero(_spine_pivots(s, p, mid, _SAFE_MIN) < 0.0, axis=0) > 1
+        np.copyto(high, mid, where=above)
+        np.copyto(low, mid, where=~above)
+    return 0.5 * (lo + hi)
+
+
+def _caterpillar_fiedler(spines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alpha and the Fiedler vector of build_caterpillar(row) for every row
+    of spines, a (k, m) array of spine degrees with m >= 2.  Alpha is
+    _caterpillar_alpha's, from the (m, k) layout and without a band stop,
+    since every row's vector is wanted.
 
     Returns alpha (k,), the spine entries g (k, m) and the entry
     h = g / (1 - alpha) (k, m) shared by the pendants of each spine vertex
@@ -292,33 +346,12 @@ def _caterpillar_fiedler(spines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p = s - 2.0
     p[:, [0, -1]] += 1.0
     norm = 2.0 * s.max(axis=1)  # ||L||_inf
-
-    def pivots(x: np.ndarray, tiny) -> np.ndarray:
-        """Spine pivots of L - x I, each of magnitude below tiny replaced
-        by -tiny."""
-        d = s - x[:, None] - p / (1.0 - x[:, None])
-        for i in range(m):
-            if i:
-                d[:, i] -= 1.0 / d[:, i - 1]
-            d[:, i] = np.where(np.abs(d[:, i]) < tiny, -tiny, d[:, i])
-        return d
-
-    lo, hi = np.zeros(k), np.ones(k)
-    while True:
-        mid = 0.5 * (lo + hi)
-        active = (hi - lo > _EPS * hi) & (lo < mid) & (mid < hi)
-        if not active.any():
-            break
-        # the unit off-diagonals make LAPACK's dstebz floor _SAFE_MIN
-        above = (pivots(mid, _SAFE_MIN) < 0.0).sum(axis=1) > 1
-        hi = np.where(active & above, mid, hi)
-        lo = np.where(active & ~above, mid, lo)
-    alpha = 0.5 * (lo + hi)
+    alpha = _caterpillar_alpha(s)
 
     # inverse iteration on the spine matrix at alpha, whose null vector is
     # the spine part of the Fiedler vector: T = L D L^T with unit lower
     # bidiagonal entries -1 / d_(i-1)
-    d = pivots(alpha, _EPS * norm)
+    d = _spine_pivots(s.T, p.T, alpha, _EPS * norm).T
     # a fixed start with no mirror symmetry: a symmetric one would never
     # reach the antisymmetric Fiedler vector of a palindromic spine
     g = np.tile(np.sin(np.arange(1.0, m + 1.0)), (k, 1))

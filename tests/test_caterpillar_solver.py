@@ -1,6 +1,7 @@
 """The batched caterpillar solver behind min-cat and explore, against dense
 numpy eigensolves and the per-tree analysis of build_caterpillar."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -20,11 +21,17 @@ from fiedlertrees import (
     is_theorem1_shape,
     laplacian,
     min_alpha_caterpillar,
+    search,
     spine_arrangements,
 )
 from fiedlertrees.nodal import _caterpillar_charsets, characteristic_set
 from fiedlertrees.search import TIE_RTOL, explore_partitions, partition_rows_to_csv
-from fiedlertrees.spectral import RESIDUAL_FACTOR, _caterpillar_fiedler, _fix_sign
+from fiedlertrees.spectral import (
+    RESIDUAL_FACTOR,
+    _caterpillar_alpha,
+    _caterpillar_fiedler,
+    _fix_sign,
+)
 
 
 def _sequence(interior):
@@ -37,6 +44,21 @@ INTERIORS = [
     for k in range(2, 7)
     for interior in itertools.combinations_with_replacement((2, 3, 4, 5), k)
 ]
+
+#: the perfbench caterpillar workload's interiors
+WORKLOAD_INTERIORS = [
+    (2, 2, 3, 3, 4, 4, 5),
+    (2, 3, 4, 5, 6, 7, 8),
+    (2, 2, 3, 3, 4, 4, 5, 5),
+    (2, 2, 2, 3, 3, 3, 4, 4, 4),
+]
+
+#: n = 18: spines (4,3,3,2,2,2,7) and (4,3,2,2,2,3,7) are 1.7e-5 relative
+#: apart, the closest minimizer and runner-up found at n <= 18
+NEAR_TIE = (7, 4, 3, 3, 2, 2, 2)
+
+#: the tie-band sizes of WORKLOAD_INTERIORS and NEAR_TIE at TIE_RTOL 5e-2
+WIDE_BANDS = [12, 47, 19, 19, 7]
 
 
 def _full_vector(arr, g, h):
@@ -114,17 +136,26 @@ def test_charsets_match_characteristic_set_on_sign_patterns():
         pendants = spines - 2
         pendants[:, [0, -1]] += 1
         h = np.where(pendants > 0, 1.5 * g, 0.0)
-        for arr, gi, hi in zip(spines.tolist(), g, h):
+        clear, expected = [], []
+        for row, (arr, gi, hi) in enumerate(zip(spines.tolist(), g, h)):
             tree = build_caterpillar(arr)
             try:
-                expected = characteristic_set(tree, _full_vector(arr, gi, hi))
+                cs = characteristic_set(tree, _full_vector(arr, gi, hi))
             except AmbiguousCharacteristicSet:
                 with pytest.raises(AmbiguousCharacteristicSet):
                     _caterpillar_charsets(gi[None], hi[None])
                 kinds.add("ambiguous")
             else:
-                assert _caterpillar_charsets(gi[None], hi[None]) == [expected]
-                kinds.add(expected.kind)
+                clear.append(row)
+                expected.append((cs.kind, tuple(sorted(cs.ids))))
+                kinds.add(cs.kind)
+        # the rows with one characteristic set, all in one call
+        edge, first = _caterpillar_charsets(g[clear], h[clear])
+        got = [
+            ("edge", (z, z + 1)) if e else ("vertex", (z,))
+            for e, z in zip(edge.tolist(), first.tolist())
+        ]
+        assert got == expected
     assert kinds == {"edge", "vertex", "ambiguous"}
 
 
@@ -237,3 +268,78 @@ def test_explore_single_edge_and_star(interior, alpha, kind, pos):
     assert (kind, pos) == (analysis.charset.kind, "|".join(map(str, sorted(analysis.charset.ids))))
     assert (row.alpha, row.charset_kind, row.charset_pos) == (alpha, kind, pos)
     assert (row.left_degrees, row.right_degrees) == ((), ())
+
+
+def _band_slack(seq):
+    """min_alpha_caterpillar's widening of the tie band."""
+    return 3.0 * 2.0 * (2 * seq[0]) * len(seq) * sys.float_info.epsilon
+
+
+def _band_stop_check(interior, rtol):
+    """The size of the unstopped bisection's tie band, after checking
+    that the band stop leaves its values bit-equal and puts every other
+    value above it."""
+    seq = _sequence(interior)
+    spines = np.array(spine_arrangements(interior))
+    slack = _band_slack(seq)
+    full = _caterpillar_alpha(spines)
+    stopped = _caterpillar_alpha(spines, (rtol, slack))
+    least = full.min()
+    top = least + rtol * least + slack
+    band = full <= top
+    assert np.array_equal(stopped[band], full[band]), interior
+    assert (stopped[~band] > top).all(), interior
+    return int(band.sum())
+
+
+def test_band_stop_changes_no_band():
+    for interior in WORKLOAD_INTERIORS + [NEAR_TIE] + INTERIORS:
+        _band_stop_check(interior, TIE_RTOL)
+    # a wide band holds arrangements that a stop below (1 + rtol) min(hi)
+    # + slack, or at the least lo, would cut off before they converge
+    sizes = [_band_stop_check(i, 5e-2) for i in WORKLOAD_INTERIORS + [NEAR_TIE]]
+    assert sizes == WIDE_BANDS
+
+
+def test_min_cat_band_stop_changes_no_report(monkeypatch):
+    def without_stop(spines, band=None):
+        return _caterpillar_alpha(spines)
+
+    # the n = 18 near tie: one minimizer, the runner-up 1.7e-5 above it
+    report = min_alpha_caterpillar(_sequence(NEAR_TIE))
+    assert [m["arrangement"] for m in report.minimizers] == [[4, 3, 3, 2, 2, 2, 7]]
+    assert f"{report.min_value:.12g}" == "0.050435039537"
+    runner_up = algebraic_connectivity(build_caterpillar((4, 3, 2, 2, 2, 3, 7)))[0]
+    assert 1.6e-5 < runner_up / report.min_value - 1 < 1.8e-5
+    for rtol, sizes in ((TIE_RTOL, [1] * 5), (5e-2, WIDE_BANDS)):
+        monkeypatch.setattr(search, "TIE_RTOL", rtol)
+        for interior, size in zip(WORKLOAD_INTERIORS + [NEAR_TIE], sizes):
+            seq = _sequence(interior)
+            stopped = min_alpha_caterpillar(seq).to_json()
+            with monkeypatch.context() as m:
+                m.setattr(search, "_caterpillar_alpha", without_stop)
+                full = min_alpha_caterpillar(seq).to_json()
+            del stopped["elapsed"], full["elapsed"]
+            assert stopped == full, interior
+            assert len(stopped["minimizers"]) == size, interior
+
+
+#: sha256 of partition_rows_to_csv(explore_partitions(seq))
+EXPLORE_SHA256 = {
+    (2, 2, 3, 3, 4, 4, 5): "77f222f4429a5de60adb25bf0bc63a94d632c26e5ca4096d977b870e7070c632",
+    (2, 3, 4, 5, 6, 7, 8): "513122eeb8be29488b3257bc51de8a56dfefc0bfd657af91fafc28d3154f2843",
+    (2, 2, 3, 3, 4, 4, 5, 5): "fe3ec26adb569ee3e4a64120601a597d3d4427cf6f719f83a0cf16c9e3caf2e8",
+    (2, 2, 2, 3, 3, 3, 4, 4, 4): "df7e5753d46c096c72c3c885e78876f5998a17037cea807410f62f1e8475efa6",
+    (2, 3, 4, 5, 6, 7, 8, 9): "2bb751b279547b46a3b9352691de3a0bcd1ffb1c753d4991c8e4b1a11c3d698e",
+}
+
+
+@pytest.mark.parametrize("interior", list(EXPLORE_SHA256))
+def test_explore_csv_is_byte_identical(interior):
+    """The digests were computed before any change to the solver's layout
+    or the row building, from the code that bisected a (k, m) array over
+    every column and sorted the rows by (printed alpha, arrangement)
+    tuples.  The CSV comes from elementwise IEEE arithmetic and Python
+    formatting only, so no platform moves it."""
+    csv = partition_rows_to_csv(explore_partitions(_sequence(interior)))
+    assert hashlib.sha256(csv.encode()).hexdigest() == EXPLORE_SHA256[interior]
