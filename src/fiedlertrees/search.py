@@ -3,18 +3,20 @@ suites for the structural properties, and the degree-partition explorer.
 
 Searches are exact: every candidate in the class is enumerated and
 solved.  Minimizer values are computed from each tree's canonical
-labeling, so reports do not depend on the order of enumeration.
+labeling, so reports do not depend on the order of enumeration.  The
+verification suites are exhaustive too: each checks every case of one
+stream of all trees up to a size, and none draws a random sample.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import sys
 import time
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,13 +28,12 @@ from .enumeration import (
     canonical_code,
     canonical_tree_codes,
     enumerate_rooted_trees,
-    prufer_decode,
     tree_from_code,
 )
 from .nodal import (
+    GeometricSplit,
     _analysis,
     _caterpillar_charsets,
-    analyze,
     check_monotone_paths,
     geometric_split,
     verify_split,
@@ -75,10 +76,6 @@ STRICT_MARGIN = 1e-10
 #: a search refuses a class with more candidates than this to walk:
 #: skeleton Prufer words to decode, or spine permutations
 CAP = 10_000_000
-
-#: random draws per sampled verify suite: trees for split and glue, and
-#: moves of each kind for perturb
-SAMPLES = 100
 
 SUITES = ("theorem1", "lemma2", "lemma5", "perturb", "glue", "split", "all")
 
@@ -159,16 +156,10 @@ def _capped_codes(seq: tuple[int, ...]) -> set[str]:
     return canonical_tree_codes(seq)
 
 
-def _alpha_report(
-    seq: tuple[int, ...],
-    start: float,
-    count: int,
-    band: list[tuple[Tree, tuple[float, np.ndarray], dict]],
-) -> SearchReport:
-    """The report of an alpha search over count candidates of seq, begun
-    at perf_counter() time start.  band holds the minimizers as (tree,
-    (alpha, Fiedler vector) as algebraic_connectivity solved it, extra
-    keys); their dicts, extra keys after alpha, go in code order."""
+def _minimizer_dicts(band: list[tuple[Tree, tuple[float, np.ndarray], dict]]) -> list[dict]:
+    """One dict per minimizer of band, in code order.  band holds the
+    minimizers as (tree, (alpha, Fiedler vector) as algebraic_connectivity
+    solved it, extra keys); the extra keys go after alpha."""
     minimizers = [
         {
             "code": canonical_code(tree),
@@ -181,6 +172,19 @@ def _alpha_report(
         for tree, (alpha, f), extra in band
     ]
     minimizers.sort(key=lambda m: m["code"])
+    return minimizers
+
+
+def _alpha_report(
+    seq: tuple[int, ...],
+    start: float,
+    count: int,
+    band: list[tuple[Tree, tuple[float, np.ndarray], dict]],
+) -> SearchReport:
+    """The report of an alpha search over count candidates of seq, begun
+    at perf_counter() time start, whose minimizers are band
+    (_minimizer_dicts)."""
+    minimizers = _minimizer_dicts(band)
     return SearchReport(
         sequence=list(seq),
         min_value=min(alpha for _, (alpha, _), _ in band),
@@ -192,15 +196,9 @@ def _alpha_report(
     )
 
 
-def min_alpha_tree(
-    seq: Sequence[int],
-    *,
-    codes: Iterable[str] | None = None,
-) -> SearchReport:
+def min_alpha_tree(seq: Sequence[int]) -> SearchReport:
     """Exact argmin set of the algebraic connectivity over all unlabeled
-    trees with the given degree multiset.  codes, when given, are the
-    canonical codes of seq (canonical_tree_codes' set, in any order), so a
-    caller that already has them skips the enumeration.
+    trees with the given degree multiset.
 
     Raises EnumerationCapExceeded when the enumeration would decode more
     than CAP skeleton words; the caterpillar-restricted search
@@ -208,9 +206,7 @@ def min_alpha_tree(
     """
     start = time.perf_counter()
     seq = _tree_sequence(seq)
-    if codes is None:
-        codes = _capped_codes(seq)
-    trees = [tree_from_code(code) for code in codes]
+    trees = [tree_from_code(code) for code in _capped_codes(seq)]
     pairs = [algebraic_connectivity(tree) for tree in trees]
     band = [(trees[i], pairs[i], {}) for i in _argmin([alpha for alpha, _ in pairs])[1]]
     return _alpha_report(seq, start, len(trees), band)
@@ -326,29 +322,29 @@ def _rooted_pair(table: dict, r: _Rooted) -> tuple[float, np.ndarray]:
 
 def _placements(
     table: dict, rooted: list[_Rooted], w0: float
-) -> list[tuple[int, int | None, str | tuple[str, str], float]]:
+) -> list[tuple[int, int | None, str | tuple[str, str], list[float]]]:
     """Every rooted tree of boundary weight w0 on the unit trees rooted, as
-    (position in rooted, weighted child, key, nu), with nu from the table:
-    the one enumeration of the weighted instances.
+    (position in rooted, weighted child, key, branch nus), with the nus
+    of its branches at the root from the table, in child order; its own nu
+    is their least.  The one enumeration of the weighted instances.
 
     At w0 = 1 each unit tree is one instance, with no weighted child, keyed
     by its rooted code.  Above, each distinct child code gives one, on the
     first child by id with that code, in child order, keyed (root code,
-    child code), which is rooted_canonical_key of the placed tree; it is
-    valued at the least of that child's entry at w0 and the other
-    children's entries at weight 1."""
+    child code), which is rooted_canonical_key of the placed tree; that
+    child's branch is valued at w0 and the others at weight 1."""
     out = []
     for i, r in enumerate(rooted):
         unit = [_branch_pair(table, code, 1.0)[0] for _, code in r.children]
         if w0 == 1.0:
-            out.append((i, None, r.code, min(unit)))
+            out.append((i, None, r.code, unit))
             continue
         placed = set()
         for j, (child, code) in enumerate(r.children):
             if code not in placed:
                 placed.add(code)
-                nu = min([_branch_pair(table, code, w0)[0], *unit[:j], *unit[j + 1 :]])
-                out.append((i, child, (r.code, code), nu))
+                nus = [*unit[:j], _branch_pair(table, code, w0)[0], *unit[j + 1 :]]
+                out.append((i, child, (r.code, code), nus))
     return out
 
 
@@ -365,16 +361,16 @@ def min_nu_rooted(seq: Sequence[int], boundary_weight: float = 1.0) -> SearchRep
     seq = _tree_sequence(seq)
     rooted = _rooted_trees(seq, _capped_codes(seq))
     instances = _placements({}, rooted, boundary_weight)
-    minimum, tied = _argmin([nu for _, _, _, nu in instances])
+    minimum, tied = _argmin([min(nus) for _, _, _, nus in instances])
     minimizers = []
-    for i, child, key, nu in (instances[k] for k in tied):
+    for i, child, key, nus in (instances[k] for k in tied):
         rbt = rooted[i].rbt
         if child is not None:
             rbt = _weighted_root_edge(rbt.tree, rbt.root, child, boundary_weight)
         minimizers.append(
             {
                 "code": key if isinstance(key, str) else list(key),
-                "nu": nu,
+                "nu": min(nus),
                 "root": rbt.root,
                 "edges": [[u, v, w] for u, v, w in rbt.tree.edges],
                 "is_minimal_shape": is_minimal_shape_rooted(rbt),
@@ -461,7 +457,7 @@ def partition_rows_to_csv(rows: Sequence[PartitionRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# sequence generation and random models
+# degree sequences
 
 
 def _partitions(k: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -484,34 +480,106 @@ def all_tree_sequences(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(sorted(degrees, reverse=True))
 
 
-def random_tree(rng: random.Random, n: int) -> Tree:
-    """Uniform random labeled tree via a random Prufer word."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if n == 2:
-        return path_tree(2)
-    word = [rng.randrange(n) for _ in range(n - 2)]
-    return prufer_decode(word, n)
+# ---------------------------------------------------------------------------
+# verification suites
 
 
-def random_rooted_tree(
-    rng: random.Random, n: int, boundary_weight: float = 1.0
-) -> RootedBoundaryTree:
-    t = random_tree(rng, n)
-    return with_boundary_weight(t, rng.randrange(n), boundary_weight)
+def _report(name: str, checked: int, failures: list, **extra: object) -> dict:
+    """One suite's report: its first 20 failures, and passed when it has
+    none."""
+    return {
+        "name": name,
+        "checked": checked,
+        **extra,
+        "failures": failures[:20],
+        "passed": not failures,
+    }
 
 
-def random_rooted_caterpillar(rng: random.Random) -> RootedBoundaryTree:
-    """Random caterpillar rooted at a pendant vertex or a spine end, the
-    shapes on which a trunk is defined."""
-    m = rng.randint(1, 4)
-    spine = [rng.randint(2, 4) for _ in range(m)]
-    t = build_caterpillar(spine)
-    candidates = [v for v in range(t.n) if t.is_pendant(v)]
-    path = spine_path(t)
-    candidates.extend(path[:1] + path[-1:])  # the ends of the spine
-    root = rng.choice(sorted(set(candidates)))
-    return with_boundary_weight(t, root, 1.0)
+@dataclass
+class _Case:
+    """One degree sequence of the verify stream, its canonical codes,
+    sorted, and the run's branch table.  The properties are computed on
+    first read and shared by every suite: the free trees with their
+    (alpha, Fiedler vector) pairs, one solve each; their geometric splits;
+    and the w0 = 1 rooted trees with their Dirichlet pairs (_Rooted, nu,
+    vector), read from the table entries of their branches (_rooted_pair),
+    so every distinct branch is solved once per table."""
+
+    seq: tuple[int, ...]
+    codes: list[str]
+    table: dict
+
+    @cached_property
+    def free(self) -> list[tuple[Tree, tuple[float, np.ndarray]]]:
+        return [(t, algebraic_connectivity(t)) for t in map(tree_from_code, self.codes)]
+
+    @cached_property
+    def splits(self) -> list[tuple[Tree, float, GeometricSplit]]:
+        return [
+            (t, alpha, geometric_split(t, _analysis(t, alpha, f)))
+            for t, (alpha, f) in self.free
+        ]
+
+    @cached_property
+    def rooted(self) -> list[tuple[_Rooted, float, np.ndarray]]:
+        return [(r, *_rooted_pair(self.table, r)) for r in _rooted_trees(self.seq, self.codes)]
+
+
+def _stream(nmax: int, table: dict) -> Iterator[_Case]:
+    """Each degree sequence with n = 2..nmax once, as a _Case on table.
+    Raises EnumerationCapExceeded before any word of a sequence is decoded
+    when it has more than CAP skeleton words."""
+    for n in range(2, nmax + 1):
+        for seq in all_tree_sequences(n):
+            yield _Case(seq, sorted(_capped_codes(seq)), table)
+
+
+def _check_theorem1(case: _Case, nmax: int, out: dict) -> None:
+    tied = _argmin([alpha for _, (alpha, _) in case.free])[1]
+    minimizers = _minimizer_dicts([(*case.free[i], {}) for i in tied])
+    out["checked"] += len(minimizers)
+    out["failures"] += [
+        {"sequence": list(case.seq), "minimizer": m}
+        for m in minimizers
+        if not (m["is_caterpillar"] and m["is_theorem1_shape"])
+    ]
+
+
+def _check_lemma2(case: _Case, nmax: int, out: dict) -> None:
+    out["checked"] += len(case.rooted)
+    out["failures"] += [
+        {
+            "sequence": list(case.seq),
+            "root": r.rbt.root,
+            "edges": [[u, v] for u, v, _ in r.rbt.tree.edges],
+        }
+        for r, _, vec in case.rooted
+        if not check_monotone_paths(r.rbt, vec)
+    ]
+
+
+def _check_lemma5(case: _Case, nmax: int, out: dict) -> None:
+    """The nu argmin at w0 = 1, 1.5 and 3, ranked as min_nu_rooted ranks
+    it (_placements, from the branch table).  The predicted shape reads no
+    weights, so it is decided once per w0 = 1 rooted tree."""
+    trees = [r for r, _, _ in case.rooted]
+    shaped = [is_minimal_shape_rooted(r.rbt) for r in trees]
+    for w0 in (1.0, 1.5, 3.0):
+        instances = _placements(case.table, trees, w0)
+        tied = _argmin([min(nus) for _, _, _, nus in instances])[1]
+        argmin = {str(instances[k][2]) for k in tied}
+        predicted = {str(key) for i, _, key, _ in instances if shaped[i]}
+        out["checked"] += 1
+        if argmin != predicted:
+            out["failures"].append(
+                {
+                    "sequence": list(case.seq),
+                    "w0": w0,
+                    "argmin_only": sorted(argmin - predicted),
+                    "predicted_only": sorted(predicted - argmin),
+                }
+            )
 
 
 def _legal_p1_moves(rbt: RootedBoundaryTree) -> list[tuple[int, int, int]]:
@@ -533,252 +601,155 @@ def _legal_p1_moves(rbt: RootedBoundaryTree) -> list[tuple[int, int, int]]:
     return sorted(moves)
 
 
-# ---------------------------------------------------------------------------
-# verification suites
+def _check_perturb(case: _Case, nmax: int, out: dict) -> None:
+    """Every legal P1 move and every P2 move at a trunk vertex past the
+    root, on each w0 = 1 rooted caterpillar of the stream whose root is a
+    pendant or a spine end, the roots at which a trunk is defined.  nu
+    before a move is the stream's; nu after is the least branch entry of
+    the moved tree, peeled at its root."""
+    for r, before, _ in case.rooted:
+        rbt, t = r.rbt, r.rbt.tree
+        spine = spine_path(t)
+        if spine is None or not (t.is_pendant(0) or 0 in spine[:1] + spine[-1:]):
+            continue
+        moves = [
+            ("P1", perturb_p1(rbt, w, vi, vj), ((w, vi), (w, vj)))
+            for w, vi, vj in _legal_p1_moves(rbt)
+        ]
+        moves += [("P2", perturb_p2(rbt, vj), ((vj, t.n),)) for vj in trunk(rbt)[1:]]
+        for kind, moved, edges in moves:
+            sub = _peel(moved.tree, 0)[1]
+            after = min(
+                _branch_pair(case.table, sub[child], 1.0)[0]
+                for child, _ in moved.tree.neighbors(0)
+            )
+            out["checked"] += 1
+            out["moves"][kind] += 1
+            out["min_relative_gap"] = min(out["min_relative_gap"], (before - after) / before)
+            if not after < before - STRICT_MARGIN * before:
+                record = PerturbationRecord(kind, before, after, edges)
+                out["failures"].append({"code": r.code, **record.to_json()})
 
 
-def _suite_rng(rng_seed: int, name: str) -> random.Random:
-    return random.Random(f"{rng_seed}:{name}")
+def _check_glue(case: _Case, nmax: int, out: dict) -> None:
+    """alpha(glue(a, b)) <= max(nu(a), nu(b)), strictly when the two nus
+    differ by more than 1e-8, on four kinds of case.
+
+    unit: a rooted tree of the stream whose root has two or more children
+    is the glue of any split of its branches into two sides, and the
+    least bound over those splits, the least branch alone on one side, is
+    its second-least branch nu.  Both nus come from the branch table and
+    alpha from its free tree, so no solve is needed.  weighted: the same
+    trees with n <= nmax // 2 + 2 carrying w0 = 1.5, 2 or 3 on the edge to
+    each distinct child code (_placements), each solved.  split: the two
+    sides of each Type II tree's geometric split, whose boundary weights
+    satisfy 1/w1 + 1/w2 = 1.  equality: two rooted three-vertex paths glue
+    into the five-vertex path, with alpha == nu; it is checked once, at
+    the stream's first sequence."""
+
+    def bound(kind: str, alpha: float, nu1: float, nu2: float, **where: object) -> None:
+        out["checked"] += 1
+        out["cases"][kind] += 1
+        top = max(nu1, nu2)
+        if not (alpha < top if abs(nu1 - nu2) > 1e-8 else alpha <= top + 1e-10):
+            out["failures"].append({"case": kind, **where, "alpha": alpha, "nu1": nu1, "nu2": nu2})
+
+    alphas = dict(zip(case.codes, (alpha for _, (alpha, _) in case.free)))
+    trees = [r for r, _, _ in case.rooted if len(r.children) >= 2]
+    for w0 in (1.0, 1.5, 2.0, 3.0):
+        if w0 > 1.0 and len(case.seq) > nmax // 2 + 2:
+            break
+        for i, child, key, nus in _placements(case.table, trees, w0):
+            tree = trees[i].rbt.tree
+            if child is None:
+                alpha = alphas[canonical_code(tree)]
+            else:
+                alpha = algebraic_connectivity(_weighted_root_edge(tree, 0, child, w0).tree)[0]
+            nu1, nu2 = sorted(nus)[:2]
+            bound("unit" if child is None else "weighted", alpha, nu1, nu2, code=key, w0=w0)
+    for tree, _, split in case.splits:
+        if split.w1 is not None:
+            alpha = algebraic_connectivity(glue(split.neg, split.pos))[0]
+            nu1, nu2 = dirichlet_nu(split.neg)[0], dirichlet_nu(split.pos)[0]
+            edges = [[u, v] for u, v, _ in tree.edges]
+            bound("split", alpha, nu1, nu2, edges=edges, w=[split.w1, split.w2])
+    if len(case.seq) == 2:
+        side = with_boundary_weight(path_tree(3), 0, 1.0)
+        nu, _ = dirichlet_nu(side)
+        alpha, _ = algebraic_connectivity(glue(side, side))
+        out["checked"] += 1
+        out["cases"]["equality"] += 1
+        if not (abs(alpha - nu) <= 1e-10 and abs(nu - (3 - math.sqrt(5)) / 2) <= 1e-10):
+            out["failures"].append({"equality_case_alpha": alpha, "equality_case_nu": nu})
 
 
-def _report(name: str, checked: int, failures: list, **extra: object) -> dict:
-    """One suite's report: its first 20 failures, and passed when it has
-    none."""
-    return {
-        "name": name,
-        "checked": checked,
-        **extra,
-        "failures": failures[:20],
-        "passed": not failures,
-    }
-
-
-def _stream(
-    nmax: int, table: dict | None
-) -> Iterator[tuple[tuple[int, ...], list[str], list | None]]:
-    """Each degree sequence with n = 2..nmax once: the sequence, its
-    canonical codes, sorted, and, when a branch table is given, its w0 = 1
-    rooted trees with their Dirichlet pairs (_Rooted, nu, vector), else
-    None.  Each pair is read from the table entries of the tree's
-    branches (_rooted_pair), so every distinct branch is solved once per
-    table.  Raises EnumerationCapExceeded before any word of a sequence
-    is decoded when it has more than CAP skeleton words."""
-    for n in range(2, nmax + 1):
-        for seq in all_tree_sequences(n):
-            codes = sorted(_capped_codes(seq))
-            pairs = None
-            if table is not None:
-                pairs = [(r, *_rooted_pair(table, r)) for r in _rooted_trees(seq, codes)]
-            yield seq, codes, pairs
-
-
-def _check_theorem1(
-    seq: tuple[int, ...], codes: list[str], rooted: list | None, table: dict | None
-) -> tuple[int, list]:
-    minimizers = min_alpha_tree(seq, codes=codes).minimizers
-    return len(minimizers), [
-        {"sequence": list(seq), "minimizer": m}
-        for m in minimizers
-        if not (m["is_caterpillar"] and m["is_theorem1_shape"])
-    ]
-
-
-def _check_lemma2(
-    seq: tuple[int, ...], codes: list[str], rooted: list | None, table: dict | None
-) -> tuple[int, list]:
-    return len(rooted), [
-        {
-            "sequence": list(seq),
-            "root": r.rbt.root,
-            "edges": [[u, v] for u, v, _ in r.rbt.tree.edges],
-        }
-        for r, _, vec in rooted
-        if not check_monotone_paths(r.rbt, vec)
-    ]
-
-
-def _check_lemma5(
-    seq: tuple[int, ...], codes: list[str], rooted: list | None, table: dict | None
-) -> tuple[int, list]:
-    """The nu argmin at w0 = 1, 1.5 and 3, ranked as min_nu_rooted ranks
-    it (_placements, from the branch table).  The predicted shape reads no
-    weights, so it is decided once per w0 = 1 rooted tree."""
-    trees = [r for r, _, _ in rooted]
-    shaped = [is_minimal_shape_rooted(r.rbt) for r in trees]
-    failures = []
-    for w0 in (1.0, 1.5, 3.0):
-        instances = _placements(table, trees, w0)
-        tied = _argmin([nu for _, _, _, nu in instances])[1]
-        argmin = {str(instances[k][2]) for k in tied}
-        predicted = {str(key) for i, _, key, _ in instances if shaped[i]}
-        if argmin != predicted:
-            failures.append(
+def _check_split(case: _Case, nmax: int, out: dict) -> None:
+    for tree, alpha, split in case.splits:
+        r1, r2 = verify_split(tree, split, alpha)
+        out["checked"] += 1
+        out["worst_residual"] = max(out["worst_residual"], r1, r2)
+        if r1 > 1e-8 or r2 > 1e-8:
+            out["failures"].append(
                 {
-                    "sequence": list(seq),
-                    "w0": w0,
-                    "argmin_only": sorted(argmin - predicted),
-                    "predicted_only": sorted(predicted - argmin),
+                    "edges": [[u, v] for u, v, _ in tree.edges],
+                    "alpha": alpha,
+                    "residuals": [r1, r2],
                 }
             )
-    return 3, failures
 
 
-#: the suites that read the verify stream: each one's report name and its
-#: check of one degree sequence,
-#: (seq, codes, rooted, branch table) -> (checked, failures)
-_STREAM_CHECKS = {
-    "theorem1": ("alpha minimizers are monotone caterpillars", _check_theorem1),
-    "lemma2": ("first Dirichlet eigenvectors grow along root paths", _check_lemma2),
+#: each suite's report name, its check of one stream case,
+#: (case, nmax, out) -> None, which adds to out's "checked" count and
+#: "failures" list, and the other report fields out starts with
+_CHECKS = {
+    "theorem1": ("alpha minimizers are monotone caterpillars", _check_theorem1, dict),
+    "lemma2": ("first Dirichlet eigenvectors grow along root paths", _check_lemma2, dict),
     "lemma5": (
         "nu argmin equals the monotone pendant-rooted caterpillar shape",
         _check_lemma5,
+        dict,
+    ),
+    "perturb": (
+        "pendant moves strictly decrease nu",
+        _check_perturb,
+        lambda: {"moves": {"P1": 0, "P2": 0}, "min_relative_gap": math.inf},
+    ),
+    "glue": (
+        "gluing bounds alpha by the larger side nu",
+        _check_glue,
+        lambda: {"cases": dict.fromkeys(("unit", "weighted", "split", "equality"), 0)},
+    ),
+    "split": (
+        "split sides reproduce alpha as their first Dirichlet eigenvalue",
+        _check_split,
+        lambda: {"worst_residual": 0.0},
     ),
 }
 
 
-def _suite_split(codes: list[str], nmax: int, rng_seed: int) -> dict:
-    """The trees of codes (every tree with n <= min(nmax, 8), from the
-    stream), then SAMPLES random trees with n <= nmax."""
-    rng = _suite_rng(rng_seed, "split")
-    trees = [tree_from_code(code) for code in codes]
-    trees += [random_tree(rng, rng.randint(2, nmax)) for _ in range(SAMPLES)]
-    worst = 0.0
-    failures = []
-    for tree in trees:
-        analysis = analyze(tree)
-        r1, r2 = verify_split(tree, geometric_split(tree, analysis), analysis.alpha)
-        worst = max(worst, r1, r2)
-        if r1 > 1e-8 or r2 > 1e-8:
-            failures.append(
-                {
-                    "edges": [[u, v] for u, v, _ in tree.edges],
-                    "alpha": analysis.alpha,
-                    "residuals": [r1, r2],
-                }
-            )
-    return _report(
-        "split sides reproduce alpha as their first Dirichlet eigenvalue",
-        len(trees),
-        failures,
-        worst_residual=worst,
-    )
-
-
-def _suite_perturb(rng_seed: int) -> dict:
-    rng = _suite_rng(rng_seed, "perturb")
-    failures = []
-    records = []
-    done_p1 = done_p2 = 0
-    attempts = 0
-    while done_p1 < SAMPLES or done_p2 < SAMPLES:
-        attempts += 1
-        if attempts > 100 * SAMPLES:  # pragma: no cover - sampling stall
-            raise RuntimeError("could not sample enough legal perturbations")
-        rbt = random_rooted_caterpillar(rng)
-        before, _ = dirichlet_nu(rbt)
-        if done_p1 < SAMPLES:
-            moves = _legal_p1_moves(rbt)
-            if moves:
-                w, vi, vj = rng.choice(moves)
-                after, _ = dirichlet_nu(perturb_p1(rbt, w, vi, vj))
-                rec = PerturbationRecord("P1", before, after, ((w, vi), (w, vj)))
-                records.append(rec)
-                done_p1 += 1
-                if not after < before - STRICT_MARGIN * before:
-                    failures.append(rec.to_json())
-        if done_p2 < SAMPLES:
-            line = trunk(rbt)
-            vj = rng.choice(line[1:])
-            after, _ = dirichlet_nu(perturb_p2(rbt, vj))
-            rec = PerturbationRecord(
-                "P2", before, after, ((vj, rbt.tree.n),)
-            )
-            records.append(rec)
-            done_p2 += 1
-            if not after < before - STRICT_MARGIN * before:
-                failures.append(rec.to_json())
-    gaps = [(r.before_nu - r.after_nu) / r.before_nu for r in records]
-    return _report(
-        "pendant moves strictly decrease nu",
-        len(records),
-        failures,
-        min_relative_gap=min(gaps),
-    )
-
-
-def _suite_glue(nmax: int, rng_seed: int) -> dict:
-    rng = _suite_rng(rng_seed, "glue")
-    failures = []
-    for _ in range(SAMPLES):
-        n1 = rng.randint(2, max(3, nmax // 2 + 2))
-        n2 = rng.randint(2, max(3, nmax // 2 + 2))
-        w0 = rng.choice([1.0, 1.5, 2.0, 3.0])
-        a = random_rooted_tree(rng, n1, w0)
-        b = random_rooted_tree(rng, n2, rng.choice([1.0, 1.5, 2.0, 3.0]))
-        nu1, _ = dirichlet_nu(a)
-        nu2, _ = dirichlet_nu(b)
-        alpha, _ = algebraic_connectivity(glue(a, b))
-        top = max(nu1, nu2)
-        ok = alpha <= top + 1e-10
-        if ok and abs(nu1 - nu2) > 1e-8:
-            ok = alpha < top
-        if not ok:
-            failures.append(
-                {"nu1": nu1, "nu2": nu2, "alpha": alpha, "n1": n1, "n2": n2}
-            )
-    # constructed equality case: two identical two-interior rooted paths
-    # glue into the five-vertex path, alpha == nu on both sides
-    side = with_boundary_weight(path_tree(3), 0, 1.0)
-    nu, _ = dirichlet_nu(side)
-    alpha, _ = algebraic_connectivity(glue(side, side))
-    equality_ok = abs(alpha - nu) <= 1e-10 and abs(nu - (3 - math.sqrt(5)) / 2) <= 1e-10
-    if not equality_ok:
-        failures.append({"equality_case_alpha": alpha, "equality_case_nu": nu})
-    return _report("gluing bounds alpha by the larger side nu", SAMPLES + 1, failures)
-
-
-def verify_suite(suite: str, nmax: int = 8, rng_seed: int = 0) -> dict:
+def verify_suite(suite: str, nmax: int = 8) -> dict:
     """Run one named verification suite (or "all") and return a
     machine-readable report.  Deterministic for fixed arguments.
 
-    theorem1, lemma2, lemma5 and split read one stream that enumerates
-    each degree sequence once, split only up to n = min(nmax, 8); perturb,
-    glue and split's random trees are drawn afterwards, each from its own
-    seeded generator."""
+    Every suite checks every case of one stream (_stream), which
+    enumerates each degree sequence with n = 2..nmax once.  It solves
+    each free tree once, for theorem1, split and glue, and reads each
+    rooted tree's nu from one branch table, for lemma2, lemma5, perturb
+    and glue.  No case is drawn at random, and a suite reports alone what
+    it reports inside "all"."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
     if nmax < 2:
         raise ValueError(f"nmax must be >= 2, got {nmax}")
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
-    streamed = [name for name in names if name in _STREAM_CHECKS]
-    checked = dict.fromkeys(streamed, 0)
-    failures: dict[str, list] = {name: [] for name in streamed}
-    split_codes: list[str] = []
-    # split reads the stream up to n = 8 only; perturb and glue never
-    last = nmax if streamed else min(nmax, 8) if "split" in names else 1
-    # one branch table per call: the rooted suites' Dirichlet pairs
-    table = {} if "lemma2" in names or "lemma5" in names else None
-    for seq, codes, pairs in _stream(last, table):
-        for name in streamed:
-            count, failed = _STREAM_CHECKS[name][1](seq, codes, pairs, table)
-            checked[name] += count
-            failures[name] += failed
-        if "split" in names and len(seq) <= 8:
-            split_codes += codes
-    checks = []
-    for name in names:
-        if name in _STREAM_CHECKS:
-            report = _report(_STREAM_CHECKS[name][0], checked[name], failures[name])
-        elif name == "perturb":
-            report = _suite_perturb(rng_seed)
-        elif name == "glue":
-            report = _suite_glue(nmax, rng_seed)
-        else:
-            report = _suite_split(split_codes, nmax, rng_seed)
-        checks.append({"suite": name} | report)
+    outs = {name: {"checked": 0, "failures": [], **_CHECKS[name][2]()} for name in names}
+    for case in _stream(nmax, {}):
+        for name in names:
+            _CHECKS[name][1](case, nmax, outs[name])
+    checks = [{"suite": name} | _report(_CHECKS[name][0], **outs[name]) for name in names]
     return {
         "suite": suite,
-        "params": {"nmax": nmax, "rng_seed": rng_seed},
+        "params": {"nmax": nmax},
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
     }

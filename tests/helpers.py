@@ -11,12 +11,14 @@ count of negative pivots; the sides of a geometric split come from
 thresholding the Fiedler vector; the rooted trees carrying a boundary
 weight come from trying the weight on every root edge of every unit
 rooted tree; the rooted nu argmin comes from one dirichlet_nu per such
-tree.
+tree.  Random trees and rooted caterpillars for property tests come from
+seeded random.Random draws.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import sys
 from itertools import permutations, product
 
@@ -26,16 +28,19 @@ from fiedlertrees import (
     RootedBoundaryTree,
     Tree,
     branches_at,
+    build_caterpillar,
     dirichlet_nu,
     enumerate_rooted_trees,
     is_minimal_shape_rooted,
     laplacian,
+    path_tree,
     rooted_canonical_key,
+    with_boundary_weight,
 )
 from fiedlertrees.enumeration import prufer_decode
 from fiedlertrees.nodal import _tau
 from fiedlertrees.search import TIE_RTOL
-from fiedlertrees.trees import _weighted_root_edge
+from fiedlertrees.trees import _weighted_root_edge, spine_path
 
 
 def path_alpha(n: int) -> float:
@@ -55,6 +60,30 @@ NU_M1 = 1.0                                # 1x1 matrix [1]
 NU_M2 = (3.0 - math.sqrt(5.0)) / 2.0       # smaller root of x^2 - 3x + 1
 NU_M2_W2 = 2.0 - math.sqrt(2.0)            # smaller root of x^2 - 4x + 2
 NU_STAR4_LEAF = 2.0 - math.sqrt(3.0)       # smaller root of x^2 - 4x + 1
+
+
+def random_tree(rng: random.Random, n: int) -> Tree:
+    """Uniform random labeled tree via a random Prufer word."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if n == 2:
+        return path_tree(2)
+    word = [rng.randrange(n) for _ in range(n - 2)]
+    return prufer_decode(word, n)
+
+
+def random_rooted_caterpillar(rng: random.Random) -> RootedBoundaryTree:
+    """Random caterpillar of 1-4 spine vertices of degree 2-4, rooted at a
+    pendant vertex or a spine end, the shapes on which a trunk is
+    defined."""
+    m = rng.randint(1, 4)
+    spine = [rng.randint(2, 4) for _ in range(m)]
+    t = build_caterpillar(spine)
+    candidates = [v for v in range(t.n) if t.is_pendant(v)]
+    path = spine_path(t)
+    candidates.extend(path[:1] + path[-1:])  # the ends of the spine
+    root = rng.choice(sorted(set(candidates)))
+    return with_boundary_weight(t, root, 1.0)
 
 
 def spider(*leg_lengths: int) -> Tree:

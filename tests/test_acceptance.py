@@ -61,19 +61,19 @@ def test_acceptance_1_closed_form_spectra():
 
 def test_acceptance_2_split_identity():
     start = time.perf_counter()
-    # two seeds draw 2 * SAMPLES = 200 random trees on up to 12 vertices
-    checks = [verify_suite("split", nmax=12, rng_seed=seed)["checks"][0] for seed in (1, 2)]
-    passed = all(check["passed"] for check in checks)
-    worst = max(check["worst_residual"] for check in checks)
+    # every tree on up to 12 vertices: 986 trees (A000055, n = 2..12)
+    check = verify_suite("split", nmax=12)["checks"][0]
+    passed = check["passed"]
+    worst = check["worst_residual"]
     elapsed = time.perf_counter() - start
     ok = passed and elapsed < 120.0
     _report(
         2,
         "geometric split reproduces alpha",
         ok,
-        f"{sum(c['checked'] for c in checks)} trees, worst residual {worst:.2e}, {elapsed:.2f}s",
+        f"{check['checked']} trees, worst residual {worst:.2e}, {elapsed:.2f}s",
     )
-    assert passed, [check["failures"] for check in checks]
+    assert passed, check["failures"]
     assert worst <= 1e-8
     assert elapsed < 120.0
 
@@ -96,19 +96,20 @@ def test_acceptance_3_monotone_eigenvectors():
 
 def test_acceptance_4_perturbations_strictly_decrease():
     start = time.perf_counter()
-    # two seeds draw 2 * SAMPLES = 200 moves of each kind
-    checks = [verify_suite("perturb", rng_seed=seed)["checks"][0] for seed in (2, 3)]
-    passed = all(check["passed"] for check in checks)
-    gap = min(check["min_relative_gap"] for check in checks)
+    # every legal P1 and P2 move on the rooted caterpillars with n <= 10:
+    # 7,705 moves
+    check = verify_suite("perturb", nmax=10)["checks"][0]
+    passed = check["passed"]
+    gap = check["min_relative_gap"]
     elapsed = time.perf_counter() - start
     ok = passed and elapsed < 60.0
     _report(
         4,
         "pendant moves strictly decrease nu",
         ok,
-        f"{sum(c['checked'] for c in checks)} moves, min gap {gap:.2e}, {elapsed:.2f}s",
+        f"{check['checked']} moves, min gap {gap:.2e}, {elapsed:.2f}s",
     )
-    assert passed, [check["failures"] for check in checks]
+    assert passed, check["failures"]
     assert gap > 1e-10
     assert elapsed < 60.0
 
@@ -131,7 +132,7 @@ def test_acceptance_5_rooted_minimizer_characterization():
 
 def test_acceptance_6_glue_inequality():
     start = time.perf_counter()
-    report = verify_suite("glue", rng_seed=3)
+    report = verify_suite("glue")
     check = report["checks"][0]
 
     side = with_boundary_weight(path_tree(3), 0, 1.0)
@@ -146,7 +147,7 @@ def test_acceptance_6_glue_inequality():
         6,
         "glued alpha bounded by the larger side nu",
         ok,
-        f"{check['checked']} pairs, equality case alpha={alpha:.10f}, {elapsed:.2f}s",
+        f"{check['checked']} cases, equality case alpha={alpha:.10f}, {elapsed:.2f}s",
     )
     assert report["passed"], check["failures"]
     assert equality_ok, (alpha, nu, expected)

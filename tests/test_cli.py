@@ -250,6 +250,16 @@ def test_verify_all_suites_exit_zero(capsys):
     assert len(doc["checks"]) == 6
 
 
+def test_verify_ignores_the_rng_seed(capsys):
+    # every suite checks every case up to --nmax, so the seed chooses nothing
+    outputs = []
+    for seed in ("1", "987654321"):
+        assert main(["verify", "--suite", "all", "--nmax", "6", "--rng-seed", seed]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["params"] == {"nmax": 6}
+
+
 def test_verify_failure_maps_to_exit_5(capsys, monkeypatch):
     import fiedlertrees.cli as cli
 

@@ -25,7 +25,6 @@ from fiedlertrees import (
     with_boundary_weight,
 )
 from fiedlertrees.nodal import _separating_zeros, _tau
-from fiedlertrees.search import random_tree
 from fiedlertrees.trees import distances_from
 
 from helpers import (
@@ -34,6 +33,7 @@ from helpers import (
     broom,
     dirichlet_matrix,
     path_alpha,
+    random_tree,
     root_to_leaf_paths,
     spider,
     split_by_threshold,

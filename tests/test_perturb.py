@@ -13,6 +13,7 @@ from fiedlertrees import (
     RootedBoundaryTree,
     Tree,
     algebraic_connectivity,
+    branches_at,
     build_caterpillar,
     canonical_code,
     degree_sequence,
@@ -31,13 +32,9 @@ from fiedlertrees import (
     trunk,
     with_boundary_weight,
 )
-from fiedlertrees.search import (
-    _legal_p1_moves,
-    all_tree_sequences,
-    random_rooted_caterpillar,
-)
+from fiedlertrees.search import _legal_p1_moves, all_tree_sequences
 
-from helpers import NU_M2, dirichlet_path_nu, spider
+from helpers import NU_M2, dirichlet_path_nu, random_rooted_caterpillar, spider
 
 
 def _rooted_path(m, w0=1.0):
@@ -225,6 +222,53 @@ def test_glue_preserves_weights():
     assert glued.n == a.tree.n + b.tree.n - 1 == 4
     weights = sorted(w for _, _, w in glued.edges)
     assert weights == [1.0, 1.5, 3.0]
+
+
+def _side(t, v, branches):
+    """v and the branches of t at v, as a tree rooted at v, renumbered to
+    0, with the rest in id order."""
+    ids = [v] + sorted(set().union(*branches))
+    new = {x: i for i, x in enumerate(ids)}
+    edges = [(new[a], new[b]) for a, b, _ in t.edges if a in new and b in new]
+    return RootedBoundaryTree(Tree(len(ids), edges), 0)
+
+
+def test_glue_bound_at_a_vertex_is_its_second_least_branch_nu():
+    # brute force for verify's unit glue rule: at a vertex v with two or
+    # more branches, every split of the branches into two sides glues back
+    # into the tree, each bound max(nu1, nu2) holds, and the least of them
+    # is the second-least nu of a single branch, which alpha meets
+    checked = 0
+    for n in range(3, 8):
+        for g in nx.nonisomorphic_trees(n):
+            t = Tree(n, list(g.edges()))
+            alpha, _ = algebraic_connectivity(t)
+            for v in range(n):
+                branches = branches_at(t, v)
+                if len(branches) < 2:
+                    continue
+                single = sorted(dirichlet_nu(_side(t, v, [b]))[0] for b in branches)
+                bounds = []
+                for mask in range(1, 2 ** len(branches) - 1):
+                    sides = [
+                        _side(t, v, [b for i, b in enumerate(branches) if (mask >> i & 1) == bit])
+                        for bit in (1, 0)
+                    ]
+                    glued = glue(*sides)
+                    assert canonical_code(glued) == canonical_code(t)
+                    got, _ = algebraic_connectivity(glued)
+                    assert got == pytest.approx(alpha, rel=1e-12)
+                    nu1, nu2 = (dirichlet_nu(side)[0] for side in sides)
+                    assert got <= max(nu1, nu2) + 1e-10
+                    if abs(nu1 - nu2) > 1e-8:
+                        assert got < max(nu1, nu2)
+                    bounds.append(max(nu1, nu2))
+                    checked += 1
+                assert min(bounds) == pytest.approx(single[1], rel=1e-12)
+                assert alpha <= single[1] + 1e-10
+                if single[1] - single[0] > 1e-8:
+                    assert alpha < single[1]
+    assert checked > 0
 
 
 def test_is_minimal_shape_rooted_cases():

@@ -29,7 +29,7 @@ from fiedlertrees import (
 from fiedlertrees.search import (
     CAP,
     CSV_HEADER,
-    SAMPLES,
+    SUITES,
     TIE_RTOL,
     EnumerationCapExceeded,
     _argmin,
@@ -275,8 +275,9 @@ def test_tie_band_edge_in_min_alpha_tree(monkeypatch):
     monkeypatch.setattr(
         search, "algebraic_connectivity", lambda t: (values[canonical_code(t)], real(t)[1])
     )
-    # handed over in reverse, so code order comes from the search
-    rep = min_alpha_tree(seq, codes=sorted(values, reverse=True))
+    # enumerated in reverse, so code order comes from the search
+    monkeypatch.setattr(search, "_capped_codes", lambda seq: sorted(values, reverse=True))
+    rep = min_alpha_tree(seq)
     k0, _, k2 = sorted(values)
     assert rep.min_value == values[k2]
     assert [(m["code"], m["alpha"]) for m in rep.minimizers] == [
@@ -331,7 +332,7 @@ def test_branch_table_reproduces_dirichlet_nu_bitwise():
             # every instance in the brute-force oracle's order and key, and
             # valued as dirichlet_nu values the tree it stands for
             for w0 in (1.0, 1.5, 3.0):
-                got = [(key, nu) for _, _, key, nu in _placements(table, rooted, w0)]
+                got = [(key, min(nus)) for _, _, key, nus in _placements(table, rooted, w0)]
                 want = [
                     (rooted_canonical_key(rbt), dirichlet_nu(rbt)[0])
                     for rbt in placed_rooted_trees(seq, w0)
@@ -419,20 +420,20 @@ def test_verify_suite_smoke():
     rep = verify_suite("lemma5", nmax=6)
     assert rep["passed"]
 
-    rep = verify_suite("perturb", rng_seed=5)
+    rep = verify_suite("perturb")
     assert rep["passed"]
 
-    rep = verify_suite("glue", rng_seed=5)
+    rep = verify_suite("glue")
     assert rep["passed"]
 
-    rep = verify_suite("split", nmax=9, rng_seed=5)
+    rep = verify_suite("split", nmax=9)
     assert rep["passed"]
     assert rep["checks"][0]["worst_residual"] <= 1e-8
 
 
 def test_verify_suite_all_and_determinism():
-    a = verify_suite("all", nmax=5, rng_seed=3)
-    b = verify_suite("all", nmax=5, rng_seed=3)
+    a = verify_suite("all", nmax=5)
+    b = verify_suite("all", nmax=5)
     assert a == b
     assert a["passed"]
     assert [c["suite"] for c in a["checks"]] == [
@@ -492,7 +493,7 @@ def test_verify_enumerates_each_sequence_once(monkeypatch):
     monkeypatch.setattr(enumeration, "canonical_tree_codes", counted)
     monkeypatch.setattr(search, "canonical_tree_codes", counted)
     monkeypatch.setattr(search, "enumerate_rooted_trees", counted_rooted)
-    assert verify_suite("all", nmax=7, rng_seed=2)["passed"]
+    assert verify_suite("all", nmax=7)["passed"]
     expected = [seq for n in range(2, 8) for seq in all_tree_sequences(n)]
     assert sorted(calls) == sorted(expected)
     # lemma2 and lemma5 share the unit rooted trees of each sequence, and
@@ -500,27 +501,35 @@ def test_verify_enumerates_each_sequence_once(monkeypatch):
     assert sorted(rooted_calls) == sorted(expected)
 
 
-@pytest.mark.parametrize("suite,last", [("split", 8), ("perturb", 1), ("glue", 1)])
-def test_verify_sampled_suites_enumerate_only_what_they_read(monkeypatch, suite, last):
+def test_verify_every_suite_enumerates_each_sequence_once(monkeypatch):
     import fiedlertrees.enumeration as enumeration
     import fiedlertrees.search as search
 
     calls = []
+    rooted_calls = []
     real = enumeration.canonical_tree_codes
+    real_rooted = enumeration.enumerate_rooted_trees
 
     def counted(seq):
         calls.append(tuple(seq))
         return real(seq)
 
-    def rooted(*args, **kwargs):
-        raise AssertionError("no sampled suite reads the rooted trees")
+    def counted_rooted(seq, **kwargs):
+        rooted_calls.append(tuple(seq))
+        return real_rooted(seq, **kwargs)
 
     monkeypatch.setattr(enumeration, "canonical_tree_codes", counted)
     monkeypatch.setattr(search, "canonical_tree_codes", counted)
-    monkeypatch.setattr(search, "enumerate_rooted_trees", rooted)
-    assert verify_suite(suite, nmax=10, rng_seed=2)["passed"]
-    # split's random trees still reach n = 10; its enumeration stops at 8
-    assert calls == [seq for n in range(2, last + 1) for seq in all_tree_sequences(n)]
+    monkeypatch.setattr(search, "enumerate_rooted_trees", counted_rooted)
+    expected = [seq for n in range(2, 9) for seq in all_tree_sequences(n)]
+    for suite in SUITES:
+        calls.clear()
+        rooted_calls.clear()
+        assert verify_suite(suite, nmax=8)["passed"], suite
+        assert calls == expected, suite
+        # only theorem1 and split read no rooted tree
+        reads_rooted = suite not in ("theorem1", "split")
+        assert rooted_calls == (expected if reads_rooted else []), suite
 
 
 @pytest.mark.parametrize("suite", ["theorem1", "lemma2", "lemma5", "all"])
@@ -539,32 +548,31 @@ def test_verify_refuses_an_over_cap_sequence_before_decoding(monkeypatch, suite)
     monkeypatch.setattr(search, "CAP", 5)
     monkeypatch.setattr(search, "canonical_tree_codes", recorded)
     with pytest.raises(EnumerationCapExceeded, match="6 skeleton words exceed the cap 5"):
-        verify_suite(suite, nmax=7, rng_seed=3)
+        verify_suite(suite, nmax=7)
     expected = [seq for n in range(2, 8) for seq in all_tree_sequences(n)]
     assert decoded == expected[:-1]
 
 
-@pytest.mark.parametrize("seed", [1, 9])
-def test_verify_all_equals_the_single_suites(seed):
-    both = verify_suite("all", nmax=7, rng_seed=seed)
-    singles = [
-        check
-        for name in ("theorem1", "lemma2", "lemma5", "perturb", "glue", "split")
-        for check in verify_suite(name, nmax=7, rng_seed=seed)["checks"]
-    ]
-    assert both["checks"] == singles
+def test_verify_all_equals_the_single_suites():
+    for nmax in range(2, 9):
+        both = verify_suite("all", nmax=nmax)
+        singles = [
+            check
+            for name in ("theorem1", "lemma2", "lemma5", "perturb", "glue", "split")
+            for check in verify_suite(name, nmax=nmax)["checks"]
+        ]
+        assert both["checks"] == singles, nmax
+        assert all(check["checked"] > 0 for check in singles), nmax
 
 
-def test_min_alpha_tree_with_codes_matches_enumeration():
-    def strip(report):
-        doc = report.to_json()
-        del doc["elapsed"]
-        return doc
+def test_verify_stream_ranks_as_min_alpha_tree():
+    from fiedlertrees.search import _minimizer_dicts, _stream
 
-    for n in range(2, 9):
-        for seq in all_tree_sequences(n):
-            codes = sorted(canonical_tree_codes(seq), reverse=True)
-            assert strip(min_alpha_tree(seq, codes=codes)) == strip(min_alpha_tree(seq))
+    # theorem1 ranks the pairs the stream solved once per free tree
+    for case in _stream(8, {}):
+        tied = _argmin([alpha for _, (alpha, _) in case.free])[1]
+        got = _minimizer_dicts([(*case.free[i], {}) for i in tied])
+        assert got == min_alpha_tree(case.seq).minimizers
 
 
 def test_enumerate_rooted_trees_with_codes_matches_enumeration():
@@ -579,21 +587,30 @@ def test_enumerate_rooted_trees_with_codes_matches_enumeration():
 
 
 def test_verify_stream_counts_match_tree_counts():
-    # OEIS A000055 (free trees) and A000081 (rooted trees) for n = 2..9;
-    # split enumerates n <= 8 only, then draws SAMPLES random trees
+    # OEIS A000055 (free trees) and A000081 (rooted trees) for n = 2..9
     free = [1, 1, 2, 3, 6, 11, 23, 47]
     rooted = [1, 2, 4, 9, 20, 48, 115, 286]
     sequences = sum(1 for n in range(2, 10) for _ in all_tree_sequences(n))
-    checks = {
-        c["suite"]: c["checked"]
-        for c in verify_suite("all", nmax=9, rng_seed=4)["checks"]
-    }
-    assert checks["theorem1"] == sequences  # no ties at n <= 9
-    assert checks["lemma2"] == sum(rooted)
-    assert checks["lemma5"] == 3 * sequences
-    assert checks["split"] == sum(free[:-1]) + SAMPLES
-    assert checks["perturb"] == 2 * SAMPLES  # P1 and P2 moves
-    assert checks["glue"] == SAMPLES + 1  # and the equality case
+    checks = {c["suite"]: c for c in verify_suite("all", nmax=9)["checks"]}
+    assert checks["theorem1"]["checked"] == sequences  # no ties at n <= 9
+    assert checks["lemma2"]["checked"] == sum(rooted)
+    assert checks["lemma5"]["checked"] == 3 * sequences
+    assert checks["split"]["checked"] == sum(free)
+    # a rooted tree on n vertices whose root has one child is a rooted
+    # tree on n - 1 vertices below it, so the roots with two or more
+    # children number A000081(n) - A000081(n - 1), which telescopes
+    cases = checks["glue"]["cases"]
+    assert cases["unit"] == rooted[-1] - 1
+    assert checks["glue"]["checked"] == sum(cases.values())
+
+
+def test_verify_perturb_counts_every_move():
+    # every legal P1 move and every P2 move on the 141 rooted trees with
+    # n <= 8 that are caterpillars rooted at a pendant or a spine end
+    (check,) = verify_suite("perturb", nmax=8)["checks"]
+    assert check["moves"] == {"P1": 691, "P2": 498}
+    assert check["checked"] == 691 + 498
+    assert check["min_relative_gap"] == pytest.approx(1.2e-2, rel=0.05)
 
 
 def _greedy_tree_code(seq) -> str:

@@ -16,7 +16,6 @@ from fiedlertrees import (
     star_tree,
     with_boundary_weight,
 )
-from fiedlertrees.search import random_tree
 
 from helpers import (
     NU_M2,
@@ -25,6 +24,7 @@ from helpers import (
     dirichlet_path_nu,
     edge_rayleigh,
     path_alpha,
+    random_tree,
 )
 
 

@@ -18,10 +18,9 @@ from fiedlertrees import (
 )
 from fiedlertrees.enumeration import _peel
 from fiedlertrees.nodal import _connected
-from fiedlertrees.search import random_tree
 from fiedlertrees.trees import distances_from
 
-from helpers import broom, subtree_code
+from helpers import broom, random_tree, subtree_code
 
 
 def _trees(seed: int, count: int = 40, nmax: int = 30) -> list[Tree]:

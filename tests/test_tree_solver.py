@@ -26,9 +26,15 @@ from fiedlertrees import (
     with_boundary_weight,
 )
 from fiedlertrees import spectral
-from fiedlertrees.search import random_tree
 
-from helpers import bisect_eigenvalue, broom, dirichlet_matrix, placed_rooted_trees, spider
+from helpers import (
+    bisect_eigenvalue,
+    broom,
+    dirichlet_matrix,
+    placed_rooted_trees,
+    random_tree,
+    spider,
+)
 
 EPS = np.finfo(float).eps
 

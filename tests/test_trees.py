@@ -132,7 +132,7 @@ def test_branches_at_examples():
 def test_branches_at_partition_property():
     import random
 
-    from fiedlertrees.search import random_tree
+    from helpers import random_tree
 
     rng = random.Random(11)
     for _ in range(30):
