@@ -1,5 +1,6 @@
 """Extremal searches, the partition explorer, and verification suites."""
 
+import json
 import math
 import re
 
@@ -26,6 +27,7 @@ from fiedlertrees import (
     tree_from_code,
     verify_suite,
 )
+from fiedlertrees.cli import _round_floats, main
 from fiedlertrees.search import (
     CAP,
     CSV_HEADER,
@@ -532,6 +534,38 @@ def test_verify_every_suite_enumerates_each_sequence_once(monkeypatch):
         assert rooted_calls == (expected if reads_rooted else []), suite
 
 
+@pytest.mark.parametrize("suite,seed", [("split", 8), ("perturb", 1), ("glue", 1)])
+def test_verify_sampled_suites_enumerate_only_what_they_read(monkeypatch, capsys, suite, seed):
+    import fiedlertrees.enumeration as enumeration
+    import fiedlertrees.search as search
+
+    # split, perturb and glue took their cases from --rng-seed; with any
+    # seed they now read the stream's sequences once each, and build
+    # rooted trees only where they check them
+    calls = []
+    rooted_calls = []
+    real = enumeration.canonical_tree_codes
+    real_rooted = enumeration.enumerate_rooted_trees
+
+    def counted(seq):
+        calls.append(tuple(seq))
+        return real(seq)
+
+    def counted_rooted(seq, **kwargs):
+        rooted_calls.append(tuple(seq))
+        return real_rooted(seq, **kwargs)
+
+    monkeypatch.setattr(enumeration, "canonical_tree_codes", counted)
+    monkeypatch.setattr(search, "canonical_tree_codes", counted)
+    monkeypatch.setattr(search, "enumerate_rooted_trees", counted_rooted)
+    argv = ["verify", "--suite", suite, "--nmax", "8", "--rng-seed", str(seed)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    expected = [seq for n in range(2, 9) for seq in all_tree_sequences(n)]
+    assert calls == expected
+    assert rooted_calls == ([] if suite == "split" else expected)
+
+
 @pytest.mark.parametrize("suite", ["theorem1", "lemma2", "lemma5", "all"])
 def test_verify_refuses_an_over_cap_sequence_before_decoding(monkeypatch, suite):
     import fiedlertrees.search as search
@@ -553,7 +587,21 @@ def test_verify_refuses_an_over_cap_sequence_before_decoding(monkeypatch, suite)
     assert decoded == expected[:-1]
 
 
-def test_verify_all_equals_the_single_suites():
+@pytest.mark.parametrize("seed", [1, 9])
+def test_verify_all_equals_the_single_suites(capsys, seed):
+    # verify --rng-seed is accepted and ignored, so under any seed the
+    # command's "all" report is the single suites' reports in turn
+    assert main(["verify", "--suite", "all", "--nmax", "7", "--rng-seed", str(seed)]) == 0
+    both = json.loads(capsys.readouterr().out)
+    singles = [
+        check
+        for name in ("theorem1", "lemma2", "lemma5", "perturb", "glue", "split")
+        for check in verify_suite(name, nmax=7)["checks"]
+    ]
+    assert both["checks"] == _round_floats(singles)
+
+
+def test_verify_all_equals_the_single_suites_at_each_nmax():
     for nmax in range(2, 9):
         both = verify_suite("all", nmax=nmax)
         singles = [
