@@ -311,12 +311,16 @@ def geometric_split(t: Tree, analysis: FiedlerAnalysis) -> GeometricSplit:
     return GeometricSplit(pos_rbt, neg_rbt, origin_pos, origin_neg, None, None)
 
 
-def verify_split(t: Tree, split: GeometricSplit, alpha: float) -> tuple[float, float]:
+def verify_split(
+    t: Tree, split: GeometricSplit, alpha: float, nus: tuple[float, float] | None = None
+) -> tuple[float, float]:
     """Relative distances |nu(side) - alpha| / alpha for both sides.
 
     Small residuals (<= 1e-8 for well-conditioned inputs) confirm the first
     Dirichlet eigenvalues of the two sides coincide with alpha.  Large
-    residuals are returned, not raised: they are a diagnostic.
+    residuals are returned, not raised: they are a diagnostic.  nus, when
+    given, are those eigenvalues of the positive and the negative side,
+    already solved; the sides are checked to partition t either way.
     """
     covered = (split.pos.tree.n - 1) + (split.neg.tree.n - 1)
     # edge case: the interiors cover every original vertex; vertex case:
@@ -324,8 +328,9 @@ def verify_split(t: Tree, split: GeometricSplit, alpha: float) -> tuple[float, f
     expected = t.n if split.w1 is not None else t.n - 1
     if covered != expected:
         raise ValueError("split sides do not partition the tree")
-    nu_pos, _ = dirichlet_nu(split.pos)
-    nu_neg, _ = dirichlet_nu(split.neg)
+    if nus is None:
+        nus = dirichlet_nu(split.pos)[0], dirichlet_nu(split.neg)[0]
+    nu_pos, nu_neg = nus
     return abs(nu_pos - alpha) / alpha, abs(nu_neg - alpha) / alpha
 
 

@@ -15,7 +15,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -43,8 +43,6 @@ from .perturb import (
     glue,
     is_minimal_shape_rooted,
     is_theorem1_shape,
-    perturb_p1,
-    perturb_p2,
 )
 from .spectral import (
     _caterpillar_alpha,
@@ -267,13 +265,18 @@ def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
 @dataclass(frozen=True)
 class _Rooted:
     """A unit-weight rooted tree, tree_from_code of its rooted code, rooted
-    at vertex 0: the tree, that code, and its children's (id, rooted code)
-    in id order, which preorder ids make code order.  _placements puts
-    the boundary weights on it."""
+    at vertex 0: the tree, the rooted code of every vertex's subtree from
+    one leaf peel at the root, and its children's (id, rooted code) in id
+    order, which preorder ids make code order.  _placements puts the
+    boundary weights on it."""
 
     rbt: RootedBoundaryTree
-    code: str
+    codes: list[str]
     children: list[tuple[int, str]]
+
+    @property
+    def code(self) -> str:
+        return self.codes[0]
 
 
 def _rooted_trees(seq: tuple[int, ...], codes: Iterable[str]) -> list[_Rooted]:
@@ -283,7 +286,7 @@ def _rooted_trees(seq: tuple[int, ...], codes: Iterable[str]) -> list[_Rooted]:
     for rbt in enumerate_rooted_trees(seq, codes=codes):
         sub = _peel(rbt.tree, 0)[1]
         children = [(child, sub[child]) for child, _ in rbt.tree.neighbors(0)]
-        rooted.append(_Rooted(rbt, sub[0], children))
+        rooted.append(_Rooted(rbt, sub, children))
     return rooted
 
 
@@ -501,14 +504,16 @@ class _Case:
     """One degree sequence of the verify stream, its canonical codes,
     sorted, and the run's branch table.  The properties are computed on
     first read and shared by every suite: the free trees with their
-    (alpha, Fiedler vector) pairs, one solve each; their geometric splits;
-    and the w0 = 1 rooted trees with their Dirichlet pairs (_Rooted, nu,
-    vector), read from the table entries of their branches (_rooted_pair),
-    so every distinct branch is solved once per table."""
+    (alpha, Fiedler vector) pairs, one solve each; their geometric splits,
+    and the first Dirichlet eigenvalues of each split's two sides
+    (side_nus); and the w0 = 1 rooted trees with their Dirichlet pairs
+    (_Rooted, nu, vector), read from the table entries of their branches
+    (_rooted_pair), so every distinct branch is solved once per table."""
 
     seq: tuple[int, ...]
     codes: list[str]
     table: dict
+    _sides: dict[int, tuple[float, float]] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def free(self) -> list[tuple[Tree, tuple[float, np.ndarray]]]:
@@ -520,6 +525,15 @@ class _Case:
             (t, alpha, geometric_split(t, _analysis(t, alpha, f)))
             for t, (alpha, f) in self.free
         ]
+
+    def side_nus(self, i: int) -> tuple[float, float]:
+        """dirichlet_nu of the positive and the negative side of the i-th
+        split, solved on first read."""
+        nus = self._sides.get(i)
+        if nus is None:
+            split = self.splits[i][2]
+            nus = self._sides[i] = dirichlet_nu(split.pos)[0], dirichlet_nu(split.neg)[0]
+        return nus
 
     @cached_property
     def rooted(self) -> list[tuple[_Rooted, float, np.ndarray]]:
@@ -582,9 +596,15 @@ def _check_lemma5(case: _Case, nmax: int, out: dict) -> None:
             )
 
 
-def _legal_p1_moves(rbt: RootedBoundaryTree) -> list[tuple[int, int, int]]:
+def _legal_p1_moves(
+    rbt: RootedBoundaryTree, line: Sequence[int] | None = None
+) -> list[tuple[int, int, int]]:
+    """Every legal P1 move (w, vi, vj) of perturb_p1 on the rooted
+    caterpillar rbt, sorted: pendant w, not the root, leaves trunk vertex vi
+    by a unit edge for a deeper trunk vertex vj other than itself.  line is
+    rbt's trunk, computed when not given."""
     t = rbt.tree
-    line = trunk(rbt)
+    line = trunk(rbt) if line is None else line
     pos = {v: i for i, v in enumerate(line)}
     moves = []
     for w in range(t.n):
@@ -601,27 +621,75 @@ def _legal_p1_moves(rbt: RootedBoundaryTree) -> list[tuple[int, int, int]]:
     return sorted(moves)
 
 
+@dataclass(frozen=True)
+class _TrunkForm:
+    """A rooted caterpillar seen from its trunk t0 .. tL, t0 the root and tL
+    a pendant: the rooted code of every vertex's subtree (_Rooted.codes),
+    the count of pendant children of each ti, and the rooted codes of its
+    other children off the trunk, which occur when the root is a pendant on
+    an inner spine vertex.  A P1 move from ti to tj and a P2 move at tj
+    change only the counts at i and j."""
+
+    codes: list[str]
+    line: tuple[int, ...]
+    pendants: list[int]
+    fixed: list[list[str]]
+
+    def branches(self, src: int | None, dst: int) -> list[str]:
+        """The rooted codes of the root's branches once a pendant moves from
+        trunk position src to the deeper dst (P1), or is added at dst > 0
+        (P2, src None).  Past dst the subtrees are unchanged and their codes
+        are the peel's; from dst back to the root each ti is rendered as
+        _peel renders it, from its sorted child codes."""
+        line = self.line
+        below = [self.codes[line[dst + 1]]] if dst + 1 < len(line) else []
+        for i in range(dst, -1, -1):
+            subs = ["()"] * (self.pendants[i] + (i == dst) - (i == src)) + self.fixed[i] + below
+            if i == 0:
+                return subs
+            subs.sort()
+            below = ["(" + "".join(subs) + ")"]
+
+
+def _trunk_form(r: _Rooted) -> _TrunkForm | None:
+    """r as a _TrunkForm, or None unless it is a caterpillar rooted at a
+    pendant or a spine end, the roots at which a trunk is defined."""
+    t = r.rbt.tree
+    spine = spine_path(t)
+    if spine is None or not (t.is_pendant(0) or 0 in spine[:1] + spine[-1:]):
+        return None
+    line = trunk(r.rbt)
+    on = set(line)
+    pendants, fixed = [], []
+    for v in line:
+        off = [u for u, _ in t.neighbors(v) if u not in on]
+        pendants.append(sum(map(t.is_pendant, off)))
+        fixed.append([r.codes[u] for u in off if not t.is_pendant(u)])
+    return _TrunkForm(r.codes, line, pendants, fixed)
+
+
 def _check_perturb(case: _Case, nmax: int, out: dict) -> None:
     """Every legal P1 move and every P2 move at a trunk vertex past the
     root, on each w0 = 1 rooted caterpillar of the stream whose root is a
-    pendant or a spine end, the roots at which a trunk is defined.  nu
-    before a move is the stream's; nu after is the least branch entry of
-    the moved tree, peeled at its root."""
+    pendant or a spine end (_trunk_form).  nu before a move is the
+    stream's.  Each move is applied as an edit of the trunk's pendant
+    counts, and nu after it is the least branch table entry over the root's
+    distinct branch codes, rendered from the edit (_TrunkForm.branches):
+    no moved tree is built."""
     for r, before, _ in case.rooted:
-        rbt, t = r.rbt, r.rbt.tree
-        spine = spine_path(t)
-        if spine is None or not (t.is_pendant(0) or 0 in spine[:1] + spine[-1:]):
+        form = _trunk_form(r)
+        if form is None:
             continue
+        line = form.line
+        pos = {v: i for i, v in enumerate(line)}
         moves = [
-            ("P1", perturb_p1(rbt, w, vi, vj), ((w, vi), (w, vj)))
-            for w, vi, vj in _legal_p1_moves(rbt)
+            ("P1", pos[vi], pos[vj], ((w, vi), (w, vj)))
+            for w, vi, vj in _legal_p1_moves(r.rbt, line)
         ]
-        moves += [("P2", perturb_p2(rbt, vj), ((vj, t.n),)) for vj in trunk(rbt)[1:]]
-        for kind, moved, edges in moves:
-            sub = _peel(moved.tree, 0)[1]
+        moves += [("P2", None, j, ((line[j], r.rbt.tree.n),)) for j in range(1, len(line))]
+        for kind, src, dst, edges in moves:
             after = min(
-                _branch_pair(case.table, sub[child], 1.0)[0]
-                for child, _ in moved.tree.neighbors(0)
+                _branch_pair(case.table, code, 1.0)[0] for code in set(form.branches(src, dst))
             )
             out["checked"] += 1
             out["moves"][kind] += 1
@@ -643,7 +711,8 @@ def _check_glue(case: _Case, nmax: int, out: dict) -> None:
     trees with n <= nmax // 2 + 2 carrying w0 = 1.5, 2 or 3 on the edge to
     each distinct child code (_placements), each solved.  split: the two
     sides of each Type II tree's geometric split, whose boundary weights
-    satisfy 1/w1 + 1/w2 = 1.  equality: two rooted three-vertex paths glue
+    satisfy 1/w1 + 1/w2 = 1, with the side nus the split suite reads
+    (_Case.side_nus).  equality: two rooted three-vertex paths glue
     into the five-vertex path, with alpha == nu; it is checked once, at
     the stream's first sequence."""
 
@@ -667,10 +736,10 @@ def _check_glue(case: _Case, nmax: int, out: dict) -> None:
                 alpha = algebraic_connectivity(_weighted_root_edge(tree, 0, child, w0).tree)[0]
             nu1, nu2 = sorted(nus)[:2]
             bound("unit" if child is None else "weighted", alpha, nu1, nu2, code=key, w0=w0)
-    for tree, _, split in case.splits:
+    for i, (tree, _, split) in enumerate(case.splits):
         if split.w1 is not None:
             alpha = algebraic_connectivity(glue(split.neg, split.pos))[0]
-            nu1, nu2 = dirichlet_nu(split.neg)[0], dirichlet_nu(split.pos)[0]
+            nu2, nu1 = case.side_nus(i)
             edges = [[u, v] for u, v, _ in tree.edges]
             bound("split", alpha, nu1, nu2, edges=edges, w=[split.w1, split.w2])
     if len(case.seq) == 2:
@@ -684,8 +753,8 @@ def _check_glue(case: _Case, nmax: int, out: dict) -> None:
 
 
 def _check_split(case: _Case, nmax: int, out: dict) -> None:
-    for tree, alpha, split in case.splits:
-        r1, r2 = verify_split(tree, split, alpha)
+    for i, (tree, alpha, split) in enumerate(case.splits):
+        r1, r2 = verify_split(tree, split, alpha, case.side_nus(i))
         out["checked"] += 1
         out["worst_residual"] = max(out["worst_residual"], r1, r2)
         if r1 > 1e-8 or r2 > 1e-8:

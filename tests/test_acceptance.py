@@ -97,7 +97,7 @@ def test_acceptance_3_monotone_eigenvectors():
 def test_acceptance_4_perturbations_strictly_decrease():
     start = time.perf_counter()
     # every legal P1 and P2 move on the rooted caterpillars with n <= 10:
-    # 7,705 moves
+    # 4,943 P1 and 2,762 P2 moves
     check = verify_suite("perturb", nmax=10)["checks"][0]
     passed = check["passed"]
     gap = check["min_relative_gap"]
@@ -111,6 +111,8 @@ def test_acceptance_4_perturbations_strictly_decrease():
     )
     assert passed, check["failures"]
     assert gap > 1e-10
+    assert check["moves"] == {"P1": 4943, "P2": 2762}
+    assert math.isclose(gap, 5.97e-3, rel_tol=0.05)
     assert elapsed < 60.0
 
 

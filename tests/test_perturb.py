@@ -32,7 +32,14 @@ from fiedlertrees import (
     trunk,
     with_boundary_weight,
 )
-from fiedlertrees.search import _legal_p1_moves, all_tree_sequences
+from fiedlertrees.enumeration import _peel, canonical_tree_codes
+from fiedlertrees.search import (
+    _legal_p1_moves,
+    _rooted_trees,
+    _trunk_form,
+    all_tree_sequences,
+    verify_suite,
+)
 
 from helpers import NU_M2, dirichlet_path_nu, random_rooted_caterpillar, spider
 
@@ -160,6 +167,74 @@ def test_p2_always_decreases():
         assert after < before - 1e-10 * before
     with pytest.raises(ValueError):
         perturb_p2(rbt, rbt.root)
+
+
+def _root_branch_codes(rbt):
+    """The rooted codes of rbt's branches at its root, from its own peel."""
+    codes = _peel(rbt.tree, rbt.root)[1]
+    return sorted(codes[child] for child, _ in rbt.tree.neighbors(rbt.root))
+
+
+def test_trunk_edits_render_the_moved_trees_branch_codes():
+    # verify applies each pendant move as an edit of the trunk's pendant
+    # counts and renders the root's branch codes from it; perturb_p1 and
+    # perturb_p2 build the moved tree, whose peel must give the same codes,
+    # on every rooted caterpillar with n <= 9 rooted at a pendant or a
+    # spine end, for every legal P1 move and every P2 move
+    forms = 0
+    moves = {"P1": 0, "P2": 0}
+    for n in range(2, 10):
+        for seq in all_tree_sequences(n):
+            for r in _rooted_trees(seq, canonical_tree_codes(seq)):
+                rbt, t = r.rbt, r.rbt.tree
+                inner = [u for u, _ in t.neighbors(0) if not t.is_pendant(u)]
+                defined = is_caterpillar(t) and (t.is_pendant(0) or len(inner) <= 1)
+                form = _trunk_form(r)
+                assert (form is not None) is defined, r.code
+                if form is None:
+                    continue
+                forms += 1
+                line = trunk(rbt)
+                assert form.line == line
+                pos = {v: i for i, v in enumerate(line)}
+                for w, vi, vj in _legal_p1_moves(rbt):
+                    moved = perturb_p1(rbt, w, vi, vj)
+                    got = sorted(form.branches(pos[vi], pos[vj]))
+                    assert got == _root_branch_codes(moved), (r.code, w, vi, vj)
+                    moves["P1"] += 1
+                for vj in line[1:]:
+                    got = sorted(form.branches(None, pos[vj]))
+                    assert got == _root_branch_codes(perturb_p2(rbt, vj)), (r.code, vj)
+                    moves["P2"] += 1
+    assert forms > 0
+    # the suite applies exactly these moves
+    assert moves == verify_suite("perturb", nmax=9)["checks"][0]["moves"]
+
+
+def test_trunk_edit_keeps_a_branch_off_the_trunk():
+    # rooted at a pendant on the middle spine vertex, (((())(()))) has the
+    # branch (()) off t1, which every moved tree keeps beside the trunk
+    seq = (3, 2, 2, 1, 1, 1)
+    (r,) = [r for r in _rooted_trees(seq, canonical_tree_codes(seq)) if r.code == "(((())(())))"]
+    form = _trunk_form(r)
+    assert form.line == (0, 1, 2, 3)
+    assert form.pendants == [0, 0, 0, 0]
+    assert form.fixed == [[], ["(())"], [], []]
+    assert _legal_p1_moves(r.rbt) == []
+    for j, vj in enumerate(form.line[1:], start=1):
+        moved = perturb_p2(r.rbt, vj)
+        assert form.branches(None, j) == _root_branch_codes(moved)
+    assert form.branches(None, 3) == ["(((()))(()))"]
+
+
+def test_perturb_suite_counts_every_move_at_nmax_11():
+    # the counts of an independent count over every rooted caterpillar with
+    # n <= 11 (root at a pendant or a spine end, one per rooted code)
+    check = verify_suite("perturb", nmax=11)["checks"][0]
+    assert check["passed"], check["failures"]
+    assert check["moves"] == {"P1": 12_658, "P2": 6_368}
+    assert check["checked"] == 19_026
+    assert check["min_relative_gap"] == pytest.approx(4.39e-3, rel=0.05)
 
 
 def test_rearrange_collapses_spider_branch():
