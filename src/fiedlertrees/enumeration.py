@@ -248,6 +248,12 @@ def tree_from_code(code: str) -> Tree:
     Vertex ids are assigned in preorder, children in code order, so the
     labeling depends only on the code.  The code's root becomes vertex 0.
     """
+    return Tree(*_code_edges(code))
+
+
+def _code_edges(code: str) -> tuple[int, list[tuple[int, int, float]]]:
+    """The order n of the tree a code encodes and its unit edges (parent,
+    child, 1.0) in preorder, so parent < child; ValueError if malformed."""
     edges = []
     open_ids: list[int] = []
     n = 0
@@ -259,7 +265,7 @@ def tree_from_code(code: str) -> Tree:
                 raise ValueError(f"malformed code at position {i}")
         if ch == "(":
             if open_ids:
-                edges.append((open_ids[-1], n))
+                edges.append((open_ids[-1], n, 1.0))
             open_ids.append(n)
             n += 1
         elif ch == ")":
@@ -268,7 +274,7 @@ def tree_from_code(code: str) -> Tree:
             raise ValueError(f"malformed code at position {i}")
     if open_ids or not n:
         raise ValueError(f"malformed code at position {len(code)}")
-    return Tree(n, edges)
+    return n, edges
 
 
 # ---------------------------------------------------------------------------

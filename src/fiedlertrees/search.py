@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .enumeration import (
+    _code_edges,
     _multiset_permutations,
     _peel,
     _permutation_count,
@@ -45,10 +46,13 @@ from .perturb import (
     is_theorem1_shape,
 )
 from .spectral import (
+    TREE_SOLVER_ORDER,
+    _branch_block,
     _caterpillar_alpha,
     _caterpillar_fiedler,
     algebraic_connectivity,
     dirichlet_nu,
+    eig_smallest,
 )
 from .trees import (
     RootedBoundaryTree,
@@ -60,7 +64,6 @@ from .trees import (
     build_caterpillar,
     is_caterpillar,
     path_tree,
-    spine_path,
     trunk,
     with_boundary_weight,
 )
@@ -296,12 +299,18 @@ def _branch_pair(table: dict, code: str, w0: float) -> tuple[float, np.ndarray]:
 
     A rooted tree's Dirichlet matrix is block diagonal, one block per
     branch at the root, and a block depends only on the branch's rooted
-    code and the weight of its root edge: the table is keyed by both."""
+    code and the weight of its root edge: the table is keyed by both.  An
+    entry's block is cut from the code's hung tree, built unchecked; a lone
+    vertex, or a branch of TREE_SOLVER_ORDER or more, goes to dirichlet_nu."""
     pair = table.get((code, w0))
     if pair is None:
-        t = tree_from_code("(" + code + ")")
-        hung = RootedBoundaryTree(t, 0) if w0 == 1.0 else _weighted_root_edge(t, 0, 1, w0)
-        pair = table[code, w0] = dirichlet_nu(hung)
+        n, edges = _code_edges("(" + code + ")")
+        edges[0] = (0, 1, float(w0))
+        if 2 < n <= TREE_SOLVER_ORDER:
+            top = eig_smallest(_branch_block(Tree._trusted(n, edges), list(range(1, n))), 1)[0]
+            pair = table[code, w0] = top.value, top.vector
+        else:
+            pair = table[code, w0] = dirichlet_nu(RootedBoundaryTree(Tree._trusted(n, edges), 0))
     return pair
 
 
@@ -653,12 +662,12 @@ class _TrunkForm:
 
 def _trunk_form(r: _Rooted) -> _TrunkForm | None:
     """r as a _TrunkForm, or None unless it is a caterpillar rooted at a
-    pendant or a spine end, the roots at which a trunk is defined."""
+    pendant or a spine end, the roots that trunk (one spine walk) accepts."""
     t = r.rbt.tree
-    spine = spine_path(t)
-    if spine is None or not (t.is_pendant(0) or 0 in spine[:1] + spine[-1:]):
+    try:
+        line = trunk(r.rbt)
+    except ValueError:
         return None
-    line = trunk(r.rbt)
     on = set(line)
     pendants, fixed = [], []
     for v in line:

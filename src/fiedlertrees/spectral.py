@@ -6,8 +6,8 @@ matrix is a plain dense float64 numpy array and LAPACK's ``eigh``
 returns all of its eigenpairs; that is the fast path for the many small
 solves of the tree searches.  ``dirichlet_nu`` has one source for such a
 block, whatever the interior's size: ``_branch_block`` cuts it straight
-from the tree, and a one-vertex block needs no solve at all.  From
-TREE_SOLVER_ORDER rows on,
+from the tree, and each entry of the verify suites' branch table too; a
+one-vertex block needs no solve at all.  From TREE_SOLVER_ORDER rows on,
 ``algebraic_connectivity`` and the branch blocks of ``dirichlet_nu`` use
 a tree solver in O(n) memory instead: it counts eigenvalues below a
 shift from the pivots of one elimination along the tree (Jacobs and

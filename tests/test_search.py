@@ -26,6 +26,7 @@ from fiedlertrees import (
     spine_arrangements,
     tree_from_code,
     verify_suite,
+    with_boundary_weight,
 )
 from fiedlertrees.cli import _round_floats, main
 from fiedlertrees.search import (
@@ -40,6 +41,7 @@ from fiedlertrees.search import (
     explore_partitions,
     partition_rows_to_csv,
 )
+from fiedlertrees.spectral import EigenPair
 
 from helpers import (
     NU_M2,
@@ -295,18 +297,13 @@ def test_tie_band_edge_in_min_nu_rooted(monkeypatch):
     keys = [rooted_code(path_tree(5), root) for root in range(3)]
     values = _at_the_tie_edge(keys)
 
-    def hung(j):
-        """The code of a j-vertex path hung from a fresh root by an end."""
-        return "(" * (j + 1) + ")" * (j + 1)
-
-    # min_nu_rooted solves branches, each hung from a fresh root, and a
-    # rooted tree's nu is its least branch's: rooted at i, the path has
-    # branches of i and 4 - i vertices, and the one-vertex branch stays
-    # above every value
-    branch = {hung(4): values[keys[0]], hung(3): values[keys[1]]}
-    branch |= {hung(2): values[keys[2]], hung(1): 1.0}
+    # min_nu_rooted solves branches, each one block of the branch's order,
+    # and a rooted tree's nu is its least branch's: rooted at i, the path
+    # has branches of i and 4 - i vertices, and the one-vertex branch, which
+    # needs no solve, stays at w0 = 1 above every value
+    branch = {4: values[keys[0]], 3: values[keys[1]], 2: values[keys[2]]}
     monkeypatch.setattr(
-        search, "dirichlet_nu", lambda rbt: (branch[rooted_canonical_key(rbt)], None)
+        search, "eig_smallest", lambda m, k: [EigenPair(branch[len(m)], None, 0.0)]
     )
     rep = min_nu_rooted(seq)
     k0, _, k2 = sorted(values)
@@ -356,17 +353,55 @@ def test_lemma5_solves_each_branch_once_per_weight(monkeypatch):
     import fiedlertrees.search as search
 
     solved = []
-    real = search.dirichlet_nu
+    real = search.eig_smallest
 
-    def counted(rbt):
-        solved.append(rbt)
-        return real(rbt)
+    def counted(m, k):
+        solved.append(len(m))
+        return real(m, k)
 
-    monkeypatch.setattr(search, "dirichlet_nu", counted)
+    monkeypatch.setattr(search, "eig_smallest", counted)
     assert verify_suite("lemma5", nmax=8)["passed"]
     # a branch of a rooted tree with n <= 8 is one of the 85 rooted trees
     # with at most 7 vertices (A000081), solved at w0 = 1, 1.5 and 3
-    assert len(solved) <= 3 * sum([1, 1, 2, 4, 9, 20, 48])
+    assert 0 < len(solved) <= 3 * sum([1, 1, 2, 4, 9, 20, 48])
+
+
+def test_branch_table_entries_equal_dirichlet_nu_of_the_hung_tree(monkeypatch):
+    import fiedlertrees.search as search
+    import fiedlertrees.spectral as spectral
+
+    solves = []
+    real = spectral.eig_smallest
+    for module in (search, spectral):
+
+        def counted(m, k, module=module):
+            solves.append((module.__name__, len(m)))
+            return real(m, k)
+
+        monkeypatch.setattr(module, "eig_smallest", counted)
+    trees = [
+        tree_from_code(code)
+        for n in range(2, 9)
+        for seq in all_tree_sequences(n)
+        for code in canonical_tree_codes(seq)
+    ]
+    codes = sorted({"()"} | {rooted_code(t, v) for t in trees for v in range(t.n)})
+    assert len(codes) == sum([1, 1, 2, 4, 9, 20, 48, 115])  # A000081, n = 1..8
+    # at 1.03 the hung star on 8 vertices tells w0 summed into the degree
+    # from w0 - 1 added to a unit degree: the two round apart there
+    for w0 in (1.0, 1.03, 1.1, 1.5, 2.0, 3.0, 7.3):
+        table = {}
+        for code in codes:
+            del solves[:]
+            nu, vec = search._branch_pair(table, code, w0)
+            # one block of the branch's order per multi-vertex entry, solved
+            # by the table itself; none for a lone vertex
+            order = code.count("(")
+            assert solves == ([] if order == 1 else [(search.__name__, order)]), (code, w0)
+            hung = tree_from_code("(" + code + ")")
+            want_nu, want_vec = dirichlet_nu(with_boundary_weight(hung, 0, w0))
+            assert nu == want_nu, (code, w0)
+            assert np.array_equal(vec, want_vec), (code, w0)
 
 
 def test_explore_partitions_rows():
