@@ -14,9 +14,8 @@ import math
 import sys
 import time
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -50,9 +49,11 @@ from .spectral import (
     _branch_block,
     _caterpillar_alpha,
     _caterpillar_fiedler,
+    _dirichlet_blocks,
+    _eig_blocks,
     algebraic_connectivity,
     dirichlet_nu,
-    eig_smallest,
+    laplacian,
 )
 from .trees import (
     RootedBoundaryTree,
@@ -293,25 +294,73 @@ def _rooted_trees(seq: tuple[int, ...], codes: Iterable[str]) -> list[_Rooted]:
     return rooted
 
 
-def _branch_pair(table: dict, code: str, w0: float) -> tuple[float, np.ndarray]:
-    """dirichlet_nu of the branch with rooted code code hung from a fresh
-    root by an edge of weight w0, solved once per table.
+def _entry(code: str, w0: float) -> np.ndarray | tuple[float, np.ndarray]:
+    """The branch table entry of the branch with rooted code code hung from
+    a fresh root by an edge of weight w0: its Dirichlet block, cut from the
+    code's hung tree, built unchecked, or, for a lone vertex or a branch of
+    TREE_SOLVER_ORDER or more, which need no dense solve, its dirichlet_nu
+    pair."""
+    n, edges = _code_edges("(" + code + ")")
+    edges[0] = (0, 1, float(w0))
+    if 2 < n <= TREE_SOLVER_ORDER:
+        return _branch_block(Tree._trusted(n, edges), list(range(1, n)))
+    return dirichlet_nu(RootedBoundaryTree(Tree._trusted(n, edges), 0))
+
+
+class _Solves:
+    """Dense blocks gathered to be solved together, in one _eig_stack call
+    per block order (_eig_blocks), with the two smallest pairs of each:
+    the branch table's missing entries, each once, and the caller's own
+    blocks."""
+
+    def __init__(self, table: dict) -> None:
+        self.table = table
+        self.blocks: list[np.ndarray] = []
+        self.entries: dict[tuple[str, float], int] = {}
+
+    def add(self, m: np.ndarray) -> int:
+        """Queue the block m; its position in run's lists."""
+        self.blocks.append(m)
+        return len(self.blocks) - 1
+
+    def entry(self, code: str, w0: float) -> None:
+        """Queue the table entry (code, w0) unless the table has it."""
+        key = code, w0
+        if key not in self.table and key not in self.entries:
+            block = _entry(code, w0)
+            if isinstance(block, tuple):
+                self.table[key] = block
+            else:
+                self.entries[key] = self.add(block)
+
+    def run(self) -> tuple[list[list[float]], list[np.ndarray]]:
+        """Solve every queued block, enter the table's, and return the
+        values and vectors of all (_eig_blocks)."""
+        values, vectors = _eig_blocks(self.blocks, 2)
+        for key, i in self.entries.items():
+            self.table[key] = values[i][0], vectors[i][0]
+        return values, vectors
+
+
+def _fill(table: dict, keys: Iterable[tuple[str, float]]) -> None:
+    """Solve the branch table's missing entries among keys, (branch code,
+    w0), stacked (_Solves).
 
     A rooted tree's Dirichlet matrix is block diagonal, one block per
     branch at the root, and a block depends only on the branch's rooted
-    code and the weight of its root edge: the table is keyed by both.  An
-    entry's block is cut from the code's hung tree, built unchecked; a lone
-    vertex, or a branch of TREE_SOLVER_ORDER or more, goes to dirichlet_nu."""
-    pair = table.get((code, w0))
-    if pair is None:
-        n, edges = _code_edges("(" + code + ")")
-        edges[0] = (0, 1, float(w0))
-        if 2 < n <= TREE_SOLVER_ORDER:
-            top = eig_smallest(_branch_block(Tree._trusted(n, edges), list(range(1, n))), 1)[0]
-            pair = table[code, w0] = top.value, top.vector
-        else:
-            pair = table[code, w0] = dirichlet_nu(RootedBoundaryTree(Tree._trusted(n, edges), 0))
-    return pair
+    code and the weight of its root edge: the table is keyed by both."""
+    solves = _Solves(table)
+    for key in keys:
+        solves.entry(*key)
+    solves.run()
+
+
+def _branch_pair(table: dict, code: str, w0: float) -> tuple[float, np.ndarray]:
+    """dirichlet_nu of the branch with rooted code code hung from a fresh
+    root by an edge of weight w0: its table entry, solved on a miss."""
+    if (code, w0) not in table:
+        _fill(table, [(code, w0)])
+    return table[code, w0]
 
 
 def _rooted_pair(table: dict, r: _Rooted) -> tuple[float, np.ndarray]:
@@ -332,31 +381,50 @@ def _rooted_pair(table: dict, r: _Rooted) -> tuple[float, np.ndarray]:
     return nu, vec
 
 
-def _placements(
-    table: dict, rooted: list[_Rooted], w0: float
-) -> list[tuple[int, int | None, str | tuple[str, str], list[float]]]:
+def _sites(
+    rooted: list[_Rooted], w0: float
+) -> list[tuple[int, int | None, str | tuple[str, str]]]:
     """Every rooted tree of boundary weight w0 on the unit trees rooted, as
-    (position in rooted, weighted child, key, branch nus), with the nus
-    of its branches at the root from the table, in child order; its own nu
-    is their least.  The one enumeration of the weighted instances.
+    (position in rooted, weighted child, key): the one enumeration of the
+    weighted instances.
 
     At w0 = 1 each unit tree is one instance, with no weighted child, keyed
     by its rooted code.  Above, each distinct child code gives one, on the
     first child by id with that code, in child order, keyed (root code,
-    child code), which is rooted_canonical_key of the placed tree; that
-    child's branch is valued at w0 and the others at weight 1."""
+    child code), which is rooted_canonical_key of the placed tree."""
+    if w0 == 1.0:
+        return [(i, None, r.code) for i, r in enumerate(rooted)]
     out = []
     for i, r in enumerate(rooted):
-        unit = [_branch_pair(table, code, 1.0)[0] for _, code in r.children]
-        if w0 == 1.0:
-            out.append((i, None, r.code, unit))
-            continue
         placed = set()
-        for j, (child, code) in enumerate(r.children):
+        for child, code in r.children:
             if code not in placed:
                 placed.add(code)
-                nus = [*unit[:j], _branch_pair(table, code, w0)[0], *unit[j + 1 :]]
-                out.append((i, child, (r.code, code), nus))
+                out.append((i, child, (r.code, code)))
+    return out
+
+
+def _site_keys(rooted: list[_Rooted], sites, w0: float) -> list[tuple[str, float]]:
+    """The branch table keys that the instances sites of rooted read."""
+    keys = [(code, 1.0) for r in rooted for _, code in r.children]
+    return keys + [(key[1], w0) for _, child, key in sites if child is not None]
+
+
+def _placements(
+    table: dict, rooted: list[_Rooted], w0: float
+) -> list[tuple[int, int | None, str | tuple[str, str], list[float]]]:
+    """Every rooted tree of boundary weight w0 on the unit trees rooted
+    (_sites), as (position in rooted, weighted child, key, branch nus),
+    with the nus of its branches at the root from the table, in child
+    order; its own nu is their least.  The weighted child's branch is
+    valued at w0 and the others at weight 1.  The table's missing entries
+    are solved first, stacked."""
+    sites = _sites(rooted, w0)
+    _fill(table, _site_keys(rooted, sites, w0))
+    out = []
+    for i, child, key in sites:
+        nus = [table[code, w0 if c == child else 1.0][0] for c, code in rooted[i].children]
+        out.append((i, child, key, nus))
     return out
 
 
@@ -508,54 +576,141 @@ def _report(name: str, checked: int, failures: list, **extra: object) -> dict:
     }
 
 
+#: the suites that read a case's free trees, and those that read its
+#: rooted trees
+_FREE_READERS = frozenset({"theorem1", "glue", "split"})
+_ROOTED_READERS = frozenset({"lemma2", "lemma5", "perturb", "glue"})
+
+
 @dataclass
 class _Case:
     """One degree sequence of the verify stream, its canonical codes,
-    sorted, and the run's branch table.  The properties are computed on
-    first read and shared by every suite: the free trees with their
-    (alpha, Fiedler vector) pairs, one solve each; their geometric splits,
-    and the first Dirichlet eigenvalues of each split's two sides
-    (side_nus); and the w0 = 1 rooted trees with their Dirichlet pairs
-    (_Rooted, nu, vector), read from the table entries of their branches
-    (_rooted_pair), so every distinct branch is solved once per table."""
+    sorted, the run's branch table, and what the suites read of it, solved
+    with the rest of its layer (_layer) and shared by every suite:
+
+    - free: the free trees with their (alpha, Fiedler vector) pairs;
+    - splits: their geometric splits, with sides[i] the first Dirichlet
+      eigenvalues of the positive and the negative side of the i-th, and
+      glued[i] alpha of the glue of its two sides when it is Type II;
+    - rooted: the w0 = 1 rooted trees with their Dirichlet pairs (_Rooted,
+      nu, vector), read from the table entries of their branches
+      (_rooted_pair), and moves, each one's pendant moves (_moves);
+    - weighted: alpha of each weighted glue instance, keyed (w0, its
+      _placements key)."""
 
     seq: tuple[int, ...]
     codes: list[str]
     table: dict
-    _sides: dict[int, tuple[float, float]] = field(default_factory=dict, init=False, repr=False)
+    free: list[tuple[Tree, tuple[float, np.ndarray]]] = field(default_factory=list)
+    splits: list[tuple[Tree, float, GeometricSplit]] = field(default_factory=list)
+    sides: dict[int, tuple[float, float]] = field(default_factory=dict)
+    glued: dict[int, float] = field(default_factory=dict)
+    rooted: list[tuple[_Rooted, float, np.ndarray]] = field(default_factory=list)
+    moves: list[list[tuple[str, tuple, set[str]]]] = field(default_factory=list)
+    weighted: dict[tuple[float, tuple[str, str]], float] = field(default_factory=dict)
 
-    @cached_property
-    def free(self) -> list[tuple[Tree, tuple[float, np.ndarray]]]:
-        return [(t, algebraic_connectivity(t)) for t in map(tree_from_code, self.codes)]
 
-    @cached_property
-    def splits(self) -> list[tuple[Tree, float, GeometricSplit]]:
-        return [
-            (t, alpha, geometric_split(t, _analysis(t, alpha, f)))
-            for t, (alpha, f) in self.free
+def _glue_weights(n: int, nmax: int) -> tuple[float, ...]:
+    """The boundary weights of glue's weighted instances on n vertices."""
+    return (1.5, 2.0, 3.0) if n <= nmax // 2 + 2 else ()
+
+
+def _queue_side(solves: _Solves, side: RootedBoundaryTree) -> tuple[list[float], list[int]]:
+    """The nus of side's lone-vertex branches, and the positions in solves
+    of its other branches' blocks, queued there (_dirichlet_blocks).  The
+    cap keeps verify's trees far below TREE_SOLVER_ORDER vertices, so no
+    branch needs the tree solver."""
+    lone, queued = [], []
+    for _, block in _dirichlet_blocks(side):
+        if isinstance(block, np.ndarray):
+            queued.append(solves.add(block))
+        else:
+            lone.append(block)
+    return lone, queued
+
+
+def _layer(n: int, names: Collection[str], nmax: int, table: dict) -> list[_Case]:
+    """The _Case of every degree sequence with n vertices, with what the
+    suites names read of them solved for the whole layer in two rounds of
+    stacked solves (_Solves), one _eig_stack call per block order each.
+
+    The first round solves the Laplacians of the free trees, every branch
+    table entry that the rooted trees, _placements and the pendant moves
+    will read, and the Laplacians of glue's weighted trees.  The second
+    needs the first's Fiedler vectors: it solves the blocks of the split
+    sides and the Laplacians of the Type II glued trees.  Raises
+    EnumerationCapExceeded before any word of a sequence is decoded when
+    it has more than CAP skeleton words."""
+    cases = [_Case(seq, sorted(_capped_codes(seq)), table) for seq in all_tree_sequences(n)]
+    solves = _Solves(table)
+    free, rooted, weighted = [], [], []
+    for case in cases:
+        if not _FREE_READERS.isdisjoint(names):
+            trees = [tree_from_code(code) for code in case.codes]
+            free.append((case, trees, [solves.add(laplacian(t)) for t in trees]))
+        if _ROOTED_READERS.isdisjoint(names):
+            continue
+        units = _rooted_trees(case.seq, case.codes)
+        rooted.append((case, units))
+        keys = [(code, 1.0) for r in units for _, code in r.children]
+        if "lemma5" in names:
+            for w0 in (1.5, 3.0):
+                keys += _site_keys(units, _sites(units, w0), w0)
+        if "perturb" in names:
+            case.moves = [_moves(r) for r in units]
+            keys += [(code, 1.0) for moves in case.moves for *_, codes in moves for code in codes]
+        if "glue" in names:
+            forks = [r for r in units if len(r.children) >= 2]
+            for w0 in _glue_weights(n, nmax):
+                sites = _sites(forks, w0)
+                keys += _site_keys(forks, sites, w0)
+                for i, child, key in sites:
+                    placed = _weighted_root_edge(forks[i].rbt.tree, 0, child, w0).tree
+                    weighted.append((case, (w0, key), solves.add(laplacian(placed))))
+        for key in keys:
+            solves.entry(*key)
+    values, vectors = solves.run()
+    for case, trees, at in free:
+        case.free = [(t, (values[i][1], vectors[i][1])) for t, i in zip(trees, at)]
+    for case, units in rooted:
+        case.rooted = [(r, *_rooted_pair(table, r)) for r in units]
+    for case, key, i in weighted:
+        case.weighted[key] = values[i][1]
+
+    if {"glue", "split"}.isdisjoint(names):
+        return cases
+    solves = _Solves(table)
+    sides, glued = [], []
+    for case in cases:
+        case.splits = [
+            (t, alpha, geometric_split(t, _analysis(t, alpha, f))) for t, (alpha, f) in case.free
         ]
+        for i, (_, _, split) in enumerate(case.splits):
+            type2 = "glue" in names and split.w1 is not None
+            if type2:
+                glued.append((case, i, solves.add(laplacian(glue(split.neg, split.pos)))))
+            if type2 or "split" in names:
+                pos, neg = _queue_side(solves, split.pos), _queue_side(solves, split.neg)
+                sides.append((case, i, pos, neg))
+    values, _ = solves.run()
+    for case, i, at in glued:
+        case.glued[i] = values[at][1]
+    for case, i, *parts in sides:
+        case.sides[i] = tuple(
+            float(min(lone + [values[j][0] for j in queued])) for lone, queued in parts
+        )
+    return cases
 
-    def side_nus(self, i: int) -> tuple[float, float]:
-        """dirichlet_nu of the positive and the negative side of the i-th
-        split, solved on first read."""
-        nus = self._sides.get(i)
-        if nus is None:
-            split = self.splits[i][2]
-            nus = self._sides[i] = dirichlet_nu(split.pos)[0], dirichlet_nu(split.neg)[0]
-        return nus
 
-    @cached_property
-    def rooted(self) -> list[tuple[_Rooted, float, np.ndarray]]:
-        return [(r, *_rooted_pair(self.table, r)) for r in _rooted_trees(self.seq, self.codes)]
-
-
-def _stream(nmax: int, table: dict) -> Iterator[_Case]:
-    """Each degree sequence with n = 2..nmax once, as a _Case on table.
-    Raises EnumerationCapExceeded before any word of a sequence is decoded
-    when it has more than CAP skeleton words."""
+def _stream(
+    nmax: int, table: dict, names: Collection[str] = _FREE_READERS | _ROOTED_READERS
+) -> Iterator[_Case]:
+    """Each degree sequence with n = 2..nmax once, as a _Case on table
+    with what the suites names read of it (_layer).  Raises
+    EnumerationCapExceeded before any word of a sequence is decoded when
+    it has more than CAP skeleton words."""
     for n in range(2, nmax + 1):
-        for seq in all_tree_sequences(n):
-            yield _Case(seq, sorted(_capped_codes(seq)), table)
+        yield from _layer(n, names, nmax, table)
 
 
 def _check_theorem1(case: _Case, nmax: int, out: dict) -> None:
@@ -677,29 +832,33 @@ def _trunk_form(r: _Rooted) -> _TrunkForm | None:
     return _TrunkForm(r.codes, line, pendants, fixed)
 
 
-def _check_perturb(case: _Case, nmax: int, out: dict) -> None:
+def _moves(r: _Rooted) -> list[tuple[str, tuple, set[str]]]:
     """Every legal P1 move and every P2 move at a trunk vertex past the
-    root, on each w0 = 1 rooted caterpillar of the stream whose root is a
-    pendant or a spine end (_trunk_form).  nu before a move is the
-    stream's.  Each move is applied as an edit of the trunk's pendant
-    counts, and nu after it is the least branch table entry over the root's
-    distinct branch codes, rendered from the edit (_TrunkForm.branches):
-    no moved tree is built."""
-    for r, before, _ in case.rooted:
-        form = _trunk_form(r)
-        if form is None:
-            continue
-        line = form.line
-        pos = {v: i for i, v in enumerate(line)}
-        moves = [
-            ("P1", pos[vi], pos[vj], ((w, vi), (w, vj)))
-            for w, vi, vj in _legal_p1_moves(r.rbt, line)
-        ]
-        moves += [("P2", None, j, ((line[j], r.rbt.tree.n),)) for j in range(1, len(line))]
-        for kind, src, dst, edges in moves:
-            after = min(
-                _branch_pair(case.table, code, 1.0)[0] for code in set(form.branches(src, dst))
-            )
+    root on r when it is a caterpillar rooted at a pendant or a spine end
+    (_trunk_form), none otherwise, as (kind, its edges, the distinct rooted
+    codes of the root's branches after it).  Each move is applied as an
+    edit of the trunk's pendant counts (_TrunkForm.branches): no moved
+    tree is built."""
+    form = _trunk_form(r)
+    if form is None:
+        return []
+    line = form.line
+    pos = {v: i for i, v in enumerate(line)}
+    moves = [
+        ("P1", pos[vi], pos[vj], ((w, vi), (w, vj)))
+        for w, vi, vj in _legal_p1_moves(r.rbt, line)
+    ]
+    moves += [("P2", None, j, ((line[j], r.rbt.tree.n),)) for j in range(1, len(line))]
+    return [(kind, edges, set(form.branches(src, dst))) for kind, src, dst, edges in moves]
+
+
+def _check_perturb(case: _Case, nmax: int, out: dict) -> None:
+    """Every move of _moves on each w0 = 1 rooted tree of the stream.  nu
+    before a move is the stream's, and nu after it is the least branch
+    table entry over the root's branch codes after it."""
+    for (r, before, _), moves in zip(case.rooted, case.moves):
+        for kind, edges, codes in moves:
+            after = min(case.table[code, 1.0][0] for code in codes)
             out["checked"] += 1
             out["moves"][kind] += 1
             out["min_relative_gap"] = min(out["min_relative_gap"], (before - after) / before)
@@ -718,10 +877,11 @@ def _check_glue(case: _Case, nmax: int, out: dict) -> None:
     its second-least branch nu.  Both nus come from the branch table and
     alpha from its free tree, so no solve is needed.  weighted: the same
     trees with n <= nmax // 2 + 2 carrying w0 = 1.5, 2 or 3 on the edge to
-    each distinct child code (_placements), each solved.  split: the two
-    sides of each Type II tree's geometric split, whose boundary weights
-    satisfy 1/w1 + 1/w2 = 1, with the side nus the split suite reads
-    (_Case.side_nus).  equality: two rooted three-vertex paths glue
+    each distinct child code (_placements), with the alphas the layer
+    solved (_Case.weighted).  split: the two sides of each Type II tree's
+    geometric split, whose boundary weights satisfy 1/w1 + 1/w2 = 1, with
+    the side nus the split suite reads (_Case.sides) and the glued tree's
+    alpha (_Case.glued).  equality: two rooted three-vertex paths glue
     into the five-vertex path, with alpha == nu; it is checked once, at
     the stream's first sequence."""
 
@@ -734,23 +894,19 @@ def _check_glue(case: _Case, nmax: int, out: dict) -> None:
 
     alphas = dict(zip(case.codes, (alpha for _, (alpha, _) in case.free)))
     trees = [r for r, _, _ in case.rooted if len(r.children) >= 2]
-    for w0 in (1.0, 1.5, 2.0, 3.0):
-        if w0 > 1.0 and len(case.seq) > nmax // 2 + 2:
-            break
+    for w0 in (1.0, *_glue_weights(len(case.seq), nmax)):
         for i, child, key, nus in _placements(case.table, trees, w0):
-            tree = trees[i].rbt.tree
             if child is None:
-                alpha = alphas[canonical_code(tree)]
+                alpha = alphas[canonical_code(trees[i].rbt.tree)]
             else:
-                alpha = algebraic_connectivity(_weighted_root_edge(tree, 0, child, w0).tree)[0]
+                alpha = case.weighted[w0, key]
             nu1, nu2 = sorted(nus)[:2]
             bound("unit" if child is None else "weighted", alpha, nu1, nu2, code=key, w0=w0)
-    for i, (tree, _, split) in enumerate(case.splits):
-        if split.w1 is not None:
-            alpha = algebraic_connectivity(glue(split.neg, split.pos))[0]
-            nu2, nu1 = case.side_nus(i)
-            edges = [[u, v] for u, v, _ in tree.edges]
-            bound("split", alpha, nu1, nu2, edges=edges, w=[split.w1, split.w2])
+    for i, alpha in case.glued.items():
+        tree, _, split = case.splits[i]
+        nu2, nu1 = case.sides[i]
+        edges = [[u, v] for u, v, _ in tree.edges]
+        bound("split", alpha, nu1, nu2, edges=edges, w=[split.w1, split.w2])
     if len(case.seq) == 2:
         side = with_boundary_weight(path_tree(3), 0, 1.0)
         nu, _ = dirichlet_nu(side)
@@ -763,7 +919,7 @@ def _check_glue(case: _Case, nmax: int, out: dict) -> None:
 
 def _check_split(case: _Case, nmax: int, out: dict) -> None:
     for i, (tree, alpha, split) in enumerate(case.splits):
-        r1, r2 = verify_split(tree, split, alpha, case.side_nus(i))
+        r1, r2 = verify_split(tree, split, alpha, case.sides[i])
         out["checked"] += 1
         out["worst_residual"] = max(out["worst_residual"], r1, r2)
         if r1 > 1e-8 or r2 > 1e-8:
@@ -821,7 +977,7 @@ def verify_suite(suite: str, nmax: int = 8) -> dict:
         raise ValueError(f"nmax must be >= 2, got {nmax}")
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
     outs = {name: {"checked": 0, "failures": [], **_CHECKS[name][2]()} for name in names}
-    for case in _stream(nmax, {}):
+    for case in _stream(nmax, {}, names):
         for name in names:
             _CHECKS[name][1](case, nmax, outs[name])
     checks = [{"suite": name} | _report(_CHECKS[name][0], **outs[name]) for name in names]

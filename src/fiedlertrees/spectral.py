@@ -4,10 +4,17 @@ eigensolvers with certified residuals.
 Three solvers share one contract.  Below TREE_SOLVER_ORDER (256) rows a
 matrix is a plain dense float64 numpy array and LAPACK's ``eigh``
 returns all of its eigenpairs; that is the fast path for the many small
-solves of the tree searches.  ``dirichlet_nu`` has one source for such a
-block, whatever the interior's size: ``_branch_block`` cuts it straight
-from the tree, and each entry of the verify suites' branch table too; a
-one-vertex block needs no solve at all.  From TREE_SOLVER_ORDER rows on,
+solves of the tree searches.  ``_eig_stack`` solves a (b, n, n) stack
+of them in one LAPACK call, which gives each matrix the bits it gets
+alone, and vectorizes the sign rule and the residual certificate over
+the stack; ``eig_smallest`` is its one-matrix case, and ``_eig_blocks``
+groups blocks of mixed orders into one stack per order.  The verify
+suites gather each layer's blocks into such stacks, and the branch
+table its missing entries.  ``dirichlet_nu`` has one source for a
+block, whatever the interior's size (``_dirichlet_blocks``):
+``_branch_block`` cuts it straight from the tree, and each entry of the
+verify suites' branch table too; a one-vertex block needs no solve at
+all.  From TREE_SOLVER_ORDER rows on,
 ``algebraic_connectivity`` and the branch blocks of ``dirichlet_nu`` use
 a tree solver in O(n) memory instead: it counts eigenvalues below a
 shift from the pivots of one elimination along the tree (Jacobs and
@@ -34,9 +41,11 @@ smallest index.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .trees import RootedBoundaryTree, Tree, branches_at
 
@@ -48,6 +57,16 @@ RESIDUAL_FACTOR = 1e-10
 #: (order 128: dense 2.4 ms, tree 5.0 ms; 256: 10.5 and 10.7 ms; 512: 54
 #: and 18 ms)
 TREE_SOLVER_ORDER = 256
+
+#: the most bytes of matrices that one LAPACK call of _eig_stack takes
+_STACK_BYTES = 1 << 20
+
+# numpy.linalg.eigh's LAPACK call (syevd on the lower triangle) without its
+# wrapper, whose checks cost more than the solve on the searches' tiny
+# blocks; the bits are eigh's.  A solve that fails returns NaN, which the
+# residual certificate refuses.
+_eigh = _umath_linalg.eigh_lo
+_max, _add, _all = np.maximum.reduce, np.add.reduce, np.logical_and.reduce
 
 _EPS = sys.float_info.epsilon
 _SAFE_MIN = sys.float_info.min
@@ -79,42 +98,70 @@ def laplacian(t: Tree) -> np.ndarray:
 def _check_symmetric(m: np.ndarray) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = 1.0 + float(np.abs(m).max(initial=0.0))
-    if float(np.abs(m - m.T).max(initial=0.0)) > 1e-12 * scale:
+    top = _max(np.abs(m), axis=None, initial=0.0)
+    if not top < np.inf:  # NaN fails the comparison too
+        raise ValueError("matrix has a non-finite entry")
+    if not _all(m == m.T, axis=None) and not (
+        _max(np.abs(m - m.T), axis=None) <= 1e-12 * (1.0 + top)
+    ):
         raise ValueError("matrix is not symmetric to working precision")
 
 
 def _fix_sign(x: np.ndarray) -> np.ndarray:
-    """Largest-magnitude entry positive, of a vector or of each row of a
-    2-D array; ties pick the smallest index."""
-    mags = np.abs(x)
-    first = (mags == mags.max(axis=-1, keepdims=True)).argmax(axis=-1)
-    lead = x[first] if x.ndim == 1 else x[np.arange(len(x)), first]
-    return np.where((lead < 0.0)[..., None], -x, x)
+    """Largest-magnitude entry positive, of each vector along the last axis
+    of x, whatever its leading axes; ties pick the smallest index, as
+    argmax does."""
+    flat = x.reshape(-1, x.shape[-1])
+    lead = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)]
+    # a product with -1.0 is the exact negation; only a zero vector has a
+    # zero lead, and copysign may flip the signs of its zeros
+    return (flat * np.copysign(1.0, lead)[:, None]).reshape(x.shape)
+
+
+def _eig_stack(ms: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k algebraically smallest eigenpairs of every matrix of ms, a
+    (b, n, n) stack of symmetric finite float64 matrices with 1 <= k <= n:
+    values (b, k) ascending, orthonormal vectors (b, k, n) sign-fixed by
+    _fix_sign, and residuals (b, k), each pair certified.
+
+    One LAPACK call solves each chunk of at most _STACK_BYTES of matrices.
+    It solves each matrix of a stack as it solves it alone, so a matrix's
+    pairs are the same bits whatever stack it is in, and the bits
+    numpy.linalg.eigh gives it."""
+    b, n = ms.shape[:2]
+    step = max(1, _STACK_BYTES // (8 * n * n))
+    if b > step:
+        parts = [_eig_stack(ms[i : i + step], k) for i in range(0, b, step)]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    values, vectors = _eigh(ms)
+    values = values[:, :k]
+    cols = vectors[:, :, :k]
+    # M x - lambda x for every pair, one column each; its norm does not
+    # depend on x's sign
+    r = ms @ cols - cols * values[:, None]
+    res = np.sqrt(_add(r * r, axis=1))
+    # every bound is at least RESIDUAL_FACTOR, so most stacks pass without it
+    if not _all(res <= RESIDUAL_FACTOR, axis=None):
+        bound = RESIDUAL_FACTOR * (1.0 + _max(_add(np.abs(ms), axis=2), axis=1))
+        bad = np.argwhere(~(res <= bound[:, None]))
+        if bad.size:
+            i, j = bad[0]
+            raise ConvergenceError(
+                f"residual {res[i, j]:.3e} exceeds certificate {bound[i]:.3e}"
+            )
+    return values, _fix_sign(cols.swapaxes(1, 2)), res
 
 
 def eig_smallest(m: np.ndarray, k: int) -> list[EigenPair]:
-    """The k algebraically smallest eigenpairs of a symmetric matrix,
-    ascending, with orthonormal sign-fixed vectors and certified residuals."""
+    """The k algebraically smallest eigenpairs of a symmetric finite
+    matrix, ascending, with orthonormal sign-fixed vectors and certified
+    residuals: _eig_stack's one-matrix case."""
     m = np.asarray(m, dtype=float)
     _check_symmetric(m)
     if not 1 <= k <= m.shape[0]:
         raise ValueError(f"k={k} out of range for order {m.shape[0]}")
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(str(exc)) from exc
-    bound = RESIDUAL_FACTOR * (1.0 + float(np.abs(m).sum(axis=1).max()))
-    out = []
-    for i in range(k):
-        vec = _fix_sign(vectors[:, i])
-        res = float(np.linalg.norm(m @ vec - values[i] * vec))
-        if res > bound:  # pragma: no cover - would signal a solver bug
-            raise ConvergenceError(
-                f"residual {res:.3e} exceeds certificate {bound:.3e}"
-            )
-        out.append(EigenPair(float(values[i]), vec, res))
-    return out
+    values, vectors, res = _eig_stack(m[None], k)
+    return list(map(EigenPair, values[0].tolist(), vectors[0], res[0].tolist()))
 
 
 def _tree_arrays(t: Tree, order: list[int], parent: list[int]):
@@ -413,6 +460,41 @@ def _branch_block(t: Tree, verts: list[int]) -> np.ndarray:
     return m
 
 
+def _dirichlet_blocks(
+    rbt: RootedBoundaryTree,
+) -> Iterator[tuple[list[int], float | np.ndarray | None]]:
+    """The blocks of rbt's Dirichlet matrix, one per branch at the root in
+    branches_at order, as (the branch's vertices sorted, its block): the
+    weight of its edge to the root for a lone vertex, which needs no solve,
+    the block cut from the tree below TREE_SOLVER_ORDER rows, and None from
+    there on, where the tree solver takes the branch."""
+    tree = rbt.tree
+    for branch in branches_at(tree, rbt.root):
+        verts = sorted(branch)
+        if len(verts) == 1:
+            yield verts, tree.neighbors(verts[0])[0][1]
+        elif len(verts) >= TREE_SOLVER_ORDER:
+            yield verts, None
+        else:
+            yield verts, _branch_block(tree, verts)
+
+
+def _eig_blocks(blocks: list[np.ndarray], k: int) -> tuple[list[list[float]], list[np.ndarray]]:
+    """_eig_stack over blocks of any orders from k up: one call per order.
+    Each block's k values, a list, and its vectors (k, n), in the order of
+    blocks."""
+    at: dict[int, list[int]] = {}
+    for i, m in enumerate(blocks):
+        at.setdefault(len(m), []).append(i)
+    values: list = [None] * len(blocks)
+    vectors: list = [None] * len(blocks)
+    for same in at.values():
+        v, x, _ = _eig_stack(np.array([blocks[i] for i in same]), k)
+        for i, vi, xi in zip(same, v.tolist(), x):
+            values[i], vectors[i] = vi, xi
+    return values, vectors
+
+
 def dirichlet_nu(rbt: RootedBoundaryTree) -> tuple[float, np.ndarray]:
     """Smallest Dirichlet eigenvalue and its eigenvector over the interior.
 
@@ -425,28 +507,26 @@ def dirichlet_nu(rbt: RootedBoundaryTree) -> tuple[float, np.ndarray]:
     """
     tree, root = rbt.tree, rbt.root
     index = rbt.interior_index()
-    # no matrix of the interior's order is built: a one-vertex block is the
-    # weight of its edge to the root, a block below TREE_SOLVER_ORDER rows
-    # is cut from the tree, a larger one is solved along it
-    branches = branches_at(tree, root)
-    if max(map(len, branches)) >= TREE_SOLVER_ORDER:
+    # no matrix of the interior's order is built (_dirichlet_blocks)
+    blocks = list(_dirichlet_blocks(rbt))
+    if any(block is None for _, block in blocks):
         order, parent = tree.bfs(root)
     best_value = None
     best_vector = None
     best_positions = None
-    for branch in branches:
-        verts = sorted(branch)
+    for verts, block in blocks:
         positions = [index[v] for v in verts]
-        if len(verts) == 1:
-            pair = EigenPair(tree.neighbors(verts[0])[0][1], np.ones(1), 0.0)
-        elif len(verts) >= TREE_SOLVER_ORDER:
+        if block is None:
+            branch = set(verts)
             sub = [v for v in order if v in branch]
             pair = _tree_eigenpair(*_tree_arrays(tree, sub, parent), 0, kernel=False)
             vec = np.empty(len(verts))
             vec[np.searchsorted(verts, sub)] = pair.vector
             pair = EigenPair(pair.value, _fix_sign(vec), pair.residual)
+        elif len(verts) == 1:
+            pair = EigenPair(block, np.ones(1), 0.0)
         else:
-            pair = eig_smallest(_branch_block(tree, verts), 1)[0]
+            pair = eig_smallest(block, 1)[0]
         if best_value is None or pair.value < best_value:
             best_value = pair.value
             best_vector = pair.vector

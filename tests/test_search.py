@@ -41,7 +41,6 @@ from fiedlertrees.search import (
     explore_partitions,
     partition_rows_to_csv,
 )
-from fiedlertrees.spectral import EigenPair
 
 from helpers import (
     NU_M2,
@@ -297,13 +296,16 @@ def test_tie_band_edge_in_min_nu_rooted(monkeypatch):
     keys = [rooted_code(path_tree(5), root) for root in range(3)]
     values = _at_the_tie_edge(keys)
 
-    # min_nu_rooted solves branches, each one block of the branch's order,
-    # and a rooted tree's nu is its least branch's: rooted at i, the path
-    # has branches of i and 4 - i vertices, and the one-vertex branch, which
-    # needs no solve, stays at w0 = 1 above every value
+    # min_nu_rooted solves branches in stacks, each one block of the
+    # branch's order, and a rooted tree's nu is its least branch's: rooted
+    # at i, the path has branches of i and 4 - i vertices, and the
+    # one-vertex branch, which needs no solve, stays at w0 = 1 above every
+    # value
     branch = {4: values[keys[0]], 3: values[keys[1]], 2: values[keys[2]]}
     monkeypatch.setattr(
-        search, "eig_smallest", lambda m, k: [EigenPair(branch[len(m)], None, 0.0)]
+        search,
+        "_eig_blocks",
+        lambda blocks, k: ([[branch[len(m)]] * k for m in blocks], [[None] * k for _ in blocks]),
     )
     rep = min_nu_rooted(seq)
     k0, _, k2 = sorted(values)
@@ -353,13 +355,13 @@ def test_lemma5_solves_each_branch_once_per_weight(monkeypatch):
     import fiedlertrees.search as search
 
     solved = []
-    real = search.eig_smallest
+    real = search._eig_blocks
 
-    def counted(m, k):
-        solved.append(len(m))
-        return real(m, k)
+    def counted(blocks, k):
+        solved.extend(map(len, blocks))
+        return real(blocks, k)
 
-    monkeypatch.setattr(search, "eig_smallest", counted)
+    monkeypatch.setattr(search, "_eig_blocks", counted)
     assert verify_suite("lemma5", nmax=8)["passed"]
     # a branch of a rooted tree with n <= 8 is one of the 85 rooted trees
     # with at most 7 vertices (A000081), solved at w0 = 1, 1.5 and 3
@@ -371,14 +373,18 @@ def test_branch_table_entries_equal_dirichlet_nu_of_the_hung_tree(monkeypatch):
     import fiedlertrees.spectral as spectral
 
     solves = []
-    real = spectral.eig_smallest
-    for module in (search, spectral):
+    real_blocks, real_one = search._eig_blocks, spectral.eig_smallest
 
-        def counted(m, k, module=module):
-            solves.append((module.__name__, len(m)))
-            return real(m, k)
+    def stacked(blocks, k):
+        solves.extend((search.__name__, len(m)) for m in blocks)
+        return real_blocks(blocks, k)
 
-        monkeypatch.setattr(module, "eig_smallest", counted)
+    def single(m, k):
+        solves.append((spectral.__name__, len(m)))
+        return real_one(m, k)
+
+    monkeypatch.setattr(search, "_eig_blocks", stacked)
+    monkeypatch.setattr(spectral, "eig_smallest", single)
     trees = [
         tree_from_code(code)
         for n in range(2, 9)
@@ -395,7 +401,7 @@ def test_branch_table_entries_equal_dirichlet_nu_of_the_hung_tree(monkeypatch):
             del solves[:]
             nu, vec = search._branch_pair(table, code, w0)
             # one block of the branch's order per multi-vertex entry, solved
-            # by the table itself; none for a lone vertex
+            # in the table's stack; none for a lone vertex
             order = code.count("(")
             assert solves == ([] if order == 1 else [(search.__name__, order)]), (code, w0)
             hung = tree_from_code("(" + code + ")")
