@@ -271,7 +271,7 @@ class _Rooted:
     """A unit-weight rooted tree, tree_from_code of its rooted code, rooted
     at vertex 0: the tree, the rooted code of every vertex's subtree from
     one leaf peel at the root, and its children's (id, rooted code) in id
-    order, which preorder ids make code order.  _placements puts the
+    order, which preorder ids make code order.  _instances puts the
     boundary weights on it."""
 
     rbt: RootedBoundaryTree
@@ -311,56 +311,40 @@ class _Solves:
     """Dense blocks gathered to be solved together, in one _eig_stack call
     per block order (_eig_blocks), with the two smallest pairs of each:
     the branch table's missing entries, each once, and the caller's own
-    blocks."""
+    blocks.
+
+    The branch table maps (branch code, w0) to dirichlet_nu of the branch
+    hung from a fresh root by an edge of weight w0.  A rooted tree's
+    Dirichlet matrix is block diagonal, one block per branch at the root,
+    and a block depends only on those two, so each is solved once.  run is
+    the table's one writer; its readers index it, so a key that was never
+    queued raises KeyError instead of being solved alone."""
 
     def __init__(self, table: dict) -> None:
         self.table = table
         self.blocks: list[np.ndarray] = []
-        self.entries: dict[tuple[str, float], int] = {}
+        self.entries: dict[tuple[str, float], int | tuple[float, np.ndarray]] = {}
 
     def add(self, m: np.ndarray) -> int:
         """Queue the block m; its position in run's lists."""
         self.blocks.append(m)
         return len(self.blocks) - 1
 
-    def entry(self, code: str, w0: float) -> None:
-        """Queue the table entry (code, w0) unless the table has it."""
-        key = code, w0
-        if key not in self.table and key not in self.entries:
-            block = _entry(code, w0)
-            if isinstance(block, tuple):
-                self.table[key] = block
-            else:
-                self.entries[key] = self.add(block)
+    def entry(self, keys: Iterable[tuple[str, float]]) -> None:
+        """Queue each table entry of keys that the table lacks, once: its
+        block, or the pair of one that needs no dense solve (_entry)."""
+        for key in keys:
+            if key not in self.table and key not in self.entries:
+                block = _entry(*key)
+                self.entries[key] = block if isinstance(block, tuple) else self.add(block)
 
     def run(self) -> tuple[list[list[float]], list[np.ndarray]]:
         """Solve every queued block, enter the table's, and return the
         values and vectors of all (_eig_blocks)."""
         values, vectors = _eig_blocks(self.blocks, 2)
-        for key, i in self.entries.items():
-            self.table[key] = values[i][0], vectors[i][0]
+        for key, at in self.entries.items():
+            self.table[key] = at if isinstance(at, tuple) else (values[at][0], vectors[at][0])
         return values, vectors
-
-
-def _fill(table: dict, keys: Iterable[tuple[str, float]]) -> None:
-    """Solve the branch table's missing entries among keys, (branch code,
-    w0), stacked (_Solves).
-
-    A rooted tree's Dirichlet matrix is block diagonal, one block per
-    branch at the root, and a block depends only on the branch's rooted
-    code and the weight of its root edge: the table is keyed by both."""
-    solves = _Solves(table)
-    for key in keys:
-        solves.entry(*key)
-    solves.run()
-
-
-def _branch_pair(table: dict, code: str, w0: float) -> tuple[float, np.ndarray]:
-    """dirichlet_nu of the branch with rooted code code hung from a fresh
-    root by an edge of weight w0: its table entry, solved on a miss."""
-    if (code, w0) not in table:
-        _fill(table, [(code, w0)])
-    return table[code, w0]
 
 
 def _rooted_pair(table: dict, r: _Rooted) -> tuple[float, np.ndarray]:
@@ -372,7 +356,7 @@ def _rooted_pair(table: dict, r: _Rooted) -> tuple[float, np.ndarray]:
     interior position = id - 1."""
     best = None
     for child, code in r.children:
-        nu, vec = _branch_pair(table, code, 1.0)
+        nu, vec = table[code, 1.0]
         if best is None or nu < best[0]:
             best = nu, vec, child - 1
     nu, branch, first = best
@@ -381,51 +365,38 @@ def _rooted_pair(table: dict, r: _Rooted) -> tuple[float, np.ndarray]:
     return nu, vec
 
 
-def _sites(
+def _instances(
     rooted: list[_Rooted], w0: float
-) -> list[tuple[int, int | None, str | tuple[str, str]]]:
+) -> list[tuple[int, int | None, str | tuple[str, str], list[tuple[str, float]]]]:
     """Every rooted tree of boundary weight w0 on the unit trees rooted, as
-    (position in rooted, weighted child, key): the one enumeration of the
-    weighted instances.
+    (position in rooted, weighted child, key, branch table keys): the one
+    enumeration of the weighted instances.
 
     At w0 = 1 each unit tree is one instance, with no weighted child, keyed
     by its rooted code.  Above, each distinct child code gives one, on the
     first child by id with that code, in child order, keyed (root code,
-    child code), which is rooted_canonical_key of the placed tree."""
-    if w0 == 1.0:
-        return [(i, None, r.code) for i, r in enumerate(rooted)]
+    child code), which is rooted_canonical_key of the placed tree.  The
+    weighted child's branch is keyed at w0 and the others at weight 1; an
+    instance's nu is the least of their entries (_nus)."""
     out = []
     for i, r in enumerate(rooted):
-        placed = set()
-        for child, code in r.children:
-            if code not in placed:
-                placed.add(code)
-                out.append((i, child, (r.code, code)))
+        sites = [(None, r.code)]
+        if w0 != 1.0:
+            first = {}  # each child code's first child by id, in child order
+            for child, code in r.children:
+                first.setdefault(code, child)
+            sites = [(child, (r.code, code)) for code, child in first.items()]
+        out += [
+            (i, child, key, [(code, w0 if c == child else 1.0) for c, code in r.children])
+            for child, key in sites
+        ]
     return out
 
 
-def _site_keys(rooted: list[_Rooted], sites, w0: float) -> list[tuple[str, float]]:
-    """The branch table keys that the instances sites of rooted read."""
-    keys = [(code, 1.0) for r in rooted for _, code in r.children]
-    return keys + [(key[1], w0) for _, child, key in sites if child is not None]
-
-
-def _placements(
-    table: dict, rooted: list[_Rooted], w0: float
-) -> list[tuple[int, int | None, str | tuple[str, str], list[float]]]:
-    """Every rooted tree of boundary weight w0 on the unit trees rooted
-    (_sites), as (position in rooted, weighted child, key, branch nus),
-    with the nus of its branches at the root from the table, in child
-    order; its own nu is their least.  The weighted child's branch is
-    valued at w0 and the others at weight 1.  The table's missing entries
-    are solved first, stacked."""
-    sites = _sites(rooted, w0)
-    _fill(table, _site_keys(rooted, sites, w0))
-    out = []
-    for i, child, key in sites:
-        nus = [table[code, w0 if c == child else 1.0][0] for c, code in rooted[i].children]
-        out.append((i, child, key, nus))
-    return out
+def _nus(table: dict, instances: list[tuple]) -> list[list[float]]:
+    """The nus of each instance's branches at the root, in child order,
+    from the table."""
+    return [[table[key][0] for key in keys] for *_, keys in instances]
 
 
 def min_nu_rooted(seq: Sequence[int], boundary_weight: float = 1.0) -> SearchReport:
@@ -433,24 +404,31 @@ def min_nu_rooted(seq: Sequence[int], boundary_weight: float = 1.0) -> SearchRep
     with the given degree multiset.  Raises EnumerationCapExceeded when
     the enumeration would decode more than CAP skeleton words.
 
-    Every instance is valued from one branch table (_placements): each
-    distinct (branch code, boundary weight) is solved once, and a placed
-    tree is built only for the minimizers."""
+    Every instance (_instances) is valued from one branch table: each
+    distinct (branch code, boundary weight) that an instance reads is
+    solved once, stacked (_Solves), and a placed tree is built only for
+    the minimizers."""
     _check_boundary_weight(boundary_weight)
     start = time.perf_counter()
     seq = _tree_sequence(seq)
     rooted = _rooted_trees(seq, _capped_codes(seq))
-    instances = _placements({}, rooted, boundary_weight)
-    minimum, tied = _argmin([min(nus) for _, _, _, nus in instances])
+    instances = _instances(rooted, boundary_weight)
+    table = {}
+    solves = _Solves(table)
+    solves.entry(key for *_, keys in instances for key in keys)
+    solves.run()
+    nus = [min(branches) for branches in _nus(table, instances)]
+    minimum, tied = _argmin(nus)
     minimizers = []
-    for i, child, key, nus in (instances[k] for k in tied):
+    for k in tied:
+        i, child, key, _ = instances[k]
         rbt = rooted[i].rbt
         if child is not None:
             rbt = _weighted_root_edge(rbt.tree, rbt.root, child, boundary_weight)
         minimizers.append(
             {
                 "code": key if isinstance(key, str) else list(key),
-                "nu": min(nus),
+                "nu": nus[k],
                 "root": rbt.root,
                 "edges": [[u, v, w] for u, v, w in rbt.tree.edges],
                 "is_minimal_shape": is_minimal_shape_rooted(rbt),
@@ -595,8 +573,11 @@ class _Case:
     - rooted: the w0 = 1 rooted trees with their Dirichlet pairs (_Rooted,
       nu, vector), read from the table entries of their branches
       (_rooted_pair), and moves, each one's pendant moves (_moves);
+    - lemma5: the instances (_instances) of the rooted trees at each
+      weight of _LEMMA5_WEIGHTS, and forks: those of the rooted trees whose
+      root has two or more children at each of _glue_weights, both by w0;
     - weighted: alpha of each weighted glue instance, keyed (w0, its
-      _placements key)."""
+      _instances key)."""
 
     seq: tuple[int, ...]
     codes: list[str]
@@ -607,12 +588,18 @@ class _Case:
     glued: dict[int, float] = field(default_factory=dict)
     rooted: list[tuple[_Rooted, float, np.ndarray]] = field(default_factory=list)
     moves: list[list[tuple[str, tuple, set[str]]]] = field(default_factory=list)
+    lemma5: dict[float, list[tuple]] = field(default_factory=dict)
+    forks: dict[float, list[tuple]] = field(default_factory=dict)
     weighted: dict[tuple[float, tuple[str, str]], float] = field(default_factory=dict)
 
 
+#: the boundary weights at which lemma5 ranks the rooted trees
+_LEMMA5_WEIGHTS = (1.0, 1.5, 3.0)
+
+
 def _glue_weights(n: int, nmax: int) -> tuple[float, ...]:
-    """The boundary weights of glue's weighted instances on n vertices."""
-    return (1.5, 2.0, 3.0) if n <= nmax // 2 + 2 else ()
+    """The boundary weights of glue's instances on n vertices."""
+    return (1.0, 1.5, 2.0, 3.0) if n <= nmax // 2 + 2 else (1.0,)
 
 
 def _queue_side(solves: _Solves, side: RootedBoundaryTree) -> tuple[list[float], list[int]]:
@@ -635,8 +622,9 @@ def _layer(n: int, names: Collection[str], nmax: int, table: dict) -> list[_Case
     stacked solves (_Solves), one _eig_stack call per block order each.
 
     The first round solves the Laplacians of the free trees, every branch
-    table entry that the rooted trees, _placements and the pendant moves
-    will read, and the Laplacians of glue's weighted trees.  The second
+    table entry that the rooted trees, their instances (_instances) and
+    the pendant moves will read, and the Laplacians of glue's weighted
+    trees: no suite solves an entry.  The second
     needs the first's Fiedler vectors: it solves the blocks of the split
     sides and the Laplacians of the Type II glued trees.  Raises
     EnumerationCapExceeded before any word of a sequence is decoded when
@@ -654,21 +642,21 @@ def _layer(n: int, names: Collection[str], nmax: int, table: dict) -> list[_Case
         rooted.append((case, units))
         keys = [(code, 1.0) for r in units for _, code in r.children]
         if "lemma5" in names:
-            for w0 in (1.5, 3.0):
-                keys += _site_keys(units, _sites(units, w0), w0)
+            case.lemma5 = {w0: _instances(units, w0) for w0 in _LEMMA5_WEIGHTS}
         if "perturb" in names:
             case.moves = [_moves(r) for r in units]
             keys += [(code, 1.0) for moves in case.moves for *_, codes in moves for code in codes]
         if "glue" in names:
-            forks = [r for r in units if len(r.children) >= 2]
             for w0 in _glue_weights(n, nmax):
-                sites = _sites(forks, w0)
-                keys += _site_keys(forks, sites, w0)
-                for i, child, key in sites:
-                    placed = _weighted_root_edge(forks[i].rbt.tree, 0, child, w0).tree
-                    weighted.append((case, (w0, key), solves.add(laplacian(placed))))
-        for key in keys:
-            solves.entry(*key)
+                forks = [s for s in _instances(units, w0) if len(units[s[0]].children) >= 2]
+                case.forks[w0] = forks
+                for i, child, key, _ in forks:
+                    if child is not None:
+                        placed = _weighted_root_edge(units[i].rbt.tree, 0, child, w0).tree
+                        weighted.append((case, (w0, key), solves.add(laplacian(placed))))
+        solves.entry(keys)
+        for instances in (*case.lemma5.values(), *case.forks.values()):
+            solves.entry(key for *_, read in instances for key in read)
     values, vectors = solves.run()
     for case, trees, at in free:
         case.free = [(t, (values[i][1], vectors[i][1])) for t, i in zip(trees, at)]
@@ -738,14 +726,12 @@ def _check_lemma2(case: _Case, nmax: int, out: dict) -> None:
 
 
 def _check_lemma5(case: _Case, nmax: int, out: dict) -> None:
-    """The nu argmin at w0 = 1, 1.5 and 3, ranked as min_nu_rooted ranks
-    it (_placements, from the branch table).  The predicted shape reads no
-    weights, so it is decided once per w0 = 1 rooted tree."""
-    trees = [r for r, _, _ in case.rooted]
-    shaped = [is_minimal_shape_rooted(r.rbt) for r in trees]
-    for w0 in (1.0, 1.5, 3.0):
-        instances = _placements(case.table, trees, w0)
-        tied = _argmin([min(nus) for _, _, _, nus in instances])[1]
+    """The nu argmin at each of _LEMMA5_WEIGHTS, ranked as min_nu_rooted
+    ranks it (_instances, from the branch table).  The predicted shape
+    reads no weights, so it is decided once per w0 = 1 rooted tree."""
+    shaped = [is_minimal_shape_rooted(r.rbt) for r, _, _ in case.rooted]
+    for w0, instances in case.lemma5.items():
+        tied = _argmin([min(nus) for nus in _nus(case.table, instances)])[1]
         argmin = {str(instances[k][2]) for k in tied}
         predicted = {str(key) for i, _, key, _ in instances if shaped[i]}
         out["checked"] += 1
@@ -877,7 +863,7 @@ def _check_glue(case: _Case, nmax: int, out: dict) -> None:
     its second-least branch nu.  Both nus come from the branch table and
     alpha from its free tree, so no solve is needed.  weighted: the same
     trees with n <= nmax // 2 + 2 carrying w0 = 1.5, 2 or 3 on the edge to
-    each distinct child code (_placements), with the alphas the layer
+    each distinct child code (_instances), with the alphas the layer
     solved (_Case.weighted).  split: the two sides of each Type II tree's
     geometric split, whose boundary weights satisfy 1/w1 + 1/w2 = 1, with
     the side nus the split suite reads (_Case.sides) and the glued tree's
@@ -893,11 +879,10 @@ def _check_glue(case: _Case, nmax: int, out: dict) -> None:
             out["failures"].append({"case": kind, **where, "alpha": alpha, "nu1": nu1, "nu2": nu2})
 
     alphas = dict(zip(case.codes, (alpha for _, (alpha, _) in case.free)))
-    trees = [r for r, _, _ in case.rooted if len(r.children) >= 2]
-    for w0 in (1.0, *_glue_weights(len(case.seq), nmax)):
-        for i, child, key, nus in _placements(case.table, trees, w0):
+    for w0, instances in case.forks.items():
+        for (i, child, key, _), nus in zip(instances, _nus(case.table, instances)):
             if child is None:
-                alpha = alphas[canonical_code(trees[i].rbt.tree)]
+                alpha = alphas[canonical_code(case.rooted[i][0].rbt.tree)]
             else:
                 alpha = case.weighted[w0, key]
             nu1, nu2 = sorted(nus)[:2]

@@ -9,9 +9,11 @@ of them in one LAPACK call, which gives each matrix the bits it gets
 alone, and vectorizes the sign rule and the residual certificate over
 the stack; ``eig_smallest`` is its one-matrix case, and ``_eig_blocks``
 groups blocks of mixed orders into one stack per order.  The verify
-suites gather each layer's blocks into such stacks, and the branch
-table its missing entries.  ``dirichlet_nu`` has one source for a
-block, whatever the interior's size (``_dirichlet_blocks``):
+suites gather each layer's blocks into such stacks, with every branch
+table entry that its rooted instances (``search._instances``) read, so
+each entry is solved before any suite reads it.  ``dirichlet_nu`` has
+one source for a block, whatever the interior's size
+(``_dirichlet_blocks``):
 ``_branch_block`` cuts it straight from the tree, and each entry of the
 verify suites' branch table too; a one-vertex block needs no solve at
 all.  From TREE_SOLVER_ORDER rows on,

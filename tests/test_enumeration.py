@@ -35,7 +35,7 @@ from fiedlertrees.search import (
     CAP,
     EnumerationCapExceeded,
     _capped_codes,
-    _placements,
+    _instances,
     _rooted_trees,
     all_tree_sequences,
 )
@@ -344,11 +344,13 @@ def test_weighted_rooted_trees_match_the_placement_oracle(w0):
     for seq, keys in oracle.items():
         rooted = _rooted_trees(seq, canonical_tree_codes(seq))
         # the instances min_nu_rooted and lemma5 rank, in key order
-        instances = _placements({}, rooted, w0)
+        instances = _instances(rooted, w0)
         assert [key for _, _, key, _ in instances] == sorted(keys)
-        for i, child, key, _ in instances:
+        for i, child, key, read in instances:
             assert rooted[i].rbt.tree == tree_from_code(key[0])
             assert child == placed_edges(*key)[0]
+            # the branch table keys it reads: w0 on the placed child alone
+            assert read == [(code, w0 if c == child else 1.0) for c, code in rooted[i].children]
         for m in min_nu_rooted(seq, w0).minimizers:
             assert m["root"] == 0
             assert m["edges"] == placed_edges(*m["code"])[1]

@@ -317,7 +317,7 @@ def test_tie_band_edge_in_min_nu_rooted(monkeypatch):
 
 
 def test_branch_table_reproduces_dirichlet_nu_bitwise():
-    from fiedlertrees.search import _placements, _rooted_pair, _rooted_trees
+    from fiedlertrees.search import _instances, _nus, _rooted_pair, _rooted_trees, _Solves
 
     table = {}  # one table for every sequence, as verify_suite keeps it
     count = 0
@@ -325,6 +325,12 @@ def test_branch_table_reproduces_dirichlet_nu_bitwise():
         for seq in all_tree_sequences(n):
             rooted = _rooted_trees(seq, canonical_tree_codes(seq))
             count += len(rooted)
+            # the w0 = 1 instances read every unit branch that _rooted_pair
+            # reads, so filling their keys fills the rooted trees' too
+            instances = {w0: _instances(rooted, w0) for w0 in (1.0, 1.5, 3.0)}
+            solves = _Solves(table)
+            solves.entry(key for found in instances.values() for *_, keys in found for key in keys)
+            solves.run()
             for r in rooted:
                 nu, vec = _rooted_pair(table, r)
                 want_nu, want_vec = dirichlet_nu(r.rbt)
@@ -332,8 +338,8 @@ def test_branch_table_reproduces_dirichlet_nu_bitwise():
                 assert np.array_equal(vec, want_vec)
             # every instance in the brute-force oracle's order and key, and
             # valued as dirichlet_nu values the tree it stands for
-            for w0 in (1.0, 1.5, 3.0):
-                got = [(key, min(nus)) for _, _, key, nus in _placements(table, rooted, w0)]
+            for w0, found in instances.items():
+                got = [(key, min(nus)) for (_, _, key, _), nus in zip(found, _nus(table, found))]
                 want = [
                     (rooted_canonical_key(rbt), dirichlet_nu(rbt)[0])
                     for rbt in placed_rooted_trees(seq, w0)
@@ -368,6 +374,57 @@ def test_lemma5_solves_each_branch_once_per_weight(monkeypatch):
     assert 0 < len(solved) <= 3 * sum([1, 1, 2, 4, 9, 20, 48])
 
 
+def test_verify_solves_only_inside_its_layers(monkeypatch):
+    import fiedlertrees.search as search
+
+    depth, outside = [0], []
+    real_blocks, real_layer = search._eig_blocks, search._layer
+
+    def blocks(ms, k):
+        if not depth[0]:
+            outside.append(len(ms))
+        return real_blocks(ms, k)
+
+    def layer(*args):
+        depth[0] += 1
+        try:
+            return real_layer(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(search, "_eig_blocks", blocks)
+    monkeypatch.setattr(search, "_layer", layer)
+    assert verify_suite("all", nmax=8)["passed"]
+    # the layer solves every entry a check reads, so no check calls the
+    # stacked solver, not even with nothing to solve
+    assert outside == []
+
+
+def test_min_nu_rooted_solves_exactly_the_entries_its_instances_read(monkeypatch):
+    import fiedlertrees.search as search
+
+    seq, w0 = (4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1), 1.5
+    handed = []
+    real = search._eig_blocks
+
+    def recorded(blocks, k):
+        handed.extend(blocks)
+        return real(blocks, k)
+
+    monkeypatch.setattr(search, "_eig_blocks", recorded)
+    report = min_nu_rooted(seq, w0)
+    rooted = search._rooted_trees(seq, canonical_tree_codes(seq))
+    instances = search._instances(rooted, w0)
+    assert report.instance_count == len(instances)
+    # the distinct keys the instances read, in first-read order, less the
+    # lone vertices, which need no solve: the unit branch of a one-child
+    # root is read by no instance above w0 = 1, so it is not solved
+    read = dict.fromkeys(key for *_, keys in instances for key in keys)
+    want = [search._entry(*key) for key in read if key[0] != "()"]
+    assert len(handed) == len(want) == 857
+    assert all(np.array_equal(got, block) for got, block in zip(handed, want))
+
+
 def test_branch_table_entries_equal_dirichlet_nu_of_the_hung_tree(monkeypatch):
     import fiedlertrees.search as search
     import fiedlertrees.spectral as spectral
@@ -399,7 +456,10 @@ def test_branch_table_entries_equal_dirichlet_nu_of_the_hung_tree(monkeypatch):
         table = {}
         for code in codes:
             del solves[:]
-            nu, vec = search._branch_pair(table, code, w0)
+            queued = search._Solves(table)
+            queued.entry([(code, w0)])
+            queued.run()
+            nu, vec = table[code, w0]
             # one block of the branch's order per multi-vertex entry, solved
             # in the table's stack; none for a lone vertex
             order = code.count("(")
