@@ -16,6 +16,7 @@ import time
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .spectral import (
     _caterpillar_fiedler,
     _dirichlet_blocks,
     _eig_blocks,
+    _tree_fiedler,
     algebraic_connectivity,
     dirichlet_nu,
     laplacian,
@@ -146,50 +148,39 @@ def _check_cap(total: int, candidates: str) -> None:
         raise EnumerationCapExceeded(f"{count} {candidates} exceed the cap {CAP}")
 
 
-def _capped_codes(seq: tuple[int, ...]) -> set[str]:
-    """canonical_tree_codes(seq).  Raises EnumerationCapExceeded before any
-    word is decoded when seq has more than CAP skeleton words
-    (enumeration.skeleton_word_count).  The count stops at its first
-    partial sum over CAP, which the message reports."""
-    total = 0
-    for words in _word_counts(seq):
-        total += words
-        _check_cap(total, "skeleton words")
-    return canonical_tree_codes(seq)
-
-
-def _minimizer_dicts(band: list[tuple[Tree, tuple[float, np.ndarray], dict]]) -> list[dict]:
-    """One dict per minimizer of band, in code order.  band holds the
-    minimizers as (tree, (alpha, Fiedler vector) as algebraic_connectivity
-    solved it, extra keys); the extra keys go after alpha."""
-    minimizers = [
-        {
-            "code": canonical_code(tree),
-            "alpha": alpha,
-            **extra,
-            "edges": [[u, v] for u, v, _ in tree.edges],
-            "is_caterpillar": is_caterpillar(tree),
-            "is_theorem1_shape": is_theorem1_shape(tree, _analysis(tree, alpha, f)),
-        }
-        for tree, (alpha, f), extra in band
-    ]
+def _alpha_band(
+    free: list[tuple[Tree, tuple[float, np.ndarray]]], extras: list[dict] | None = None
+) -> list[dict]:
+    """One dict per alpha minimizer of free, a search's (tree, (alpha,
+    Fiedler vector)) pairs, in code order, analysed from its pair; the keys
+    of its extras entry go after alpha.  The one ranking of every alpha
+    search and theorem1."""
+    minimizers = []
+    for i in _argmin([alpha for _, (alpha, _) in free])[1]:
+        tree, (alpha, f) = free[i]
+        minimizers.append(
+            {
+                "code": canonical_code(tree),
+                "alpha": alpha,
+                **(extras[i] if extras else {}),
+                "edges": [[u, v] for u, v, _ in tree.edges],
+                "is_caterpillar": is_caterpillar(tree),
+                "is_theorem1_shape": is_theorem1_shape(tree, _analysis(tree, alpha, f)),
+            }
+        )
     minimizers.sort(key=lambda m: m["code"])
     return minimizers
 
 
 def _alpha_report(
-    seq: tuple[int, ...],
-    start: float,
-    count: int,
-    band: list[tuple[Tree, tuple[float, np.ndarray], dict]],
+    seq: tuple[int, ...], start: float, count: int, minimizers: list[dict]
 ) -> SearchReport:
     """The report of an alpha search over count candidates of seq, begun
-    at perf_counter() time start, whose minimizers are band
-    (_minimizer_dicts)."""
-    minimizers = _minimizer_dicts(band)
+    at perf_counter() time start, whose minimizers are minimizers
+    (_alpha_band)."""
     return SearchReport(
         sequence=list(seq),
-        min_value=min(alpha for _, (alpha, _), _ in band),
+        min_value=min(m["alpha"] for m in minimizers),
         instance_count=count,
         minimizers=minimizers,
         all_caterpillars=all(m["is_caterpillar"] for m in minimizers),
@@ -202,16 +193,17 @@ def min_alpha_tree(seq: Sequence[int]) -> SearchReport:
     """Exact argmin set of the algebraic connectivity over all unlabeled
     trees with the given degree multiset.
 
+    The search is _layer's one case of seq, ranked as theorem1 ranks a
+    case (_alpha_band).
+
     Raises EnumerationCapExceeded when the enumeration would decode more
     than CAP skeleton words; the caterpillar-restricted search
     (min_alpha_caterpillar) handles those sequences.
     """
     start = time.perf_counter()
     seq = _tree_sequence(seq)
-    trees = [tree_from_code(code) for code in _capped_codes(seq)]
-    pairs = [algebraic_connectivity(tree) for tree in trees]
-    band = [(trees[i], pairs[i], {}) for i in _argmin([alpha for alpha, _ in pairs])[1]]
-    return _alpha_report(seq, start, len(trees), band)
+    (case,) = _layer([seq], {"theorem1"}, len(seq), {})
+    return _alpha_report(seq, start, len(case.free), _alpha_band(case.free))
 
 
 def spine_arrangements(interior: Sequence[int]) -> list[tuple[int, ...]]:
@@ -237,8 +229,8 @@ def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
     """Argmin of the algebraic connectivity over all caterpillars with the
     given degree multiset, enumerated as spine arrangements.  One batched
     bisection ranks every arrangement, to full precision only those that
-    can still reach the tie band; only those within it get a Tree and the
-    dense solve whose values the report carries.
+    can still reach the tie band; only those within it get a Tree, solved
+    as min_alpha_tree solves its trees, whose values the report carries.
 
     Raises EnumerationCapExceeded when the spine degrees have more than
     CAP permutations."""
@@ -258,12 +250,12 @@ def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
         top = least + TIE_RTOL * least + slack
         band = [arr for arr, value in zip(arrangements, approx.tolist()) if value <= top]
     trees = [build_caterpillar(arr) for arr in band]
-    pairs = [algebraic_connectivity(tree) for tree in trees]
-    tied = [
-        (trees[i], pairs[i], {"arrangement": list(band[i])})
-        for i in _argmin([alpha for alpha, _ in pairs])[1]
-    ]
-    return _alpha_report(seq, start, len(arrangements), tied)
+    solves = _Solves({})
+    at = [solves.fiedler(tree) for tree in trees]
+    solves.run()
+    free = [(tree, solves.pair(i, 1)) for tree, i in zip(trees, at)]
+    extras = [{"arrangement": list(arr)} for arr in band]
+    return _alpha_report(seq, start, len(arrangements), _alpha_band(free, extras))
 
 
 @dataclass(frozen=True)
@@ -310,8 +302,8 @@ def _entry(code: str, w0: float) -> np.ndarray | tuple[float, np.ndarray]:
 class _Solves:
     """Dense blocks gathered to be solved together, in one _eig_stack call
     per block order (_eig_blocks), with the two smallest pairs of each:
-    the branch table's missing entries, each once, and the caller's own
-    blocks.
+    the branch table's missing entries, each once, the Laplacians of the
+    caller's trees, and its other blocks.
 
     The branch table maps (branch code, w0) to dirichlet_nu of the branch
     hung from a fresh root by an edge of weight w0.  A rooted tree's
@@ -326,9 +318,14 @@ class _Solves:
         self.entries: dict[tuple[str, float], int | tuple[float, np.ndarray]] = {}
 
     def add(self, m: np.ndarray) -> int:
-        """Queue the block m; its position in run's lists."""
+        """Queue the block m; its position, which pair reads after run."""
         self.blocks.append(m)
         return len(self.blocks) - 1
+
+    def fiedler(self, t: Tree) -> int | tuple[float, np.ndarray]:
+        """Queue t's Laplacian, whose pair(at, 1) is algebraic_connectivity(t)
+        bit for bit; from TREE_SOLVER_ORDER vertices on, the tree solver's pair."""
+        return self.add(laplacian(t)) if t.n < TREE_SOLVER_ORDER else _tree_fiedler(t)
 
     def entry(self, keys: Iterable[tuple[str, float]]) -> None:
         """Queue each table entry of keys that the table lacks, once: its
@@ -338,13 +335,17 @@ class _Solves:
                 block = _entry(*key)
                 self.entries[key] = block if isinstance(block, tuple) else self.add(block)
 
-    def run(self) -> tuple[list[list[float]], list[np.ndarray]]:
-        """Solve every queued block, enter the table's, and return the
-        values and vectors of all (_eig_blocks)."""
-        values, vectors = _eig_blocks(self.blocks, 2)
+    def run(self) -> None:
+        """Solve every queued block, keep the values and vectors of all
+        (_eig_blocks), and enter the table's."""
+        self.values, self.vectors = _eig_blocks(self.blocks, 2)
         for key, at in self.entries.items():
-            self.table[key] = at if isinstance(at, tuple) else (values[at][0], vectors[at][0])
-        return values, vectors
+            self.table[key] = self.pair(at, 0)
+
+    def pair(self, at: int | tuple[float, np.ndarray], j: int) -> tuple[float, np.ndarray]:
+        """The j-th pair of the block queued at position at, or at itself
+        when it is a pair that needed no dense solve."""
+        return at if isinstance(at, tuple) else (self.values[at][j], self.vectors[at][j])
 
 
 def _rooted_pair(table: dict, r: _Rooted) -> tuple[float, np.ndarray]:
@@ -404,25 +405,19 @@ def min_nu_rooted(seq: Sequence[int], boundary_weight: float = 1.0) -> SearchRep
     with the given degree multiset.  Raises EnumerationCapExceeded when
     the enumeration would decode more than CAP skeleton words.
 
-    Every instance (_instances) is valued from one branch table: each
-    distinct (branch code, boundary weight) that an instance reads is
-    solved once, stacked (_Solves), and a placed tree is built only for
-    the minimizers."""
+    The search is _layer's one case of seq at boundary_weight alone,
+    ranked as lemma5 ranks a case (_nu_band), and a placed tree is built
+    only for the minimizers."""
     _check_boundary_weight(boundary_weight)
     start = time.perf_counter()
     seq = _tree_sequence(seq)
-    rooted = _rooted_trees(seq, _capped_codes(seq))
-    instances = _instances(rooted, boundary_weight)
-    table = {}
-    solves = _Solves(table)
-    solves.entry(key for *_, keys in instances for key in keys)
-    solves.run()
-    nus = [min(branches) for branches in _nus(table, instances)]
-    minimum, tied = _argmin(nus)
+    (case,) = _layer([seq], {"lemma5"}, len(seq), {}, (boundary_weight,))
+    instances = case.lemma5[boundary_weight]
+    nus, minimum, tied = _nu_band(case, boundary_weight)
     minimizers = []
     for k in tied:
         i, child, key, _ = instances[k]
-        rbt = rooted[i].rbt
+        rbt = case.rooted[i].rbt
         if child is not None:
             rbt = _weighted_root_edge(rbt.tree, rbt.root, child, boundary_weight)
         minimizers.append(
@@ -554,28 +549,28 @@ def _report(name: str, checked: int, failures: list, **extra: object) -> dict:
     }
 
 
-#: the suites that read a case's free trees, and those that read its
-#: rooted trees
+#: the suites that read a case's free trees, its w0 = 1 rooted trees, and
+#: their Dirichlet pairs (_rooted_pair)
 _FREE_READERS = frozenset({"theorem1", "glue", "split"})
 _ROOTED_READERS = frozenset({"lemma2", "lemma5", "perturb", "glue"})
+_PAIR_READERS = frozenset({"lemma2", "perturb"})
 
 
 @dataclass
 class _Case:
-    """One degree sequence of the verify stream, its canonical codes,
-    sorted, the run's branch table, and what the suites read of it, solved
-    with the rest of its layer (_layer) and shared by every suite:
+    """One degree sequence, its canonical codes, sorted, the branch table,
+    and what the suites read of it, solved with the rest of its layer
+    (_layer) and shared by every suite:
 
     - free: the free trees with their (alpha, Fiedler vector) pairs;
     - splits: their geometric splits, with sides[i] the first Dirichlet
       eigenvalues of the positive and the negative side of the i-th, and
       glued[i] alpha of the glue of its two sides when it is Type II;
-    - rooted: the w0 = 1 rooted trees with their Dirichlet pairs (_Rooted,
-      nu, vector), read from the table entries of their branches
-      (_rooted_pair), and moves, each one's pendant moves (_moves);
+    - rooted: the w0 = 1 rooted trees (_Rooted), and moves, each one's
+      pendant moves (_moves);
     - lemma5: the instances (_instances) of the rooted trees at each
-      weight of _LEMMA5_WEIGHTS, and forks: those of the rooted trees whose
-      root has two or more children at each of _glue_weights, both by w0;
+      weight the layer ranks, and forks: those of the rooted trees whose
+      root has two or more children at each of glue's weights, both by w0;
     - weighted: alpha of each weighted glue instance, keyed (w0, its
       _instances key)."""
 
@@ -586,7 +581,7 @@ class _Case:
     splits: list[tuple[Tree, float, GeometricSplit]] = field(default_factory=list)
     sides: dict[int, tuple[float, float]] = field(default_factory=dict)
     glued: dict[int, float] = field(default_factory=dict)
-    rooted: list[tuple[_Rooted, float, np.ndarray]] = field(default_factory=list)
+    rooted: list[_Rooted] = field(default_factory=list)
     moves: list[list[tuple[str, tuple, set[str]]]] = field(default_factory=list)
     lemma5: dict[float, list[tuple]] = field(default_factory=dict)
     forks: dict[float, list[tuple]] = field(default_factory=dict)
@@ -597,73 +592,74 @@ class _Case:
 _LEMMA5_WEIGHTS = (1.0, 1.5, 3.0)
 
 
-def _glue_weights(n: int, nmax: int) -> tuple[float, ...]:
-    """The boundary weights of glue's instances on n vertices."""
-    return (1.0, 1.5, 2.0, 3.0) if n <= nmax // 2 + 2 else (1.0,)
+def _queue_side(solves: _Solves, side: RootedBoundaryTree) -> list[int | tuple[float, None]]:
+    """Each branch of side queued on solves (_dirichlet_blocks), or for a
+    lone vertex, which needs no solve, its nu, the weight of its edge, as a
+    pair (_Solves.pair).  The cap keeps verify's trees far below
+    TREE_SOLVER_ORDER vertices, so no branch needs the tree solver."""
+    blocks = [block for _, block in _dirichlet_blocks(side)]
+    return [solves.add(b) if isinstance(b, np.ndarray) else (b, None) for b in blocks]
 
 
-def _queue_side(solves: _Solves, side: RootedBoundaryTree) -> tuple[list[float], list[int]]:
-    """The nus of side's lone-vertex branches, and the positions in solves
-    of its other branches' blocks, queued there (_dirichlet_blocks).  The
-    cap keeps verify's trees far below TREE_SOLVER_ORDER vertices, so no
-    branch needs the tree solver."""
-    lone, queued = [], []
-    for _, block in _dirichlet_blocks(side):
-        if isinstance(block, np.ndarray):
-            queued.append(solves.add(block))
-        else:
-            lone.append(block)
-    return lone, queued
+def _layer(
+    seqs: Iterable[tuple[int, ...]],
+    names: Collection[str],
+    nmax: int,
+    table: dict,
+    weights: tuple[float, ...] = _LEMMA5_WEIGHTS,
+) -> list[_Case]:
+    """The _Case of each degree sequence of seqs, a layer of the stream
+    up to nmax or a search's one sequence, with what the suites names read
+    of them solved together in two rounds of stacked solves (_Solves), one
+    _eig_stack call per block order each.  lemma5 ranks at weights.
 
-
-def _layer(n: int, names: Collection[str], nmax: int, table: dict) -> list[_Case]:
-    """The _Case of every degree sequence with n vertices, with what the
-    suites names read of them solved for the whole layer in two rounds of
-    stacked solves (_Solves), one _eig_stack call per block order each.
-
-    The first round solves the Laplacians of the free trees, every branch
-    table entry that the rooted trees, their instances (_instances) and
-    the pendant moves will read, and the Laplacians of glue's weighted
-    trees: no suite solves an entry.  The second
-    needs the first's Fiedler vectors: it solves the blocks of the split
-    sides and the Laplacians of the Type II glued trees.  Raises
-    EnumerationCapExceeded before any word of a sequence is decoded when
-    it has more than CAP skeleton words."""
-    cases = [_Case(seq, sorted(_capped_codes(seq)), table) for seq in all_tree_sequences(n)]
+    The first round solves the free trees (_Solves.fiedler), every branch
+    table entry that the rooted trees' pairs, if a suite reads them, their
+    instances (_instances) and the pendant moves will read, and glue's
+    weighted trees: no suite solves an entry.  The second needs the
+    first's Fiedler vectors: it solves the blocks of the split sides and
+    the Type II glued trees.  Raises EnumerationCapExceeded before any
+    word of a sequence is decoded when it has more than CAP skeleton
+    words, at the first partial sum over CAP."""
+    cases = []
+    for seq in seqs:
+        for total in accumulate(_word_counts(seq)):
+            _check_cap(total, "skeleton words")
+        cases.append(_Case(seq, sorted(canonical_tree_codes(seq)), table))
     solves = _Solves(table)
-    free, rooted, weighted = [], [], []
+    free, weighted = [], []
     for case in cases:
         if not _FREE_READERS.isdisjoint(names):
             trees = [tree_from_code(code) for code in case.codes]
-            free.append((case, trees, [solves.add(laplacian(t)) for t in trees]))
+            free.append((case, trees, [solves.fiedler(t) for t in trees]))
         if _ROOTED_READERS.isdisjoint(names):
             continue
-        units = _rooted_trees(case.seq, case.codes)
-        rooted.append((case, units))
-        keys = [(code, 1.0) for r in units for _, code in r.children]
+        units = case.rooted = _rooted_trees(case.seq, case.codes)
+        keys = []
+        if not _PAIR_READERS.isdisjoint(names):
+            keys = [(code, 1.0) for r in units for _, code in r.children]
         if "lemma5" in names:
-            case.lemma5 = {w0: _instances(units, w0) for w0 in _LEMMA5_WEIGHTS}
+            case.lemma5 = {w0: _instances(units, w0) for w0 in weights}
         if "perturb" in names:
             case.moves = [_moves(r) for r in units]
             keys += [(code, 1.0) for moves in case.moves for *_, codes in moves for code in codes]
         if "glue" in names:
-            for w0 in _glue_weights(n, nmax):
+            # glue's weighted instances stop above n = nmax // 2 + 2
+            for w0 in (1.0, 1.5, 2.0, 3.0) if len(case.seq) <= nmax // 2 + 2 else (1.0,):
                 forks = [s for s in _instances(units, w0) if len(units[s[0]].children) >= 2]
                 case.forks[w0] = forks
                 for i, child, key, _ in forks:
                     if child is not None:
                         placed = _weighted_root_edge(units[i].rbt.tree, 0, child, w0).tree
-                        weighted.append((case, (w0, key), solves.add(laplacian(placed))))
+                        weighted.append((case, (w0, key), solves.fiedler(placed)))
         solves.entry(keys)
         for instances in (*case.lemma5.values(), *case.forks.values()):
             solves.entry(key for *_, read in instances for key in read)
-    values, vectors = solves.run()
+    solves.run()
     for case, trees, at in free:
-        case.free = [(t, (values[i][1], vectors[i][1])) for t, i in zip(trees, at)]
-    for case, units in rooted:
-        case.rooted = [(r, *_rooted_pair(table, r)) for r in units]
+        case.free = [(t, solves.pair(i, 1)) for t, i in zip(trees, at)]
     for case, key, i in weighted:
-        case.weighted[key] = values[i][1]
+        case.weighted[key] = solves.pair(i, 1)[0]
 
     if {"glue", "split"}.isdisjoint(names):
         return cases
@@ -676,17 +672,15 @@ def _layer(n: int, names: Collection[str], nmax: int, table: dict) -> list[_Case
         for i, (_, _, split) in enumerate(case.splits):
             type2 = "glue" in names and split.w1 is not None
             if type2:
-                glued.append((case, i, solves.add(laplacian(glue(split.neg, split.pos)))))
+                glued.append((case, i, solves.fiedler(glue(split.neg, split.pos))))
             if type2 or "split" in names:
                 pos, neg = _queue_side(solves, split.pos), _queue_side(solves, split.neg)
                 sides.append((case, i, pos, neg))
-    values, _ = solves.run()
+    solves.run()
     for case, i, at in glued:
-        case.glued[i] = values[at][1]
+        case.glued[i] = solves.pair(at, 1)[0]
     for case, i, *parts in sides:
-        case.sides[i] = tuple(
-            float(min(lone + [values[j][0] for j in queued])) for lone, queued in parts
-        )
+        case.sides[i] = tuple(float(min(solves.pair(at, 0)[0] for at in side)) for side in parts)
     return cases
 
 
@@ -694,16 +688,20 @@ def _stream(
     nmax: int, table: dict, names: Collection[str] = _FREE_READERS | _ROOTED_READERS
 ) -> Iterator[_Case]:
     """Each degree sequence with n = 2..nmax once, as a _Case on table
-    with what the suites names read of it (_layer).  Raises
-    EnumerationCapExceeded before any word of a sequence is decoded when
-    it has more than CAP skeleton words."""
+    with what the suites names read of it, a layer at a time (_layer)."""
     for n in range(2, nmax + 1):
-        yield from _layer(n, names, nmax, table)
+        yield from _layer(all_tree_sequences(n), names, nmax, table)
+
+
+def _nu_band(case: _Case, w0: float) -> tuple[list[float], float, list[int]]:
+    """The nu of each instance of case.lemma5[w0], the least, and the
+    positions tied with it (_argmin): min_nu_rooted's and lemma5's ranking."""
+    nus = [min(branches) for branches in _nus(case.table, case.lemma5[w0])]
+    return nus, *_argmin(nus)
 
 
 def _check_theorem1(case: _Case, nmax: int, out: dict) -> None:
-    tied = _argmin([alpha for _, (alpha, _) in case.free])[1]
-    minimizers = _minimizer_dicts([(*case.free[i], {}) for i in tied])
+    minimizers = _alpha_band(case.free)
     out["checked"] += len(minimizers)
     out["failures"] += [
         {"sequence": list(case.seq), "minimizer": m}
@@ -720,19 +718,18 @@ def _check_lemma2(case: _Case, nmax: int, out: dict) -> None:
             "root": r.rbt.root,
             "edges": [[u, v] for u, v, _ in r.rbt.tree.edges],
         }
-        for r, _, vec in case.rooted
-        if not check_monotone_paths(r.rbt, vec)
+        for r in case.rooted
+        if not check_monotone_paths(r.rbt, _rooted_pair(case.table, r)[1])
     ]
 
 
 def _check_lemma5(case: _Case, nmax: int, out: dict) -> None:
     """The nu argmin at each of _LEMMA5_WEIGHTS, ranked as min_nu_rooted
-    ranks it (_instances, from the branch table).  The predicted shape
-    reads no weights, so it is decided once per w0 = 1 rooted tree."""
-    shaped = [is_minimal_shape_rooted(r.rbt) for r, _, _ in case.rooted]
+    ranks it (_nu_band).  The predicted shape reads no weights, so it is
+    decided once per w0 = 1 rooted tree."""
+    shaped = [is_minimal_shape_rooted(r.rbt) for r in case.rooted]
     for w0, instances in case.lemma5.items():
-        tied = _argmin([min(nus) for nus in _nus(case.table, instances)])[1]
-        argmin = {str(instances[k][2]) for k in tied}
+        argmin = {str(instances[k][2]) for k in _nu_band(case, w0)[2]}
         predicted = {str(key) for i, _, key, _ in instances if shaped[i]}
         out["checked"] += 1
         if argmin != predicted:
@@ -842,7 +839,8 @@ def _check_perturb(case: _Case, nmax: int, out: dict) -> None:
     """Every move of _moves on each w0 = 1 rooted tree of the stream.  nu
     before a move is the stream's, and nu after it is the least branch
     table entry over the root's branch codes after it."""
-    for (r, before, _), moves in zip(case.rooted, case.moves):
+    for r, moves in zip(case.rooted, case.moves):
+        before = _rooted_pair(case.table, r)[0]
         for kind, edges, codes in moves:
             after = min(case.table[code, 1.0][0] for code in codes)
             out["checked"] += 1
@@ -882,7 +880,7 @@ def _check_glue(case: _Case, nmax: int, out: dict) -> None:
     for w0, instances in case.forks.items():
         for (i, child, key, _), nus in zip(instances, _nus(case.table, instances)):
             if child is None:
-                alpha = alphas[canonical_code(case.rooted[i][0].rbt.tree)]
+                alpha = alphas[canonical_code(case.rooted[i].rbt.tree)]
             else:
                 alpha = case.weighted[w0, key]
             nu1, nu2 = sorted(nus)[:2]

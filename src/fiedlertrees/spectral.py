@@ -8,8 +8,9 @@ solves of the tree searches.  ``_eig_stack`` solves a (b, n, n) stack
 of them in one LAPACK call, which gives each matrix the bits it gets
 alone, and vectorizes the sign rule and the residual certificate over
 the stack; ``eig_smallest`` is its one-matrix case, and ``_eig_blocks``
-groups blocks of mixed orders into one stack per order.  The verify
-suites gather each layer's blocks into such stacks, with every branch
+groups blocks of mixed orders into one stack per order.  The searches
+and the verify suites gather each layer's blocks into such stacks (one
+sequence's for a CLI search), its trees' Laplacians with every branch
 table entry that its rooted instances (``search._instances``) read, so
 each entry is solved before any suite reads it.  ``dirichlet_nu`` has
 one source for a block, whatever the interior's size
@@ -17,9 +18,10 @@ one source for a block, whatever the interior's size
 ``_branch_block`` cuts it straight from the tree, and each entry of the
 verify suites' branch table too; a one-vertex block needs no solve at
 all.  From TREE_SOLVER_ORDER rows on,
-``algebraic_connectivity`` and the branch blocks of ``dirichlet_nu`` use
-a tree solver in O(n) memory instead: it counts eigenvalues below a
-shift from the pivots of one elimination along the tree (Jacobs and
+``algebraic_connectivity`` (``_tree_fiedler``, which the searches call
+directly) and the branch blocks of ``dirichlet_nu`` use a tree solver
+in O(n) memory instead: it counts eigenvalues below a shift from the
+pivots of one elimination along the tree (Jacobs and
 Trevisan, "Locating the eigenvalues of trees", Linear Algebra Appl. 434,
 2011), and the same sweep carries each pivot's derivative in the shift.
 Newton steps on the determinant propose the shifts, the count certifies
@@ -131,7 +133,7 @@ def _eig_stack(ms: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     pairs are the same bits whatever stack it is in, and the bits
     numpy.linalg.eigh gives it."""
     b, n = ms.shape[:2]
-    step = max(1, _STACK_BYTES // (8 * n * n))
+    step = _stack_step(n)
     if b > step:
         parts = [_eig_stack(ms[i : i + step], k) for i in range(0, b, step)]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
@@ -152,6 +154,12 @@ def _eig_stack(ms: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
                 f"residual {res[i, j]:.3e} exceeds certificate {bound[i]:.3e}"
             )
     return values, _fix_sign(cols.swapaxes(1, 2)), res
+
+
+def _stack_step(n: int) -> int:
+    """The most matrices of order n that one LAPACK call of _eig_stack
+    takes: those that fit in _STACK_BYTES, and at least one."""
+    return max(1, _STACK_BYTES // (8 * n * n))
 
 
 def eig_smallest(m: np.ndarray, k: int) -> list[EigenPair]:
@@ -441,6 +449,12 @@ def algebraic_connectivity(t: Tree) -> tuple[float, np.ndarray]:
     if t.n < TREE_SOLVER_ORDER:
         pair = eig_smallest(laplacian(t), 2)[1]
         return pair.value, pair.vector
+    return _tree_fiedler(t)
+
+
+def _tree_fiedler(t: Tree) -> tuple[float, np.ndarray]:
+    """algebraic_connectivity's pair from the O(n) tree solver, which takes
+    it from TREE_SOLVER_ORDER vertices on."""
     order, parent = t.bfs(0)
     pair = _tree_eigenpair(*_tree_arrays(t, order, parent), 1, kernel=True)
     vec = np.empty(t.n)
@@ -482,18 +496,21 @@ def _dirichlet_blocks(
 
 
 def _eig_blocks(blocks: list[np.ndarray], k: int) -> tuple[list[list[float]], list[np.ndarray]]:
-    """_eig_stack over blocks of any orders from k up: one call per order.
-    Each block's k values, a list, and its vectors (k, n), in the order of
-    blocks."""
+    """_eig_stack over blocks of any orders from k up: one call per order
+    and chunk (_stack_step), each chunk stacked as it is solved, so no copy
+    of all the blocks is made.  Each block's k values, a list, and its
+    vectors (k, n), in the order of blocks."""
     at: dict[int, list[int]] = {}
     for i, m in enumerate(blocks):
         at.setdefault(len(m), []).append(i)
     values: list = [None] * len(blocks)
     vectors: list = [None] * len(blocks)
     for same in at.values():
-        v, x, _ = _eig_stack(np.array([blocks[i] for i in same]), k)
-        for i, vi, xi in zip(same, v.tolist(), x):
-            values[i], vectors[i] = vi, xi
+        step = _stack_step(len(blocks[same[0]]))
+        for part in (same[j : j + step] for j in range(0, len(same), step)):
+            v, x, _ = _eig_stack(np.array([blocks[i] for i in part]), k)
+            for i, vi, xi in zip(part, v.tolist(), x):
+                values[i], vectors[i] = vi, xi
     return values, vectors
 
 

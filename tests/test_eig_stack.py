@@ -119,6 +119,16 @@ def test_chunked_stack_equals_one_stack(monkeypatch):
     assert calls == [3, 3, 3, 1]
     for got, want in zip(chunked, whole):
         assert np.array_equal(got, want)
+    # _eig_blocks stacks a list of blocks a chunk at a time, never all
+    stacked = []
+    real_stack = spectral._eig_stack
+    monkeypatch.setattr(
+        spectral, "_eig_stack", lambda m, k: stacked.append(len(m)) or real_stack(m, k)
+    )
+    values, vectors = spectral._eig_blocks(list(ms), 3)
+    assert stacked == [3, 3, 3, 1]
+    assert np.array_equal(values, whole[0])
+    assert np.array_equal(vectors, whole[1])
 
 
 @pytest.mark.parametrize(

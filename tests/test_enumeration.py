@@ -16,6 +16,7 @@ from fiedlertrees import (
     enumerate_rooted_trees,
     enumerate_trees,
     is_caterpillar,
+    min_alpha_tree,
     min_nu_rooted,
     path_tree,
     prufer_decode,
@@ -34,7 +35,6 @@ from fiedlertrees.enumeration import (
 from fiedlertrees.search import (
     CAP,
     EnumerationCapExceeded,
-    _capped_codes,
     _instances,
     _rooted_trees,
     all_tree_sequences,
@@ -281,11 +281,11 @@ def test_over_cap_sequences_raise_before_decoding(monkeypatch):
 
     monkeypatch.setattr(enumeration, "prufer_decode", never)
     with pytest.raises(EnumerationCapExceeded, match="39916800 skeleton words exceed the cap"):
-        _capped_codes((2,) * 13 + (1, 1))
+        min_alpha_tree((2,) * 13 + (1, 1))
     # spine degrees 2..13 (n = 80): the count stops at its first partial
     # sum over the cap instead of walking all 46,683,899,639 words
     with pytest.raises(EnumerationCapExceeded) as caught:
-        _capped_codes(tuple(range(13, 1, -1)) + (1,) * 68)
+        min_alpha_tree(tuple(range(13, 1, -1)) + (1,) * 68)
     reported = int(str(caught.value).split()[0])
     assert CAP < reported < 46_683_899_639
 

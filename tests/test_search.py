@@ -183,14 +183,24 @@ def test_min_alpha_caterpillar_path_unique():
     assert rep.min_value == pytest.approx(path_alpha(6), rel=1e-11)
 
 
+def _laplacian_code(m):
+    """The canonical code of the tree whose Laplacian is m."""
+    n = len(m)
+    return canonical_code(Tree(n, [(u, v) for u in range(n) for v in range(u) if m[u, v]]))
+
+
 def test_alpha_searches_solve_each_candidate_once(monkeypatch):
     import fiedlertrees.nodal as nodal
     import fiedlertrees.search as search
 
     solved = []
     built = []
-    real_solve = search.algebraic_connectivity
+    real_blocks, real_solve = search._eig_blocks, nodal.algebraic_connectivity
     real_build = search.build_caterpillar
+
+    def stacked(blocks, k):
+        solved.extend(map(_laplacian_code, blocks))
+        return real_blocks(blocks, k)
 
     def counted(t):
         solved.append(canonical_code(t))
@@ -200,6 +210,9 @@ def test_alpha_searches_solve_each_candidate_once(monkeypatch):
         built.append(tuple(spine))
         return real_build(spine)
 
+    # the searches solve their trees' Laplacians in stacks; a solve of one
+    # tree anywhere else would be counted too
+    monkeypatch.setattr(search, "_eig_blocks", stacked)
     monkeypatch.setattr(search, "algebraic_connectivity", counted)
     monkeypatch.setattr(nodal, "algebraic_connectivity", counted)
     monkeypatch.setattr(search, "build_caterpillar", counted_build)
@@ -273,13 +286,16 @@ def test_tie_band_edge_in_min_alpha_tree(monkeypatch):
 
     seq = (3, 2, 2, 2, 1, 1, 1)
     values = _at_the_tie_edge(canonical_tree_codes(seq))
-    real = search.algebraic_connectivity
+    real = search._eig_blocks
+
     # the report analyses each minimizer from the vector the search solved
-    monkeypatch.setattr(
-        search, "algebraic_connectivity", lambda t: (values[canonical_code(t)], real(t)[1])
-    )
+    def stacked(blocks, k):
+        got, vectors = real(blocks, k)
+        return [[v[0], values[_laplacian_code(m)]] for v, m in zip(got, blocks)], vectors
+
+    monkeypatch.setattr(search, "_eig_blocks", stacked)
     # enumerated in reverse, so code order comes from the search
-    monkeypatch.setattr(search, "_capped_codes", lambda seq: sorted(values, reverse=True))
+    monkeypatch.setattr(search, "canonical_tree_codes", lambda seq: sorted(values, reverse=True))
     rep = min_alpha_tree(seq)
     k0, _, k2 = sorted(values)
     assert rep.min_value == values[k2]
@@ -715,13 +731,65 @@ def test_verify_all_equals_the_single_suites_at_each_nmax():
 
 
 def test_verify_stream_ranks_as_min_alpha_tree():
-    from fiedlertrees.search import _minimizer_dicts, _stream
+    from fiedlertrees.search import _alpha_band, _stream
 
     # theorem1 ranks the pairs the stream solved once per free tree
     for case in _stream(8, {}):
-        tied = _argmin([alpha for _, (alpha, _) in case.free])[1]
-        got = _minimizer_dicts([(*case.free[i], {}) for i in tied])
-        assert got == min_alpha_tree(case.seq).minimizers
+        assert _alpha_band(case.free) == min_alpha_tree(case.seq).minimizers
+
+
+def test_verify_stream_ranks_as_min_nu_rooted():
+    from fiedlertrees.search import _LEMMA5_WEIGHTS, _nu_band, _stream
+
+    # lemma5 ranks each weight's instances from the stream's branch table,
+    # which holds all three weights, and min-rooted from its own at one
+    for case in _stream(8, {}):
+        for w0 in _LEMMA5_WEIGHTS:
+            instances = case.lemma5[w0]
+            argmin = sorted((instances[k][2] for k in _nu_band(case, w0)[2]), key=str)
+            codes = [m["code"] for m in min_nu_rooted(case.seq, w0).minimizers]
+            assert codes == [key if isinstance(key, str) else list(key) for key in argmin]
+
+
+def test_min_alpha_tree_takes_the_tree_solver_from_its_order(monkeypatch):
+    import fiedlertrees.search as search
+    from fiedlertrees.spectral import TREE_SOLVER_ORDER
+
+    orders, trees = [], []
+    real_blocks, real_tree = search._eig_blocks, search._tree_fiedler
+
+    def recorded(blocks, k):
+        orders.extend(map(len, blocks))
+        return real_blocks(blocks, k)
+
+    def tree_solver(t):
+        trees.append(t.n)
+        return real_tree(t)
+
+    monkeypatch.setattr(search, "_eig_blocks", recorded)
+    monkeypatch.setattr(search, "_tree_fiedler", tree_solver)
+    # the star on 301 vertices, whose alpha 1 has multiplicity 299: a dense
+    # solve gives alpha 0.9999999999999956 and another Fiedler vector
+    doc = min_alpha_tree((300,) + (1,) * 300).to_json()
+    assert TREE_SOLVER_ORDER <= 301
+    assert orders == [] and trees == [301]
+    del doc["elapsed"]
+    assert doc == {
+        "sequence": [300] + [1] * 300,
+        "min_value": 0.9999999999999999,
+        "instance_count": 1,
+        "minimizers": [
+            {
+                "code": "(" + "()" * 300 + ")",
+                "alpha": 0.9999999999999999,
+                "edges": [[0, v] for v in range(1, 301)],
+                "is_caterpillar": True,
+                "is_theorem1_shape": True,
+            }
+        ],
+        "all_caterpillars": True,
+        "all_theorem1_shape": True,
+    }
 
 
 def test_enumerate_rooted_trees_with_codes_matches_enumeration():
