@@ -46,16 +46,11 @@ from .perturb import (
     is_theorem1_shape,
 )
 from .spectral import (
-    TREE_SOLVER_ORDER,
-    _branch_block,
     _caterpillar_alpha,
     _caterpillar_fiedler,
-    _dirichlet_blocks,
-    _eig_blocks,
-    _tree_fiedler,
+    _Solves,
     algebraic_connectivity,
     dirichlet_nu,
-    laplacian,
 )
 from .trees import (
     RootedBoundaryTree,
@@ -64,6 +59,7 @@ from .trees import (
     _split_spine,
     _tree_sequence,
     _weighted_root_edge,
+    branches_at,
     build_caterpillar,
     is_caterpillar,
     path_tree,
@@ -250,7 +246,7 @@ def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
         top = least + TIE_RTOL * least + slack
         band = [arr for arr, value in zip(arrangements, approx.tolist()) if value <= top]
     trees = [build_caterpillar(arr) for arr in band]
-    solves = _Solves({})
+    solves = _Solves()
     at = [solves.fiedler(tree) for tree in trees]
     solves.run()
     free = [(tree, solves.pair(i, 1)) for tree, i in zip(trees, at)]
@@ -286,24 +282,10 @@ def _rooted_trees(seq: tuple[int, ...], codes: Iterable[str]) -> list[_Rooted]:
     return rooted
 
 
-def _entry(code: str, w0: float) -> np.ndarray | tuple[float, np.ndarray]:
-    """The branch table entry of the branch with rooted code code hung from
-    a fresh root by an edge of weight w0: its Dirichlet block, cut from the
-    code's hung tree, built unchecked, or, for a lone vertex or a branch of
-    TREE_SOLVER_ORDER or more, which need no dense solve, its dirichlet_nu
-    pair."""
-    n, edges = _code_edges("(" + code + ")")
-    edges[0] = (0, 1, float(w0))
-    if 2 < n <= TREE_SOLVER_ORDER:
-        return _branch_block(Tree._trusted(n, edges), list(range(1, n)))
-    return dirichlet_nu(RootedBoundaryTree(Tree._trusted(n, edges), 0))
-
-
-class _Solves:
-    """Dense blocks gathered to be solved together, in one _eig_stack call
-    per block order (_eig_blocks), with the two smallest pairs of each:
-    the branch table's missing entries, each once, the Laplacians of the
-    caller's trees, and its other blocks.
+class _BranchTable(_Solves):
+    """The eigensolve queue (_Solves) of a layer or a search, which also
+    fills the branch table: the missing entries of the keys it is given,
+    each once.
 
     The branch table maps (branch code, w0) to dirichlet_nu of the branch
     hung from a fresh root by an edge of weight w0.  A rooted tree's
@@ -313,39 +295,26 @@ class _Solves:
     queued raises KeyError instead of being solved alone."""
 
     def __init__(self, table: dict) -> None:
+        super().__init__()
         self.table = table
-        self.blocks: list[np.ndarray] = []
         self.entries: dict[tuple[str, float], int | tuple[float, np.ndarray]] = {}
 
-    def add(self, m: np.ndarray) -> int:
-        """Queue the block m; its position, which pair reads after run."""
-        self.blocks.append(m)
-        return len(self.blocks) - 1
-
-    def fiedler(self, t: Tree) -> int | tuple[float, np.ndarray]:
-        """Queue t's Laplacian, whose pair(at, 1) is algebraic_connectivity(t)
-        bit for bit; from TREE_SOLVER_ORDER vertices on, the tree solver's pair."""
-        return self.add(laplacian(t)) if t.n < TREE_SOLVER_ORDER else _tree_fiedler(t)
-
     def entry(self, keys: Iterable[tuple[str, float]]) -> None:
-        """Queue each table entry of keys that the table lacks, once: its
-        block, or the pair of one that needs no dense solve (_entry)."""
+        """Queue each table entry of keys that the table lacks, once: the
+        one branch, vertices 1..n - 1, of the code's hung tree, built
+        unchecked (_Solves.branch)."""
         for key in keys:
             if key not in self.table and key not in self.entries:
-                block = _entry(*key)
-                self.entries[key] = block if isinstance(block, tuple) else self.add(block)
+                code, w0 = key
+                n, edges = _code_edges("(" + code + ")")
+                edges[0] = (0, 1, float(w0))
+                self.entries[key] = self.branch(Tree._trusted(n, edges), 0, list(range(1, n)))
 
     def run(self) -> None:
-        """Solve every queued block, keep the values and vectors of all
-        (_eig_blocks), and enter the table's."""
-        self.values, self.vectors = _eig_blocks(self.blocks, 2)
+        """Solve what is queued and enter the table's entries."""
+        super().run()
         for key, at in self.entries.items():
             self.table[key] = self.pair(at, 0)
-
-    def pair(self, at: int | tuple[float, np.ndarray], j: int) -> tuple[float, np.ndarray]:
-        """The j-th pair of the block queued at position at, or at itself
-        when it is a pair that needed no dense solve."""
-        return at if isinstance(at, tuple) else (self.values[at][j], self.vectors[at][j])
 
 
 def _rooted_pair(table: dict, r: _Rooted) -> tuple[float, np.ndarray]:
@@ -592,15 +561,6 @@ class _Case:
 _LEMMA5_WEIGHTS = (1.0, 1.5, 3.0)
 
 
-def _queue_side(solves: _Solves, side: RootedBoundaryTree) -> list[int | tuple[float, None]]:
-    """Each branch of side queued on solves (_dirichlet_blocks), or for a
-    lone vertex, which needs no solve, its nu, the weight of its edge, as a
-    pair (_Solves.pair).  The cap keeps verify's trees far below
-    TREE_SOLVER_ORDER vertices, so no branch needs the tree solver."""
-    blocks = [block for _, block in _dirichlet_blocks(side)]
-    return [solves.add(b) if isinstance(b, np.ndarray) else (b, None) for b in blocks]
-
-
 def _layer(
     seqs: Iterable[tuple[int, ...]],
     names: Collection[str],
@@ -610,8 +570,8 @@ def _layer(
 ) -> list[_Case]:
     """The _Case of each degree sequence of seqs, a layer of the stream
     up to nmax or a search's one sequence, with what the suites names read
-    of them solved together in two rounds of stacked solves (_Solves), one
-    _eig_stack call per block order each.  lemma5 ranks at weights.
+    of them solved together in two rounds of stacked solves on one queue
+    each (_BranchTable).  lemma5 ranks at weights.
 
     The first round solves the free trees (_Solves.fiedler), every branch
     table entry that the rooted trees' pairs, if a suite reads them, their
@@ -626,7 +586,7 @@ def _layer(
         for total in accumulate(_word_counts(seq)):
             _check_cap(total, "skeleton words")
         cases.append(_Case(seq, sorted(canonical_tree_codes(seq)), table))
-    solves = _Solves(table)
+    solves = _BranchTable(table)
     free, weighted = [], []
     for case in cases:
         if not _FREE_READERS.isdisjoint(names):
@@ -663,7 +623,7 @@ def _layer(
 
     if {"glue", "split"}.isdisjoint(names):
         return cases
-    solves = _Solves(table)
+    solves = _Solves()
     sides, glued = [], []
     for case in cases:
         case.splits = [
@@ -674,7 +634,10 @@ def _layer(
             if type2:
                 glued.append((case, i, solves.fiedler(glue(split.neg, split.pos))))
             if type2 or "split" in names:
-                pos, neg = _queue_side(solves, split.pos), _queue_side(solves, split.neg)
+                pos, neg = (
+                    [solves.branch(s.tree, s.root, sorted(b)) for b in branches_at(s.tree, s.root)]
+                    for s in (split.pos, split.neg)
+                )
                 sides.append((case, i, pos, neg))
     solves.run()
     for case, i, at in glued:

@@ -119,16 +119,27 @@ def test_chunked_stack_equals_one_stack(monkeypatch):
     assert calls == [3, 3, 3, 1]
     for got, want in zip(chunked, whole):
         assert np.array_equal(got, want)
-    # _eig_blocks stacks a list of blocks a chunk at a time, never all
+    # the queue hands _eig_stack each chunk the moment it fills, so no
+    # order ever holds more than one unfilled chunk, and run the rest
     stacked = []
     real_stack = spectral._eig_stack
     monkeypatch.setattr(
         spectral, "_eig_stack", lambda m, k: stacked.append(len(m)) or real_stack(m, k)
     )
-    values, vectors = spectral._eig_blocks(list(ms), 3)
+    solves = spectral._Solves()
+    step = spectral._stack_step(6)
+    for i, m in enumerate(ms, 1):
+        assert solves.add(m) == i - 1
+        assert stacked == [step] * (i // step)
+        assert all(len(chunk) < step for chunk in solves.chunks.values())
+    solves.run()
     assert stacked == [3, 3, 3, 1]
-    assert np.array_equal(values, whole[0])
-    assert np.array_equal(vectors, whole[1])
+    assert not solves.chunks
+    for at in range(len(ms)):
+        for j in range(2):
+            value, vector = solves.pair(at, j)
+            assert value == whole[0][at, j]
+            assert np.array_equal(vector, whole[1][at, j])
 
 
 @pytest.mark.parametrize(
@@ -172,14 +183,14 @@ def test_verify_batches_its_solves(monkeypatch):
         return real_eigh(ms)
 
     entries = []
-    real_entry = search._entry
+    real_run = search._BranchTable.run
 
-    def entry(code, w0):
-        entries.append((code, w0))
-        return real_entry(code, w0)
+    def run(self):
+        entries.extend(self.entries)
+        return real_run(self)
 
     monkeypatch.setattr(spectral, "_eigh", counted)
-    monkeypatch.setattr(search, "_entry", entry)
+    monkeypatch.setattr(search._BranchTable, "run", run)
     assert verify_suite("all", nmax=8)["passed"]
     # one LAPACK call per block order in each of a layer's two rounds:
     # orders 2..n in the first, 2..n + 1 in the second, for n = 2..8, and

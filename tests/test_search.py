@@ -41,6 +41,7 @@ from fiedlertrees.search import (
     explore_partitions,
     partition_rows_to_csv,
 )
+from fiedlertrees.spectral import _branch_block
 
 from helpers import (
     NU_M2,
@@ -190,31 +191,25 @@ def _laplacian_code(m):
 
 
 def test_alpha_searches_solve_each_candidate_once(monkeypatch):
-    import fiedlertrees.nodal as nodal
     import fiedlertrees.search as search
+    import fiedlertrees.spectral as spectral
 
     solved = []
     built = []
-    real_blocks, real_solve = search._eig_blocks, nodal.algebraic_connectivity
+    real_stack = spectral._eig_stack
     real_build = search.build_caterpillar
 
-    def stacked(blocks, k):
-        solved.extend(map(_laplacian_code, blocks))
-        return real_blocks(blocks, k)
-
-    def counted(t):
-        solved.append(canonical_code(t))
-        return real_solve(t)
+    def stacked(ms, k):
+        solved.extend(map(_laplacian_code, ms))
+        return real_stack(ms, k)
 
     def counted_build(spine):
         built.append(tuple(spine))
         return real_build(spine)
 
-    # the searches solve their trees' Laplacians in stacks; a solve of one
-    # tree anywhere else would be counted too
-    monkeypatch.setattr(search, "_eig_blocks", stacked)
-    monkeypatch.setattr(search, "algebraic_connectivity", counted)
-    monkeypatch.setattr(nodal, "algebraic_connectivity", counted)
+    # the searches solve their trees' Laplacians in stacks; every dense
+    # solve, one tree's alone (eig_smallest) too, goes through _eig_stack
+    monkeypatch.setattr(spectral, "_eig_stack", stacked)
     monkeypatch.setattr(search, "build_caterpillar", counted_build)
     # the minimizers' analysis reads the pair the ranking solved
     rep = min_alpha_tree((4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1))
@@ -283,17 +278,19 @@ def _at_the_tie_edge(keys):
 
 def test_tie_band_edge_in_min_alpha_tree(monkeypatch):
     import fiedlertrees.search as search
+    import fiedlertrees.spectral as spectral
 
     seq = (3, 2, 2, 2, 1, 1, 1)
     values = _at_the_tie_edge(canonical_tree_codes(seq))
-    real = search._eig_blocks
+    real = spectral._eig_stack
 
     # the report analyses each minimizer from the vector the search solved
-    def stacked(blocks, k):
-        got, vectors = real(blocks, k)
-        return [[v[0], values[_laplacian_code(m)]] for v, m in zip(got, blocks)], vectors
+    def stacked(ms, k):
+        got, vectors, res = real(ms, k)
+        got[:, 1] = [values[_laplacian_code(m)] for m in ms]
+        return got, vectors, res
 
-    monkeypatch.setattr(search, "_eig_blocks", stacked)
+    monkeypatch.setattr(spectral, "_eig_stack", stacked)
     # enumerated in reverse, so code order comes from the search
     monkeypatch.setattr(search, "canonical_tree_codes", lambda seq: sorted(values, reverse=True))
     rep = min_alpha_tree(seq)
@@ -306,7 +303,7 @@ def test_tie_band_edge_in_min_alpha_tree(monkeypatch):
 
 
 def test_tie_band_edge_in_min_nu_rooted(monkeypatch):
-    import fiedlertrees.search as search
+    import fiedlertrees.spectral as spectral
 
     seq = (2, 2, 2, 1, 1)  # the path on five vertices, rooted three ways
     keys = [rooted_code(path_tree(5), root) for root in range(3)]
@@ -319,9 +316,13 @@ def test_tie_band_edge_in_min_nu_rooted(monkeypatch):
     # value
     branch = {4: values[keys[0]], 3: values[keys[1]], 2: values[keys[2]]}
     monkeypatch.setattr(
-        search,
-        "_eig_blocks",
-        lambda blocks, k: ([[branch[len(m)]] * k for m in blocks], [[None] * k for _ in blocks]),
+        spectral,
+        "_eig_stack",
+        lambda ms, k: (
+            np.array([[branch[len(m)]] * k for m in ms]),
+            np.zeros((len(ms), k, ms.shape[1])),
+            np.zeros((len(ms), k)),
+        ),
     )
     rep = min_nu_rooted(seq)
     k0, _, k2 = sorted(values)
@@ -333,7 +334,7 @@ def test_tie_band_edge_in_min_nu_rooted(monkeypatch):
 
 
 def test_branch_table_reproduces_dirichlet_nu_bitwise():
-    from fiedlertrees.search import _instances, _nus, _rooted_pair, _rooted_trees, _Solves
+    from fiedlertrees.search import _BranchTable, _instances, _nus, _rooted_pair, _rooted_trees
 
     table = {}  # one table for every sequence, as verify_suite keeps it
     count = 0
@@ -344,7 +345,7 @@ def test_branch_table_reproduces_dirichlet_nu_bitwise():
             # the w0 = 1 instances read every unit branch that _rooted_pair
             # reads, so filling their keys fills the rooted trees' too
             instances = {w0: _instances(rooted, w0) for w0 in (1.0, 1.5, 3.0)}
-            solves = _Solves(table)
+            solves = _BranchTable(table)
             solves.entry(key for found in instances.values() for *_, keys in found for key in keys)
             solves.run()
             for r in rooted:
@@ -373,17 +374,38 @@ def test_min_nu_rooted_agrees_with_one_solve_per_instance():
                 assert doc == min_nu_rooted_by_instance(seq, w0)
 
 
+@pytest.mark.parametrize("w0", [1.0, 1.5])
+def test_min_nu_rooted_through_a_tree_solver_entry(w0, monkeypatch):
+    import fiedlertrees.spectral as spectral
+
+    # rooted at a leaf, the 300-vertex star hangs one branch of 299
+    # vertices, a branch table entry that the tree solver takes
+    seq = (299,) + (1,) * 299
+    orders = []
+    real = spectral._tree_eigenpair
+
+    def recorded(up, diag, off, j, kernel):
+        orders.append(len(diag))
+        return real(up, diag, off, j, kernel)
+
+    monkeypatch.setattr(spectral, "_tree_eigenpair", recorded)
+    doc = min_nu_rooted(seq, w0).to_json()
+    assert orders == [299] and 299 >= spectral.TREE_SOLVER_ORDER
+    del doc["elapsed"]
+    assert doc == min_nu_rooted_by_instance(seq, w0)
+
+
 def test_lemma5_solves_each_branch_once_per_weight(monkeypatch):
-    import fiedlertrees.search as search
+    import fiedlertrees.spectral as spectral
 
     solved = []
-    real = search._eig_blocks
+    real = spectral._eig_stack
 
-    def counted(blocks, k):
-        solved.extend(map(len, blocks))
-        return real(blocks, k)
+    def counted(ms, k):
+        solved.extend(map(len, ms))
+        return real(ms, k)
 
-    monkeypatch.setattr(search, "_eig_blocks", counted)
+    monkeypatch.setattr(spectral, "_eig_stack", counted)
     assert verify_suite("lemma5", nmax=8)["passed"]
     # a branch of a rooted tree with n <= 8 is one of the 85 rooted trees
     # with at most 7 vertices (A000081), solved at w0 = 1, 1.5 and 3
@@ -392,14 +414,15 @@ def test_lemma5_solves_each_branch_once_per_weight(monkeypatch):
 
 def test_verify_solves_only_inside_its_layers(monkeypatch):
     import fiedlertrees.search as search
+    import fiedlertrees.spectral as spectral
 
     depth, outside = [0], []
-    real_blocks, real_layer = search._eig_blocks, search._layer
+    real_add, real_layer = spectral._Solves.add, search._layer
 
-    def blocks(ms, k):
+    def add(self, m):
         if not depth[0]:
-            outside.append(len(ms))
-        return real_blocks(ms, k)
+            outside.append(m.copy())
+        return real_add(self, m)
 
     def layer(*args):
         depth[0] += 1
@@ -408,26 +431,37 @@ def test_verify_solves_only_inside_its_layers(monkeypatch):
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(search, "_eig_blocks", blocks)
+    monkeypatch.setattr(spectral._Solves, "add", add)
     monkeypatch.setattr(search, "_layer", layer)
     assert verify_suite("all", nmax=8)["passed"]
-    # the layer solves every entry a check reads, so no check calls the
-    # stacked solver, not even with nothing to solve
-    assert outside == []
+    # the layer solves every entry a check reads, so no check queues a
+    # block but glue's equality case, whose dirichlet_nu on the rooted
+    # three-vertex path solves the 2x2 block of its one branch
+    side = with_boundary_weight(path_tree(3), 0, 1.0)
+    assert len(outside) == 1
+    assert np.array_equal(outside[0], spectral._branch_block(side.tree, [1, 2]))
+
+
+def _entry_block(code, w0):
+    """The Dirichlet block of the branch with rooted code code hung from a
+    fresh root by an edge of weight w0."""
+    hung = with_boundary_weight(tree_from_code("(" + code + ")"), 0, w0).tree
+    return _branch_block(hung, list(range(1, hung.n)))
 
 
 def test_min_nu_rooted_solves_exactly_the_entries_its_instances_read(monkeypatch):
     import fiedlertrees.search as search
+    import fiedlertrees.spectral as spectral
 
     seq, w0 = (4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1), 1.5
     handed = []
-    real = search._eig_blocks
+    real = spectral._Solves.add
 
-    def recorded(blocks, k):
-        handed.extend(blocks)
-        return real(blocks, k)
+    def recorded(self, m):
+        handed.append(m)
+        return real(self, m)
 
-    monkeypatch.setattr(search, "_eig_blocks", recorded)
+    monkeypatch.setattr(spectral._Solves, "add", recorded)
     report = min_nu_rooted(seq, w0)
     rooted = search._rooted_trees(seq, canonical_tree_codes(seq))
     instances = search._instances(rooted, w0)
@@ -436,7 +470,7 @@ def test_min_nu_rooted_solves_exactly_the_entries_its_instances_read(monkeypatch
     # lone vertices, which need no solve: the unit branch of a one-child
     # root is read by no instance above w0 = 1, so it is not solved
     read = dict.fromkeys(key for *_, keys in instances for key in keys)
-    want = [search._entry(*key) for key in read if key[0] != "()"]
+    want = [_entry_block(*key) for key in read if key[0] != "()"]
     assert len(handed) == len(want) == 857
     assert all(np.array_equal(got, block) for got, block in zip(handed, want))
 
@@ -446,18 +480,14 @@ def test_branch_table_entries_equal_dirichlet_nu_of_the_hung_tree(monkeypatch):
     import fiedlertrees.spectral as spectral
 
     solves = []
-    real_blocks, real_one = search._eig_blocks, spectral.eig_smallest
+    real_stack = spectral._eig_stack
 
-    def stacked(blocks, k):
-        solves.extend((search.__name__, len(m)) for m in blocks)
-        return real_blocks(blocks, k)
+    def stacked(ms, k):
+        solves.append(ms.shape)
+        return real_stack(ms, k)
 
-    def single(m, k):
-        solves.append((spectral.__name__, len(m)))
-        return real_one(m, k)
-
-    monkeypatch.setattr(search, "_eig_blocks", stacked)
-    monkeypatch.setattr(spectral, "eig_smallest", single)
+    # eig_smallest solves through _eig_stack too, as a stack of one
+    monkeypatch.setattr(spectral, "_eig_stack", stacked)
     trees = [
         tree_from_code(code)
         for n in range(2, 9)
@@ -472,14 +502,14 @@ def test_branch_table_entries_equal_dirichlet_nu_of_the_hung_tree(monkeypatch):
         table = {}
         for code in codes:
             del solves[:]
-            queued = search._Solves(table)
+            queued = search._BranchTable(table)
             queued.entry([(code, w0)])
             queued.run()
             nu, vec = table[code, w0]
             # one block of the branch's order per multi-vertex entry, solved
             # in the table's stack; none for a lone vertex
             order = code.count("(")
-            assert solves == ([] if order == 1 else [(search.__name__, order)]), (code, w0)
+            assert solves == ([] if order == 1 else [(1, order, order)]), (code, w0)
             hung = tree_from_code("(" + code + ")")
             want_nu, want_vec = dirichlet_nu(with_boundary_weight(hung, 0, w0))
             assert nu == want_nu, (code, w0)
@@ -752,22 +782,22 @@ def test_verify_stream_ranks_as_min_nu_rooted():
 
 
 def test_min_alpha_tree_takes_the_tree_solver_from_its_order(monkeypatch):
-    import fiedlertrees.search as search
+    import fiedlertrees.spectral as spectral
     from fiedlertrees.spectral import TREE_SOLVER_ORDER
 
     orders, trees = [], []
-    real_blocks, real_tree = search._eig_blocks, search._tree_fiedler
+    real_stack, real_tree = spectral._eig_stack, spectral._tree_fiedler
 
-    def recorded(blocks, k):
-        orders.extend(map(len, blocks))
-        return real_blocks(blocks, k)
+    def recorded(ms, k):
+        orders.extend(map(len, ms))
+        return real_stack(ms, k)
 
     def tree_solver(t):
         trees.append(t.n)
         return real_tree(t)
 
-    monkeypatch.setattr(search, "_eig_blocks", recorded)
-    monkeypatch.setattr(search, "_tree_fiedler", tree_solver)
+    monkeypatch.setattr(spectral, "_eig_stack", recorded)
+    monkeypatch.setattr(spectral, "_tree_fiedler", tree_solver)
     # the star on 301 vertices, whose alpha 1 has multiplicity 299: a dense
     # solve gives alpha 0.9999999999999956 and another Fiedler vector
     doc = min_alpha_tree((300,) + (1,) * 300).to_json()

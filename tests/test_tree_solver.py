@@ -139,14 +139,14 @@ def test_eigenvalues_match_the_bisection_oracle(tree):
 def test_one_vertex_branches_need_no_eigensolve(tree, w0, monkeypatch):
     # rooted at the hub (vertex 0), every pendant neighbour is a one-vertex
     # branch; the star's boundary weight lands on one of them
-    dense = spectral.eig_smallest
+    dense = spectral._eigh
 
-    def no_1x1(m, k):
-        if np.shape(m) == (1, 1):
+    def no_1x1(ms):
+        if ms.shape[1:] == (1, 1):
             raise AssertionError("eigensolve of a 1x1 block")
-        return dense(m, k)
+        return dense(ms)
 
-    monkeypatch.setattr(spectral, "eig_smallest", no_1x1)
+    monkeypatch.setattr(spectral, "_eigh", no_1x1)
     rbt = with_boundary_weight(tree, 0, w0)
     nu, g = dirichlet_nu(rbt)
     m = dirichlet_matrix(rbt)
@@ -202,7 +202,7 @@ def test_large_trees_reach_no_dense_solve(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("dense solve on a large tree")
 
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(spectral, "_eigh", refuse)
     monkeypatch.setattr(spectral, "laplacian", refuse)
     an = analyze(t)
     split = geometric_split(t, an)
