@@ -22,7 +22,6 @@ import numpy as np
 
 from .enumeration import (
     _code_edges,
-    _multiset_permutations,
     _peel,
     _permutation_count,
     _word_counts,
@@ -202,56 +201,83 @@ def min_alpha_tree(seq: Sequence[int]) -> SearchReport:
     return _alpha_report(seq, start, len(case.free), _alpha_band(case.free))
 
 
+def _spines(interior: Sequence[int]) -> np.ndarray:
+    """The spine arrangements of the interior degrees, one row each, in
+    lexicographic order, in the smallest unsigned integer dtype that holds
+    the largest degree.
+
+    The multiset permutations grow one position at a time: each row
+    branches on every degree it still has left, in increasing order, so
+    the rows stay in lexicographic order; once every row has one distinct
+    degree left, the rest of each row is forced.  Of each arrangement and
+    its reversal, the same tree, one comparison keeps the one no greater:
+    a palindrome, or one whose first entry that differs from its
+    mirror's is the smaller."""
+    values, counts = np.unique(np.asarray(interior, dtype=np.int64), return_counts=True)
+    m = len(interior)
+    spines = np.zeros((1, m), np.min_scalar_type(max(interior, default=0)))
+    left = counts[None].astype(np.min_scalar_type(m))  # each row's unplaced count per degree
+    for i in range(m):
+        row, col = np.nonzero(left)
+        if len(row) == len(spines):  # one degree left in every row
+            spines[:, i:] = values[col][:, None]
+            break
+        spines, left = spines[row], left[row]
+        spines[:, i] = values[col]
+        left[np.arange(len(row)), col] -= 1
+    if m < 2:
+        return spines  # one degree or none is its own reversal
+    mirror = spines[:, ::-1]
+    at = np.arange(len(spines)), (spines != mirror).argmax(axis=1)  # 0 for a palindrome
+    return spines[spines[at] <= mirror[at]]
+
+
 def spine_arrangements(interior: Sequence[int]) -> list[tuple[int, ...]]:
     """Multiset permutations of the interior degrees, deduplicated under
-    reversal (a caterpillar and its mirror are the same tree)."""
-    seen = []
-    for arr in _multiset_permutations(sorted(interior)):
-        if arr <= arr[::-1]:
-            seen.append(arr)
-    return seen
+    reversal (a caterpillar and its mirror are the same tree): of each
+    pair the one no greater, in lexicographic order.  The searches read
+    them as an array (_spines); these are its rows."""
+    return list(map(tuple, _spines(interior).tolist()))
 
 
-def _capped_arrangements(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Spine arrangements of seq's non-pendant degrees.  Raises
-    EnumerationCapExceeded before the walk when they have more than CAP
-    permutations."""
+def _capped_arrangements(seq: tuple[int, ...]) -> np.ndarray:
+    """The spine arrangements of seq's non-pendant degrees (_spines).
+    Raises EnumerationCapExceeded before they are built when they have
+    more than CAP permutations."""
     interior = [d for d in seq if d >= 2]
     _check_cap(_permutation_count(Counter(interior).values()), "spine permutations")
-    return spine_arrangements(interior)
+    return _spines(interior)
 
 
 def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
     """Argmin of the algebraic connectivity over all caterpillars with the
-    given degree multiset, enumerated as spine arrangements.  One batched
-    bisection ranks every arrangement, to full precision only those that
-    can still reach the tie band; only those within it get a Tree, solved
-    as min_alpha_tree solves its trees, whose values the report carries.
+    given degree multiset, enumerated as spine arrangements (_spines).
+    One batched bisection ranks every arrangement until each that can
+    still reach the tie band is bracketed to TIE_RTOL relative; only those
+    survivors get a Tree, solved as min_alpha_tree solves its trees, and
+    ranked on those values, which the report carries.
 
     Raises EnumerationCapExceeded when the spine degrees have more than
     CAP permutations."""
     start = time.perf_counter()
     seq = _tree_sequence(seq)
-    arrangements = _capped_arrangements(seq)
-    band = arrangements
-    if len(arrangements) > 1:  # one arrangement needs no ranking; m <= 1 has one
+    spines = band = _capped_arrangements(seq)
+    if len(spines) > 1:  # one arrangement needs no ranking; m <= 1 has one
         slack = 3.0 * 2.0 * (2 * seq[0]) * len(seq) * sys.float_info.epsilon
         # bisection and eigh each put alpha within ||L||_1 n eps of the
         # exact value (||L||_1 = 2 max degree), so they differ by at most
         # twice that, and an arrangement tied with the eigh minimum has a
         # bisected alpha at most TIE_RTOL least + 3 times that (slack)
-        # above least; the bisection stops every arrangement above that band
-        approx = _caterpillar_alpha(np.array(arrangements), (TIE_RTOL, slack))
-        least = float(approx.min())
-        top = least + TIE_RTOL * least + slack
-        band = [arr for arr, value in zip(arrangements, approx.tolist()) if value <= top]
+        # above least: a survivor of the band stop
+        band = spines[_caterpillar_alpha(spines, (TIE_RTOL, slack))]
+    band = band.tolist()
     trees = [build_caterpillar(arr) for arr in band]
     solves = _Solves()
     at = [solves.fiedler(tree) for tree in trees]
     solves.run()
     free = [(tree, solves.pair(i, 1)) for tree, i in zip(trees, at)]
-    extras = [{"arrangement": list(arr)} for arr in band]
-    return _alpha_report(seq, start, len(arrangements), _alpha_band(free, extras))
+    extras = [{"arrangement": arr} for arr in band]
+    return _alpha_report(seq, start, len(spines), _alpha_band(free, extras))
 
 
 @dataclass(frozen=True)
@@ -414,67 +440,121 @@ def min_nu_rooted(seq: Sequence[int], boundary_weight: float = 1.0) -> SearchRep
 # degree-partition explorer
 
 
-def explore_partitions(seq: Sequence[int]) -> list[PartitionRow]:
+@dataclass(frozen=True, eq=False)
+class _Partitions(Sequence[PartitionRow]):
+    """explore_partitions' rows as columns, in CSV order: the sequence, the
+    arrangements (_spines rows), their alphas and alphas as the CSV prints
+    them, and for each its characteristic set, an edge or not and its
+    first spine position, and whether spine vertex 0 is positive.  A row
+    is built as a PartitionRow only when it is read."""
+
+    seq: tuple[int, ...]
+    spines: np.ndarray
+    alphas: np.ndarray
+    printed: list[str]
+    edge: np.ndarray
+    first: np.ndarray
+    positive: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.spines)
+
+    def __getitem__(self, i: int) -> PartitionRow:
+        arr = tuple(self.spines[i].tolist())
+        z = int(self.first[i])
+        kind, ids = ("edge", (z, z + 1)) if self.edge[i] else ("vertex", (z,))
+        # the part holding spine vertex 0 has the sign of its entry
+        before, after = _split_spine(arr, ids)
+        left, right = (before, after) if self.positive[i] else (after, before)
+        pos = "|".join(map(str, ids))
+        return PartitionRow(self.seq, arr, float(self.alphas[i]), kind, pos, left, right)
+
+
+def explore_partitions(seq: Sequence[int]) -> Sequence[PartitionRow]:
     """One row per caterpillar spine arrangement: its algebraic
     connectivity, characteristic set, and the non-pendant degrees on the two
     sides, ordered outward.  Rows are sorted by alpha as the CSV prints it
     (12 significant digits), then by arrangement.  One batched bisection
     solves every arrangement; no Tree is built.
 
+    The rows are columns over the arrangement array (_spines), which is in
+    arrangement order, so one stable sort on the printed alphas orders
+    them; each alpha is printed once, and a row is built when it is read.
+
     The explorer presents the partitions as data only; no pattern is
     assumed or checked.  Raises EnumerationCapExceeded when the spine
     degrees have more than CAP permutations.
     """
     seq = _tree_sequence(seq)
-    arrangements = _capped_arrangements(seq)
-    if len(arrangements[0]) < 2:
+    spines = _capped_arrangements(seq)
+    if spines.shape[1] < 2:
         # the single edge changes sign across itself; the star (alpha 1)
         # vanishes at its center
-        arr = arrangements[0]
-        alpha, kind, pos = (1.0, "vertex", "0") if arr else (2.0, "edge", "0|1")
-        return [PartitionRow(seq, arr, alpha, kind, pos, (), ())]
-    spines = np.array(arrangements)
-    alphas, g, h = _caterpillar_fiedler(spines)
-    edge, first = _caterpillar_charsets(g, h)
-    printed = [float(f"{alpha:.12g}") for alpha in alphas.tolist()]
-    order = np.lexsort((*spines.T[::-1], printed))
-    m = spines.shape[1]
-    # (kind, ids, charset_pos) of a vertex set and an edge set by position
-    labels = [
-        [("vertex", (z,), str(z)) for z in range(m)],
-        [("edge", (z, z + 1), f"{z}|{z + 1}") for z in range(m)],
-    ]
-    rows = []
-    for i, alpha, e, z, g0 in zip(
-        order.tolist(),
-        alphas[order].tolist(),
-        edge[order].tolist(),
-        first[order].tolist(),
-        (g[order, 0] > 0).tolist(),
-    ):
-        kind, ids, pos = labels[e][z]
-        # the part holding spine vertex 0 has the sign of its entry
-        before, after = _split_spine(arrangements[i], ids)
-        left, right = (before, after) if g0 else (after, before)
-        rows.append(PartitionRow(seq, arrangements[i], alpha, kind, pos, left, right))
-    return rows
+        edge = np.array([spines.shape[1] == 0])
+        alphas, first, positive = np.where(edge, 2.0, 1.0), np.zeros(1, int), np.ones(1, bool)
+    else:
+        alphas, g, h = _caterpillar_fiedler(spines)
+        edge, first = _caterpillar_charsets(g, h)
+        positive = g[:, 0] > 0
+    printed = [f"{alpha:.12g}" for alpha in alphas.tolist()]
+    order = np.argsort(np.fromiter(map(float, printed), float, len(printed)), kind="stable")
+    return _Partitions(
+        seq,
+        spines[order],
+        alphas[order],
+        [printed[i] for i in order.tolist()],
+        edge[order],
+        first[order],
+        positive[order],
+    )
 
 
 CSV_HEADER = "sequence,arrangement,alpha,charset_kind,charset_pos,left_degrees,right_degrees"
 
 
-def partition_rows_to_csv(rows: Sequence[PartitionRow]) -> str:
-    """CSV with degree lists encoded as '|'-separated integers."""
+def _joined(spines: np.ndarray, cells: np.ndarray) -> list[str]:
+    """Each row of spines written as its degrees, each after a '|': the
+    cells row of a degree is its text, zero padded, and one pass drops the
+    zeros of every row and splits the rows at newlines."""
+    k = len(spines)
+    text = np.zeros((k, spines.shape[1] * cells.shape[1] + 1), np.uint8)
+    text[:, :-1] = cells[spines].reshape(k, -1)
+    text[:, -1] = ord("\n")
+    text = text.ravel()
+    return text[text != 0].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def partition_rows_to_csv(rows: _Partitions) -> str:
+    """CSV of explore_partitions' rows, with degree lists encoded as
+    '|'-separated integers, written from their columns.
+
+    A side is the arrangement's text past the characteristic set, or its
+    reversal's text past the spine positions from the set on; the text
+    to skip is the widths of those degrees, each with its '|'."""
+    if not isinstance(rows, _Partitions):
+        raise TypeError(f"expected the rows of explore_partitions, got {type(rows).__name__}")
+    spines, first = rows.spines, rows.first
+    tokens = [f"|{d}" for d in range(int(spines.max(initial=0)) + 1)]
+    cells = np.array(tokens, dtype="S").view(np.uint8).reshape(len(tokens), -1)
+    width = np.array([len(t) for t in tokens])[spines]
+    at = np.arange(spines.shape[1])
+    after = 1 + (width * (at <= first[:, None])).sum(axis=1)
+    before = 1 + (width * (at >= (first + rows.edge)[:, None])).sum(axis=1)
+    seq = "|".join(map(str, rows.seq))
+    labels = [[f"vertex,{z}", f"edge,{z}|{z + 1}"] for z in range(len(at) + 1)]
     lines = [CSV_HEADER]
-    last = None
-    for r in rows:
-        if r.sequence != last:  # explore's rows share one sequence
-            last, seq = r.sequence, "|".join(map(str, r.sequence))
-        lines.append(
-            f"{seq},{'|'.join(map(str, r.arrangement))},{r.alpha:.12g},"
-            f"{r.charset_kind},{r.charset_pos},"
-            f"{'|'.join(map(str, r.left_degrees))},{'|'.join(map(str, r.right_degrees))}"
-        )
+    for arr, rev, alpha, e, z, i, j, positive in zip(
+        _joined(spines, cells),
+        _joined(spines[:, ::-1], cells),
+        rows.printed,
+        rows.edge.tolist(),
+        first.tolist(),
+        after.tolist(),
+        before.tolist(),
+        rows.positive.tolist(),
+    ):
+        left, right = (rev[j:], arr[i:]) if positive else (arr[i:], rev[j:])
+        lines.append(f"{seq},{arr[1:]},{alpha},{labels[z][e]},{left},{right}")
     return "\n".join(lines) + "\n"
 
 

@@ -35,8 +35,10 @@ every spine arrangement of a degree multiset at once, with the same count
 collapsed to the spine's tridiagonal (each pendant pivot is 1 - x > 0
 below x = 1) and run as one numpy bisection over an (m, k) array, one
 contiguous row per spine position, from which converged arrangements
-and, given a tie band, those that can no longer reach it drop out;
-``_caterpillar_fiedler`` adds the vectors.  Every
+drop out.  Given a tie band, those that can no longer reach it drop out
+too, and the bisection stops once the rest are bracketed to the band's
+relative width: it returns these survivors, for the dense solve, in
+place of values.  ``_caterpillar_fiedler`` adds the vectors.  Every
 path's pairs pass the residual certificate.  Eigenvectors
 follow a fixed sign convention so results are reproducible across runs:
 the entry of largest magnitude is positive, ties resolved to the
@@ -354,11 +356,14 @@ def _caterpillar_alpha(spines, band: tuple[float, float] | None = None) -> np.nd
     the transposed (m, k) array, one contiguous row per spine position,
     and a row leaves the batch once its bracket stops narrowing.
 
-    band = (rtol, slack) stops the rows that cannot reach the tie band
-    min(alpha) (1 + rtol) + slack: a row leaves once its lo exceeds that
-    bound taken at the least hi, which is never below min(alpha), and
-    keeps the midpoint of its bracket then, a value above the band.
-    Every other row bisects exactly as without band.
+    band = (rtol, slack) returns instead the survivors of a band stop: the
+    positions, ascending, of the rows whose lo is at most the bound
+    min(hi) (1 + rtol) + slack when the bisection stops.  A row leaves
+    once its lo exceeds the bound, which only falls, and the bisection
+    stops once every row left is narrower than rtol relative.  A row's
+    bracket always holds the alpha it gets without band, so every row
+    with that alpha at most min(alpha) (1 + rtol) + slack survives, and
+    each survivor's alpha is at most its hi <= lo / (1 - rtol).
     """
     s = np.asarray(spines, dtype=float)
     k = len(s)
@@ -374,6 +379,8 @@ def _caterpillar_alpha(spines, band: tuple[float, float] | None = None) -> np.nd
         if band is not None:
             least = min(least, high.min())
             keep &= ~(low > least + band[0] * least + band[1])
+            if not (keep & (high - low > band[0] * high)).any():
+                keep[:] = False  # every row left is narrow enough: stop
         if not keep.all():
             lo[rows[~keep]], hi[rows[~keep]] = low[~keep], high[~keep]
             rows, low, high, mid = rows[keep], low[keep], high[keep], mid[keep]
@@ -382,7 +389,10 @@ def _caterpillar_alpha(spines, band: tuple[float, float] | None = None) -> np.nd
         above = np.count_nonzero(_spine_pivots(s, p, mid, _SAFE_MIN) < 0.0, axis=0) > 1
         np.copyto(high, mid, where=above)
         np.copyto(low, mid, where=~above)
-    return 0.5 * (lo + hi)
+    if band is None:
+        return 0.5 * (lo + hi)
+    least = hi.min()
+    return np.flatnonzero(lo <= least + band[0] * least + band[1])
 
 
 def _caterpillar_fiedler(spines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

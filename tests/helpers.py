@@ -11,7 +11,9 @@ count of negative pivots; the sides of a geometric split come from
 thresholding the Fiedler vector; the rooted trees carrying a boundary
 weight come from trying the weight on every root edge of every unit
 rooted tree; the rooted nu argmin comes from one dirichlet_nu per such
-tree.  Random trees and rooted caterpillars for property tests come from
+tree; spine arrangements come from a walk over every multiset
+permutation tuple; the partition CSV is written row by row from each
+row's fields.  Random trees and rooted caterpillars for property tests come from
 seeded random.Random draws.
 """
 
@@ -314,3 +316,41 @@ def split_by_threshold(t: Tree, analysis) -> tuple:
         return RootedBoundaryTree(Tree(len(origin), edges), 0), origin
 
     return (*side(pos, attach_pos), *side(neg, attach_neg))
+
+
+def spine_arrangements_by_walk(interior) -> list[tuple[int, ...]]:
+    """The spine arrangements of search.spine_arrangements from a tuple
+    walk: every multiset permutation of interior in lexicographic order
+    (next permutation: bump the rightmost ascent, then reverse the tail),
+    each kept when it is no greater than its reversal."""
+    a = sorted(interior)
+    last = len(a) - 1
+    out = []
+    while True:
+        arr = tuple(a)
+        if arr <= arr[::-1]:
+            out.append(arr)
+        j = last - 1
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return out
+        k = last
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = a[:j:-1]
+
+
+def partition_csv_by_row(rows) -> str:
+    """search.partition_rows_to_csv's text, written one PartitionRow at a
+    time from its fields, degree lists '|'-joined and alpha printed to 12
+    significant digits."""
+    lines = ["sequence,arrangement,alpha,charset_kind,charset_pos,left_degrees,right_degrees"]
+    for r in rows:
+        lines.append(
+            f"{'|'.join(map(str, r.sequence))},{'|'.join(map(str, r.arrangement))},"
+            f"{r.alpha:.12g},{r.charset_kind},{r.charset_pos},"
+            f"{'|'.join(map(str, r.left_degrees))},{'|'.join(map(str, r.right_degrees))}"
+        )
+    return "\n".join(lines) + "\n"

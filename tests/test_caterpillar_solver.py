@@ -4,8 +4,10 @@ numpy eigensolves and the per-tree analysis of build_caterpillar."""
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from fiedlertrees.spectral import (
     _caterpillar_fiedler,
     _fix_sign,
 )
+
+from helpers import partition_csv_by_row, spine_arrangements_by_walk
 
 
 def _sequence(interior):
@@ -68,6 +72,41 @@ def _full_vector(arr, g, h):
     counts[0] += 1
     counts[-1] += 1
     return np.concatenate([g] + [np.full(c, x) for c, x in zip(counts, h)])
+
+
+def _closed_form_count(interior):
+    """(permutations + palindromes) / 2: a reversal pairs each permutation
+    with another but fixes a palindrome.  A palindrome puts half of each
+    multiplicity on each side of the middle, so there is none when two or
+    more degrees occur an odd number of times."""
+    counts = Counter(interior).values()
+    perms = math.factorial(len(interior)) // math.prod(map(math.factorial, counts))
+    palindromes = 0
+    if sum(c % 2 for c in counts) <= 1:
+        palindromes = math.factorial(len(interior) // 2) // math.prod(
+            math.factorial(c // 2) for c in counts
+        )
+    return (perms + palindromes) // 2
+
+
+def test_spine_array_equals_the_tuple_walk():
+    # the single edge, stars, and every interior the searches are tested on
+    for interior in [(), (2,), (5,), *INTERIORS, *WORKLOAD_INTERIORS, NEAR_TIE]:
+        walk = spine_arrangements_by_walk(interior)
+        spines = search._spines(interior)
+        assert spines.tolist() == [list(arr) for arr in walk], interior
+        assert spine_arrangements(interior) == walk, interior
+        assert spines.dtype == np.uint8
+    assert search._spines(()).shape == (1, 0)
+    # the smallest dtype that holds the largest degree
+    assert search._spines((300, 2, 2)).dtype == np.uint16
+    assert search._spines((300, 2, 2)).tolist() == [[2, 2, 300], [2, 300, 2]]
+
+
+def test_spine_array_counts_match_the_closed_form():
+    for interior in INTERIORS + [tuple(range(2, top + 1)) for top in range(2, 11)]:
+        assert len(search._spines(interior)) == _closed_form_count(interior), interior
+    assert _closed_form_count(range(2, 11)) == 181_440
 
 
 def _spines():
@@ -243,6 +282,14 @@ def test_explore_rows_match_the_per_tree_analysis():
                 assert f.max() == pytest.approx(-f.min(), rel=1e-12)
 
 
+def test_explore_csv_equals_the_rows_written_one_by_one():
+    for interior in [(), (2,), (5,), *INTERIORS, (2, 2, 10, 10, 3), (12, 2, 11, 3)]:
+        rows = explore_partitions(_sequence(interior))
+        assert partition_rows_to_csv(rows) == partition_csv_by_row(rows), interior
+    with pytest.raises(TypeError, match="expected the rows of explore_partitions, got list"):
+        partition_rows_to_csv(list(rows))
+
+
 def test_explore_orders_equal_printed_alphas_by_arrangement():
     rows = explore_partitions(_sequence((2, 2, 2, 3, 3, 3, 4, 4, 4)))
     lines = partition_rows_to_csv(rows).strip().split("\n")[1:]
@@ -276,20 +323,23 @@ def _band_slack(seq):
 
 
 def _band_stop_check(interior, rtol):
-    """The size of the unstopped bisection's tie band, after checking
-    that the band stop leaves its values bit-equal and puts every other
-    value above it."""
+    """The size of the unstopped bisection's tie band, after checking that
+    the band stop's survivors hold every row of it, and that each survivor,
+    bracketed to rtol relative with lo at most the bound at the least hi,
+    has its unstopped value within the bound that rule gives."""
     seq = _sequence(interior)
     spines = np.array(spine_arrangements(interior))
     slack = _band_slack(seq)
     full = _caterpillar_alpha(spines)
-    stopped = _caterpillar_alpha(spines, (rtol, slack))
+    survivors = _caterpillar_alpha(spines, (rtol, slack))
     least = full.min()
-    top = least + rtol * least + slack
-    band = full <= top
-    assert np.array_equal(stopped[band], full[band]), interior
-    assert (stopped[~band] > top).all(), interior
-    return int(band.sum())
+    band = np.flatnonzero(full <= least + rtol * least + slack)
+    assert np.isin(band, survivors).all(), interior
+    assert np.array_equal(survivors, np.unique(survivors)), interior
+    # min(hi) <= least / (1 - rtol), and a survivor's hi <= lo / (1 - rtol)
+    top = (least * (1 + rtol) / (1 - rtol) + slack) / (1 - rtol)
+    assert (full[survivors] <= top).all(), interior
+    return len(band)
 
 
 def test_band_stop_changes_no_band():
@@ -302,8 +352,15 @@ def test_band_stop_changes_no_band():
 
 
 def test_min_cat_band_stop_changes_no_report(monkeypatch):
-    def without_stop(spines, band=None):
-        return _caterpillar_alpha(spines)
+    calls = []
+
+    def without_stop(spines, band):
+        """The rows that the unstopped bisection puts in the band."""
+        calls.append(len(spines))
+        rtol, slack = band
+        full = _caterpillar_alpha(spines)
+        least = full.min()
+        return np.flatnonzero(full <= least + rtol * least + slack)
 
     # the n = 18 near tie: one minimizer, the runner-up 1.7e-5 above it
     report = min_alpha_caterpillar(_sequence(NEAR_TIE))
@@ -317,8 +374,12 @@ def test_min_cat_band_stop_changes_no_report(monkeypatch):
             seq = _sequence(interior)
             stopped = min_alpha_caterpillar(seq).to_json()
             with monkeypatch.context() as m:
+                # the band stop min_alpha_caterpillar calls; a search that
+                # stopped calling it would fail the count below
                 m.setattr(search, "_caterpillar_alpha", without_stop)
+                del calls[:]
                 full = min_alpha_caterpillar(seq).to_json()
+                assert calls == [len(spine_arrangements(interior))], interior
             del stopped["elapsed"], full["elapsed"]
             assert stopped == full, interior
             assert len(stopped["minimizers"]) == size, interior
