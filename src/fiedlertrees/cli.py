@@ -46,15 +46,89 @@ EXIT_VERIFY_FAILED = 5
 EXIT_CAP = 6
 
 
-def _round_floats(obj):
-    """Round every float to 12 significant digits for reproducible diffs."""
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+# json's text of a non-finite float
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_string = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    """json's text of x rounded to 12 significant digits.  A "%.12g" text
+    with a point and no exponent is already the repr of the float it
+    rounds to: no other decimal of at most 15 digits rounds to that float,
+    so its shortest round-trip digits are the text's own."""
+    text = format(x, ".12g")
+    if "." in text and "e" not in text:
+        return text
+    return _NONFINITE.get(text) or float.__repr__(float(text))
+
+
+# the text of a scalar of each exact type json writes
+_SCALARS = {
+    str: _string,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a str, or a float (not rounded), bool,
+    None or int turned into one."""
+    if isinstance(key, str):
+        return _string(key)
+    if isinstance(key, float):
+        text = float.__repr__(key)
+        return _string(_NONFINITE.get(text, text))
+    if key is True or key is False or key is None:
+        return _string(_SCALARS[type(key)](key))
+    if isinstance(key, int):
+        return _string(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _items_text(values, pad: str) -> list[str]:
+    """The text of each item of a list or tuple whose lines begin with pad:
+    scalars mapped through their type's text function, rows of one length
+    column by column, and anything else item by item."""
+    kinds = set(map(type, values))
+    if kinds <= _SCALARS.keys():
+        if len(kinds) == 1:
+            return list(map(_SCALARS[kinds.pop()], values))
+        return [_SCALARS[type(v)](v) for v in values]
+    if kinds <= {list, tuple} and len(set(map(len, values))) == 1 and values[0]:
+        inner = pad + "  "
+        sep = "," + inner
+        columns = [_items_text(column, inner) for column in zip(*values)]
+        return ["[" + inner + sep.join(row) + pad + "]" for row in zip(*columns)]
+    return [_json_text(v, pad) for v in values]
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """obj as json.dumps(obj, indent=2) writes it with every float value
+    (not key) rounded to 12 significant digits, each line of its items
+    beginning with pad and two spaces."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = pad + "  "
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_items_text(obj, inner)) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_key_text(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    # a subclass of a scalar type, in json's order of tests
+    if isinstance(obj, str):
+        return _string(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -66,7 +140,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    _write(json.dumps(_round_floats(obj), indent=2) + "\n", out)
+    _write(_json_text(obj) + "\n", out)
 
 
 def _parse_seq(text: str) -> tuple[int, ...]:

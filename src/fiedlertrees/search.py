@@ -15,7 +15,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 
 import numpy as np
@@ -104,7 +104,9 @@ class SearchReport:
     elapsed: float
 
     def to_json(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        """The fields that are not None, in order; the values are the
+        report's own, not copies of them."""
+        return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,19 @@ on, a Laplacian or a branch goes to a tree solver
 in O(n) memory instead: it counts eigenvalues below a shift from the
 pivots of one elimination along the tree (Jacobs and
 Trevisan, "Locating the eigenvalues of trees", Linear Algebra Appl. 434,
-2011), and the same sweep carries each pivot's derivative in the shift.
-Newton steps on the determinant propose the shifts, the count certifies
-every bracket, and a final bisection narrows it to relative width eps
-(count bisection safeguarding a fast root finder, as in Parlett, "The
-Symmetric Eigenvalue Problem", ch. 3).  The vector comes by inverse
-iteration with the same elimination.  A third
+2011).  Newton steps on the determinant propose the shifts, the count
+certifies every bracket, and a final bisection narrows it to relative
+width eps (count bisection safeguarding a fast root finder, as in
+Parlett, "The Symmetric Eigenvalue Problem", ch. 3).  Only a shift that
+a Newton step may start from gets the sweep that also carries each
+pivot's derivative in the shift, and with it the Newton sum
+(_newton_sweep): the start, and the shifts before Newton settles, while
+at most two eigenvalues lie in the bracket.  Every other shift gets a
+count-only sweep (_count_sweep), which builds the same pivots and counts
+bit for bit at about half the cost: the probes and the bisection after
+Newton settles, the shifts of a cluster, and the final sweep for
+inverse iteration.  The vector comes by inverse iteration with the same
+elimination.  A third
 path serves the caterpillar searches: ``_caterpillar_alpha`` ranks
 every spine arrangement of a degree multiset at once, with the same count
 collapsed to the spine's tridiagonal (each pendant pivot is 1 - x > 0
@@ -59,9 +66,11 @@ from .trees import RootedBoundaryTree, Tree, branches_at
 RESIDUAL_FACTOR = 1e-10
 
 #: order from which a tree or a Dirichlet branch block goes to the tree
-#: solver; the measured crossover with dense eigh for one Fiedler pair
-#: (order 128: dense 2.4 ms, tree 5.0 ms; 256: 10.5 and 10.7 ms; 512: 54
-#: and 18 ms)
+#: solver.  For one Fiedler pair of a random tree (medians of 45 solves,
+#: one BLAS thread) the tree solver takes 0.9 ms at order 128 against
+#: dense eigh's 1.7 ms, 1.7 against 7.3 ms at 256 and 3.1 against 40 ms at
+#: 512.  A lower order would move trees of 128-255 vertices out of the
+#: searches' stacked dense solves, and change the bits of their pairs.
 TREE_SOLVER_ORDER = 256
 
 #: the most bytes of matrices that one LAPACK call of _eig_stack takes
@@ -77,6 +86,10 @@ _max, _add, _all = np.maximum.reduce, np.add.reduce, np.logical_and.reduce
 _EPS = sys.float_info.epsilon
 _SAFE_MIN = sys.float_info.min
 _INVERSE_STEPS = 3
+
+#: relative width below which the tree solver's Newton steps stop: one
+#: more step from sqrt(eps) away lands within eps, below rounding
+_SETTLE = _EPS**0.5
 
 
 class ConvergenceError(RuntimeError):
@@ -196,6 +209,59 @@ def _tree_arrays(t: Tree, order: list[int], parent: list[int]):
     return up, diag, off
 
 
+def _sweep_rows(up: list[int], diag: list[float], off: list[float]) -> list[tuple]:
+    """The table the elimination sweeps read: one row (position, diagonal
+    entry, squared off-diagonal entry, parent position) per position, from
+    the last to the root.  The root's parent is -1, which names the extra
+    last slot of a sweep's working lists."""
+    k = len(diag)
+    bb = [w * w for w in off]
+    return list(zip(range(k - 1, -1, -1), diag[::-1], bb[::-1], up[::-1]))
+
+
+def _count_sweep(rows: list[tuple], x: float, tiny: float) -> tuple[list[float], int]:
+    """Pivots d_i of M - x I, eliminated from the leaves up, each of
+    magnitude below tiny replaced by -tiny, and how many are negative: the
+    number of eigenvalues below x (Sylvester's law of inertia)."""
+    pivots = [x] * (len(rows) + 1)  # holds x plus the children's terms until used
+    negative, ntiny = 0, -tiny
+    for i, a, bb, p in rows:
+        d = a - pivots[i]
+        if d < tiny:
+            negative += 1
+            if d > ntiny:
+                d = ntiny
+        pivots[i] = d
+        pivots[p] += bb / d
+    pivots.pop()
+    return pivots, negative
+
+
+def _newton_sweep(rows: list[tuple], x: float, tiny: float) -> tuple[list[float], int, float]:
+    """_count_sweep's pivots and count, the same bits, and sum_i -d_i' / d_i
+    = -d/dx log|det(M - x I)|, the sum of 1 / (lambda - x) over all
+    eigenvalues, from the slopes -d_i' = 1 + sum_c b_c^2 (-d_c') / d_c^2
+    carried along the same sweep."""
+    pivots = [x] * (len(rows) + 1)
+    slopes = [1.0] * (len(rows) + 1)
+    negative, ntiny = 0, -tiny
+    total = 0.0
+    for i, a, bb, p in rows:
+        d = a - pivots[i]
+        if d < tiny:
+            negative += 1
+            if d > ntiny:
+                d = ntiny
+        pivots[i] = d
+        q = slopes[i] / d
+        total += q
+        r = bb / d
+        pivots[p] += r
+        slopes[p] += r * q
+    pivots.pop()
+    return pivots, negative, total
+
+
 def _tree_eigenpair(
     up: list[int], diag: list[float], off: list[float], j: int, kernel: bool
 ) -> EigenPair:
@@ -208,13 +274,16 @@ def _tree_eigenpair(
     out of every iterate.  The vector is unit norm but not sign-fixed, and
     is indexed by position.
 
-    One elimination sweep at a shift x gives both the count of eigenvalues
-    below x and d/dx log|det(M - x I)|.  The count decides every move of
-    the bracket [lo, hi], so count(lo) <= j < count(hi) always holds;
+    One elimination sweep at a shift x gives the count of eigenvalues
+    below x (_count_sweep), and where a Newton step is taken from x, also
+    d/dx log|det(M - x I)| (_newton_sweep).  The count decides every move
+    of the bracket [lo, hi], so count(lo) <= j < count(hi) always holds;
     Newton steps from lo only propose the shifts, and a shift outside the
-    bracket falls back to the midpoint.  Once Newton stalls, bisection
+    bracket falls back to the midpoint.  Once Newton settles, bisection
     narrows the bracket to relative width eps, and the value is its
-    midpoint.
+    midpoint.  Where the count grows with x, the last bracket is the two
+    adjacent floats at which it passes j, so the value does not depend on
+    the shifts that led there.
     """
     k = len(diag)
     a = np.asarray(diag, dtype=float)
@@ -224,36 +293,10 @@ def _tree_eigenpair(
     above = ups[child]
     radius = np.abs(b) + np.bincount(above, weights=np.abs(b[child]), minlength=k)
     norm = float((np.abs(a) + radius).max())
-    bb = [x * x for x in off]
+    rows = _sweep_rows(up, diag, off)
     # LAPACK's dstebz floor for counting: a smaller pivot is a tiny negative
-    pivmin = _SAFE_MIN * max(1.0, max(bb))
+    pivmin = _SAFE_MIN * max(1.0, float((b * b).max()))
     steps = list(range(k - 1, -1, -1))
-
-    def eliminate(x: float, tiny: float) -> tuple[list[float], int, float]:
-        """Pivots d_i of M - x I, eliminated from the leaves up, each of
-        magnitude below tiny replaced by -tiny; how many are negative: the
-        number of eigenvalues below x (Sylvester's law of inertia); and
-        sum_i -d_i' / d_i = -d/dx log|det(M - x I)|, the sum of
-        1 / (lambda - x) over all eigenvalues."""
-        pivots = [x] * k  # holds x plus the children's terms until used
-        slopes = [1.0] * k  # likewise -d_i' = 1 + sum_c b_c^2 (-d_c') / d_c^2
-        negative = 0
-        total = 0.0
-        for i in steps:
-            d = diag[i] - pivots[i]
-            if -tiny < d < tiny:
-                d = -tiny
-            if d < 0.0:
-                negative += 1
-            pivots[i] = d
-            q = slopes[i] / d
-            total += q
-            p = up[i]
-            if p >= 0:
-                r = bb[i] / d
-                pivots[p] += r
-                slopes[p] += r * q
-        return pivots, negative, total
 
     # Gershgorin interval, widened so that no eigenvalue lies above hi
     slack = 2.0 * _EPS * norm + 4.0 * pivmin
@@ -275,15 +318,24 @@ def _tree_eigenpair(
     count_hi = None  # eigenvalues below hi, once a count has moved hi
     reach, last, guess = 0.0, float("inf"), None
     while hi - lo > _EPS * max(abs(lo), abs(hi)):
-        count, total = eliminate(x, pivmin)[1:]
+        # Only a Newton step reads the sum of _newton_sweep; the other
+        # shifts take the cheaper _count_sweep.  No step is taken once
+        # Newton settles, when the bracket or a step that stalls is
+        # narrower than _SETTLE relative: one more step could not beat
+        # rounding.  Nor with more than two eigenvalues in the bracket:
+        # with m equal eigenvalues ahead a step closes 1/m of the
+        # distance, so past two bisection is faster
+        newton = newton and hi - lo > _SETTLE * max(abs(lo), abs(hi))
+        if newton and x != 0.0 and (count_hi is None or count_hi - j <= 2):
+            count, total = _newton_sweep(rows, x, pivmin)[1:]
+        else:
+            count, total = _count_sweep(rows, x, pivmin)[1], None
         if count > j:
-            hi, count_hi = x, count
+            hi, count_hi, reach = x, count, 0.0
         else:
             lo = max(lo, x)  # the start may lie below the Gershgorin bound
             guess = None
-            # with m equal eigenvalues ahead a Newton step closes 1/m of the
-            # distance, so past two of them in the bracket bisection is faster
-            if newton and x != 0.0 and (count_hi is None or count_hi - j <= 2):
+            if total is not None:
                 s = total + 1.0 / x if kernel else total
                 step = 1.0 / s if s > 0.0 else 0.0
                 if _EPS * abs(x) < step < 0.5 * last:
@@ -294,7 +346,11 @@ def _tree_eigenpair(
                     # ever further ahead until a count passes the eigenvalue
                     reach = max(2.0 * reach, 2.0 * step, 2.0 * _EPS * abs(x))
                     guess = x + reach
+                    newton = step > _SETTLE * abs(x)
                 last = step
+            elif reach:  # a probe fell short with no sum to step from
+                reach *= 2.0
+                guess = x + reach
         if guess is not None and lo < guess < hi:
             x = guess
         else:
@@ -305,7 +361,7 @@ def _tree_eigenpair(
 
     # pivots below eps ||M|| are perturbed so the solves stay finite; the
     # growth they cause is what inverse iteration wants
-    pivots = eliminate(value, _EPS * norm)[0]
+    pivots = _count_sweep(rows, value, _EPS * norm)[0]
     ratio = [b_i / d for b_i, d in zip(off, pivots)]
 
     x = np.random.default_rng(0).uniform(-1.0, 1.0, k)

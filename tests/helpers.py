@@ -7,18 +7,20 @@ edge-difference sum; the Dirichlet matrix is cut from the full
 Laplacian; root-to-leaf paths come from a depth-first walk;
 rooted codes come from a recursive walk over every root and root edge;
 eigenvalues of tree-structured matrices come from plain bisection on the
-count of negative pivots; the sides of a geometric split come from
-thresholding the Fiedler vector; the rooted trees carrying a boundary
-weight come from trying the weight on every root edge of every unit
-rooted tree; the rooted nu argmin comes from one dirichlet_nu per such
-tree; spine arrangements come from a walk over every multiset
-permutation tuple; the partition CSV is written row by row from each
-row's fields.  Random trees and rooted caterpillars for property tests come from
-seeded random.Random draws.
+count of negative pivots, and their pivots from a plain loop; the sides
+of a geometric split come from thresholding the Fiedler vector; the
+rooted trees carrying a boundary weight come from trying the weight on
+every root edge of every unit rooted tree; the rooted nu argmin comes
+from one dirichlet_nu per such tree; spine arrangements come from a walk
+over every multiset permutation tuple; the partition CSV is written row
+by row from each row's fields; report JSON comes from json.dumps of the
+rounded report.  Random trees and rooted caterpillars for property tests
+come from seeded random.Random draws.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import sys
@@ -270,6 +272,25 @@ def bisect_eigenvalue(up, diag, off, j: int) -> float:
     return 0.5 * (lo + hi)
 
 
+def tree_pivots(up, diag, off, x: float, tiny: float) -> tuple[list[float], int]:
+    """The pivots of the tree-structured matrix of spectral._tree_eigenpair
+    minus x I, eliminated from the last position to the root, each of
+    magnitude below tiny replaced by -tiny, and how many are negative: a
+    plain loop over the positions."""
+    k = len(diag)
+    pivots = [x] * k
+    negative = 0
+    for i in range(k - 1, -1, -1):
+        d = diag[i] - pivots[i]
+        if -tiny < d < tiny:
+            d = -tiny
+        negative += d < 0.0
+        pivots[i] = d
+        if up[i] >= 0:
+            pivots[up[i]] += off[i] * off[i] / d
+    return pivots, negative
+
+
 def split_by_threshold(t: Tree, analysis) -> tuple:
     """(pos side, origin_pos, neg side, origin_neg) of the geometric split
     of the unit-weight t, with every entry of the Fiedler vector counted
@@ -354,3 +375,21 @@ def partition_csv_by_row(rows) -> str:
             f"{'|'.join(map(str, r.left_degrees))},{'|'.join(map(str, r.right_degrees))}"
         )
     return "\n".join(lines) + "\n"
+
+
+def round_floats(obj):
+    """Every float of obj rounded to 12 significant digits, tuples made
+    lists: the CLI's rounding before it wrote reports with json.dumps."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(v) for v in obj]
+    return obj
+
+
+def report_json_by_dumps(obj) -> str:
+    """The report text the CLI wrote before its one-pass writer:
+    json.dumps of round_floats(obj) at indent 2, and a newline."""
+    return json.dumps(round_floats(obj), indent=2) + "\n"

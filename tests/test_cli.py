@@ -3,12 +3,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiedlertrees import canonical_code, parse_edge_list, path_tree
-from fiedlertrees.cli import main
+from fiedlertrees.cli import _json_text, main
 
-from helpers import NU_M2, dirichlet_path_nu
+from helpers import NU_M2, dirichlet_path_nu, report_json_by_dumps
 
 
 @pytest.fixture
@@ -333,3 +336,92 @@ def test_min_rooted_rejects_non_finite_w0(capsys, w0):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be finite and >= 1" in captured.err
+
+
+# floats where "%.12g" and repr part ways: non-finite, signed zero, the
+# least subnormal, integers, and [1e12, 1e16), where "%.12g" prints an
+# exponent and repr does not
+_FLOATS = (
+    st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.0, 1e-4, 1e16])
+    | st.floats(1e12, 1e16, exclude_max=True)
+    | st.floats(-1e16, -1e12, exclude_min=True)
+    | st.integers(-(10**6), 10**6).map(float)
+    | st.floats().map(np.float64)
+)
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | st.text()
+_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_REPORTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.tuples(inner, inner)
+    | st.dictionaries(_KEYS, inner, max_size=5)
+    # columns of plain scalars and rows of one length, as reports hold
+    | st.lists(_FLOATS, max_size=8)
+    | st.lists(st.tuples(st.integers(), st.integers(), _FLOATS), max_size=6)
+    | st.lists(st.lists(inner, min_size=2, max_size=2), max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_REPORTS)
+def test_report_text_equals_json_dumps_of_the_rounded_report(report):
+    assert _json_text(report) + "\n" == report_json_by_dumps(report)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {},
+        [],
+        (),
+        {"a": []},
+        [[], {}],
+        [[1, 2], [3]],
+        [[1.5, 2], (3, 4.25)],
+        "é\n\"",
+        {math.nan: 1, math.inf: 2, -math.inf: 3, 0.1: 4, True: 5, None: 6, 7: 8},
+        {(1, 2): 3},
+        [np.int64(3)],
+    ],
+    ids=[
+        "dict", "list", "tuple", "nested", "empties", "ragged", "rows", "string", "keys",
+        "tuple-key", "numpy-int",
+    ],
+)
+def test_report_text_edge_cases(report):
+    try:
+        want = report_json_by_dumps(report)
+    except TypeError:
+        with pytest.raises(TypeError):
+            _json_text(report)
+        return
+    assert _json_text(report) + "\n" == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["alpha", "T"],
+        ["split", "T"],
+        ["nu", "T", "--root", "0", "--w0", "1.5"],
+        ["min-tree", "--seq", "3,3,2,2,1,1,1,1"],
+        ["min-cat", "--seq", "3,3,2,2,1,1,1,1"],
+        ["min-rooted", "--seq", "3,3,2,2,1,1,1,1", "--w0", "1.5"],
+        ["verify", "--suite", "all", "--nmax", "6"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_report_is_written_as_json_dumps_wrote_it(capsys, tmp_path, argv, monkeypatch):
+    import fiedlertrees.cli as cli
+
+    edges = [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (4, 6), (6, 7)]
+    tree = tmp_path / "t.txt"
+    tree.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    argv = [str(tree) if a == "T" else a for a in argv]
+    reports = []
+    emit = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda obj, out: reports.append(obj) or emit(obj, out))
+    assert main(argv) == 0
+    assert [report_json_by_dumps(r) for r in reports] == [capsys.readouterr().out]

@@ -28,7 +28,7 @@ from fiedlertrees import (
     verify_suite,
     with_boundary_weight,
 )
-from fiedlertrees.cli import _round_floats, main
+from fiedlertrees.cli import main
 from fiedlertrees.search import (
     CAP,
     CSV_HEADER,
@@ -50,6 +50,7 @@ from helpers import (
     min_nu_rooted_by_instance,
     path_alpha,
     placed_rooted_trees,
+    round_floats,
     spider,
 )
 
@@ -609,6 +610,25 @@ def test_verify_suite_rejects_empty_ranges(suite, kwargs, name):
         verify_suite(suite, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "search, seq",
+    [
+        (min_alpha_tree, (3, 3, 2, 2, 1, 1, 1, 1)),
+        (min_alpha_caterpillar, (3, 3, 2, 2, 1, 1, 1, 1)),
+        (lambda seq: min_nu_rooted(seq, 1.5), (3, 3, 2, 2, 1, 1, 1, 1)),
+        (min_nu_rooted, (4, 3, 2, 1, 1, 1, 1, 1)),
+    ],
+    ids=["min-tree", "min-cat", "min-rooted-1.5", "min-rooted"],
+)
+def test_report_json_equals_the_dataclass_copy(search, seq):
+    from dataclasses import asdict
+
+    report = search(seq)
+    doc = report.to_json()
+    assert doc == {k: v for k, v in asdict(report).items() if v is not None}
+    assert list(doc) == [k for k, v in asdict(report).items() if v is not None]
+
+
 def test_search_reports_are_json_ready():
     import json
 
@@ -745,7 +765,7 @@ def test_verify_all_equals_the_single_suites(capsys, seed):
         for name in ("theorem1", "lemma2", "lemma5", "perturb", "glue", "split")
         for check in verify_suite(name, nmax=7)["checks"]
     ]
-    assert both["checks"] == _round_floats(singles)
+    assert both["checks"] == round_floats(singles)
 
 
 def test_verify_all_equals_the_single_suites_at_each_nmax():

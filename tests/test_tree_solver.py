@@ -6,6 +6,7 @@ solve."""
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from helpers import (
     placed_rooted_trees,
     random_tree,
     spider,
+    tree_pivots,
 )
 
 EPS = np.finfo(float).eps
@@ -129,6 +131,55 @@ def test_eigenvalues_match_the_bisection_oracle(tree):
     for arrays, j, kernel in ((laplace, 1, True), (block, 0, False)):
         value = spectral._tree_eigenpair(*arrays, j, kernel=kernel).value
         assert abs(value - bisect_eigenvalue(*arrays, j)) <= 2 * EPS * value
+
+
+def _shifts(arrays, j, kernel):
+    """Shifts for one matrix: 80 across its Gershgorin interval; 41 within
+    1e-13 relative of its j-th eigenvalue, the value and the floats next
+    to it among them; 0; and every leaf's diagonal entry, where that
+    leaf's pivot is 0 and takes the floor."""
+    up, diag, off = arrays
+    reach = max(d + 2.0 * abs(w) for d, w in zip(diag, off))
+    value = spectral._tree_eigenpair(*arrays, j, kernel=kernel).value
+    near = value * (1.0 + np.linspace(-1e-13, 1e-13, 38))
+    near = [*near, value, np.nextafter(value, -1.0), np.nextafter(value, 2.0 * value)]
+    leaves = sorted({diag[i] for i in set(range(len(diag))) - set(up)})
+    return [*np.linspace(-0.5, reach, 80), *near, 0.0], leaves
+
+
+@pytest.mark.parametrize("tree", _ORACLE_TREES.values(), ids=_ORACLE_TREES.keys())
+def test_count_and_newton_sweeps_give_the_same_pivots(tree):
+    # the count-only sweep must build the Newton sweep's pivots bit for bit,
+    # and both those of a plain elimination, at the floor of the solve's
+    # counts (pivmin) and at the final sweep's eps ||M|| alike
+    order, parent = tree.bfs(0)
+    laplace = spectral._tree_arrays(tree, order, parent)
+    root = tree.n - 1
+    order, parent = tree.bfs(root)
+    branch = max(branches_at(tree, root), key=len)
+    block = spectral._tree_arrays(tree, [v for v in order if v in branch], parent)
+    checked = floored = 0
+    for arrays, j, kernel in ((laplace, 1, True), (block, 0, False)):
+        up, diag, off = arrays
+        rows = spectral._sweep_rows(*arrays)
+        pivmin = sys.float_info.min * max(1.0, max(w * w for w in off))
+        radius = [abs(w) for w in off]
+        for i, p in enumerate(up):
+            if p >= 0:
+                radius[p] += abs(off[i])
+        norm = max(abs(d) + r for d, r in zip(diag, radius))
+        shifts, leaves = _shifts(arrays, j, kernel)
+        for x in map(float, shifts + leaves):
+            for tiny in (pivmin, EPS * norm):
+                pivots, count = spectral._count_sweep(rows, x, tiny)
+                newton, newton_count, _ = spectral._newton_sweep(rows, x, tiny)
+                plain, plain_count = tree_pivots(*arrays, x, tiny)
+                assert count == newton_count == plain_count
+                want = np.array(plain).tobytes()
+                assert np.array(pivots).tobytes() == np.array(newton).tobytes() == want
+                floored += x in leaves and -tiny in pivots
+            checked += 1
+    assert checked >= 200 and floored >= 2
 
 
 @pytest.mark.parametrize(
