@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 
-from .nodal import analyze, analysis_to_json, check_monotone_paths, geometric_split
+from .nodal import analysis_to_json, analyze, check_monotone_paths, geometric_split, verify_split
 from .search import (
     SUITES,
     EnumerationCapExceeded,
@@ -195,8 +195,7 @@ def _cmd_split(args) -> int:
     pos = _side_json(split.pos, split.origin_pos)
     neg = _side_json(split.neg, split.origin_neg)
     alpha = analysis.alpha
-    pos["residual"] = abs(pos["nu"] - alpha) / alpha
-    neg["residual"] = abs(neg["nu"] - alpha) / alpha
+    pos["residual"], neg["residual"] = verify_split(tree, split, alpha, (pos["nu"], neg["nu"]))
     out = {
         "alpha": alpha,
         "characteristic": {

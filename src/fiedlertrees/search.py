@@ -58,7 +58,6 @@ from .trees import (
     _split_spine,
     _tree_sequence,
     _weighted_root_edge,
-    branches_at,
     build_caterpillar,
     is_caterpillar,
     path_tree,
@@ -277,7 +276,7 @@ def min_alpha_caterpillar(seq: Sequence[int]) -> SearchReport:
     solves = _Solves()
     at = [solves.fiedler(tree) for tree in trees]
     solves.run()
-    free = [(tree, solves.pair(i, 1)) for tree, i in zip(trees, at)]
+    free = [(tree, solves.pair(i)) for tree, i in zip(trees, at)]
     extras = [{"arrangement": arr} for arr in band]
     return _alpha_report(seq, start, len(spines), _alpha_band(free, extras))
 
@@ -325,7 +324,7 @@ class _BranchTable(_Solves):
     def __init__(self, table: dict) -> None:
         super().__init__()
         self.table = table
-        self.entries: dict[tuple[str, float], int | tuple[float, np.ndarray]] = {}
+        self.entries: dict[tuple[str, float], int] = {}
 
     def entry(self, keys: Iterable[tuple[str, float]]) -> None:
         """Queue each table entry of keys that the table lacks, once: the
@@ -342,7 +341,7 @@ class _BranchTable(_Solves):
         """Solve what is queued and enter the table's entries."""
         super().run()
         for key, at in self.entries.items():
-            self.table[key] = self.pair(at, 0)
+            self.table[key] = self.pair(at)
 
 
 def _rooted_pair(table: dict, r: _Rooted) -> tuple[float, np.ndarray]:
@@ -461,7 +460,9 @@ class _Partitions(Sequence[PartitionRow]):
     def __len__(self) -> int:
         return len(self.spines)
 
-    def __getitem__(self, i: int) -> PartitionRow:
+    def __getitem__(self, i: int | slice) -> PartitionRow | list[PartitionRow]:
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
         arr = tuple(self.spines[i].tolist())
         z = int(self.first[i])
         kind, ids = ("edge", (z, z + 1)) if self.edge[i] else ("vertex", (z,))
@@ -699,9 +700,9 @@ def _layer(
             solves.entry(key for *_, read in instances for key in read)
     solves.run()
     for case, trees, at in free:
-        case.free = [(t, solves.pair(i, 1)) for t, i in zip(trees, at)]
+        case.free = [(t, solves.pair(i)) for t, i in zip(trees, at)]
     for case, key, i in weighted:
-        case.weighted[key] = solves.pair(i, 1)[0]
+        case.weighted[key] = solves.pair(i)[0]
 
     if {"glue", "split"}.isdisjoint(names):
         return cases
@@ -716,24 +717,21 @@ def _layer(
             if type2:
                 glued.append((case, i, solves.fiedler(glue(split.neg, split.pos))))
             if type2 or "split" in names:
-                pos, neg = (
-                    [solves.branch(s.tree, s.root, sorted(b)) for b in branches_at(s.tree, s.root)]
-                    for s in (split.pos, split.neg)
-                )
-                sides.append((case, i, pos, neg))
+                sides.append((case, i, *map(solves.root_branches, (split.pos, split.neg))))
     solves.run()
     for case, i, at in glued:
-        case.glued[i] = solves.pair(at, 1)[0]
+        case.glued[i] = solves.pair(at)[0]
     for case, i, *parts in sides:
-        case.sides[i] = tuple(float(min(solves.pair(at, 0)[0] for at in side)) for side in parts)
+        case.sides[i] = tuple(float(min(solves.pair(at)[0] for _, at in side)) for side in parts)
     return cases
 
 
 def _stream(
-    nmax: int, table: dict, names: Collection[str] = _FREE_READERS | _ROOTED_READERS
+    nmax: int, names: Collection[str] = _FREE_READERS | _ROOTED_READERS
 ) -> Iterator[_Case]:
-    """Each degree sequence with n = 2..nmax once, as a _Case on table
-    with what the suites names read of it, a layer at a time (_layer)."""
+    """Each degree sequence with n = 2..nmax once, as a _Case with what the
+    suites names read of it, a layer at a time (_layer) on one table."""
+    table = {}
     for n in range(2, nmax + 1):
         yield from _layer(all_tree_sequences(n), names, nmax, table)
 
@@ -745,7 +743,7 @@ def _nu_band(case: _Case, w0: float) -> tuple[list[float], float, list[int]]:
     return nus, *_argmin(nus)
 
 
-def _check_theorem1(case: _Case, nmax: int, out: dict) -> None:
+def _check_theorem1(case: _Case, out: dict) -> None:
     minimizers = _alpha_band(case.free)
     out["checked"] += len(minimizers)
     out["failures"] += [
@@ -755,7 +753,7 @@ def _check_theorem1(case: _Case, nmax: int, out: dict) -> None:
     ]
 
 
-def _check_lemma2(case: _Case, nmax: int, out: dict) -> None:
+def _check_lemma2(case: _Case, out: dict) -> None:
     out["checked"] += len(case.rooted)
     out["failures"] += [
         {
@@ -768,7 +766,7 @@ def _check_lemma2(case: _Case, nmax: int, out: dict) -> None:
     ]
 
 
-def _check_lemma5(case: _Case, nmax: int, out: dict) -> None:
+def _check_lemma5(case: _Case, out: dict) -> None:
     """The nu argmin at each of _LEMMA5_WEIGHTS, ranked as min_nu_rooted
     ranks it (_nu_band).  The predicted shape reads no weights, so it is
     decided once per w0 = 1 rooted tree."""
@@ -880,7 +878,7 @@ def _moves(r: _Rooted) -> list[tuple[str, tuple, set[str]]]:
     return [(kind, edges, set(form.branches(src, dst))) for kind, src, dst, edges in moves]
 
 
-def _check_perturb(case: _Case, nmax: int, out: dict) -> None:
+def _check_perturb(case: _Case, out: dict) -> None:
     """Every move of _moves on each w0 = 1 rooted tree of the stream.  nu
     before a move is the stream's, and nu after it is the least branch
     table entry over the root's branch codes after it."""
@@ -896,7 +894,7 @@ def _check_perturb(case: _Case, nmax: int, out: dict) -> None:
                 out["failures"].append({"code": r.code, **record.to_json()})
 
 
-def _check_glue(case: _Case, nmax: int, out: dict) -> None:
+def _check_glue(case: _Case, out: dict) -> None:
     """alpha(glue(a, b)) <= max(nu(a), nu(b)), strictly when the two nus
     differ by more than 1e-8, on four kinds of case.
 
@@ -945,7 +943,7 @@ def _check_glue(case: _Case, nmax: int, out: dict) -> None:
             out["failures"].append({"equality_case_alpha": alpha, "equality_case_nu": nu})
 
 
-def _check_split(case: _Case, nmax: int, out: dict) -> None:
+def _check_split(case: _Case, out: dict) -> None:
     for i, (tree, alpha, split) in enumerate(case.splits):
         r1, r2 = verify_split(tree, split, alpha, case.sides[i])
         out["checked"] += 1
@@ -961,7 +959,7 @@ def _check_split(case: _Case, nmax: int, out: dict) -> None:
 
 
 #: each suite's report name, its check of one stream case,
-#: (case, nmax, out) -> None, which adds to out's "checked" count and
+#: (case, out) -> None, which adds to out's "checked" count and
 #: "failures" list, and the other report fields out starts with
 _CHECKS = {
     "theorem1": ("alpha minimizers are monotone caterpillars", _check_theorem1, dict),
@@ -1005,9 +1003,9 @@ def verify_suite(suite: str, nmax: int = 8) -> dict:
         raise ValueError(f"nmax must be >= 2, got {nmax}")
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
     outs = {name: {"checked": 0, "failures": [], **_CHECKS[name][2]()} for name in names}
-    for case in _stream(nmax, {}, names):
+    for case in _stream(nmax, names):
         for name in names:
-            _CHECKS[name][1](case, nmax, outs[name])
+            _CHECKS[name][1](case, outs[name])
     checks = [{"suite": name} | _report(_CHECKS[name][0], **outs[name]) for name in names]
     return {
         "suite": suite,

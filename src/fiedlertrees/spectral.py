@@ -7,20 +7,20 @@ returns all of its eigenpairs; that is the fast path for the many small
 solves of the tree searches.  ``_eig_stack`` solves a (b, n, n) stack
 of them in one LAPACK call, which gives each matrix the bits it gets
 alone, and vectorizes the sign rule and the residual certificate over
-the stack; ``eig_smallest`` is its one-matrix case.  Every dense solve
-but ``algebraic_connectivity``'s goes through one queue, ``_Solves``,
-which stacks its blocks by order, solves each chunk of a stack as it
-fills, and holds the one rule that routes a block by size.  A tree's
-Laplacian (``_Solves.fiedler``) is queued below TREE_SOLVER_ORDER
-vertices.  A Dirichlet branch (``_Solves.branch``) that is a lone
-vertex needs no solve: its value is the weight of its edge to the root.
-Below TREE_SOLVER_ORDER rows it is queued as the block cut straight from
-the tree (``_branch_block``).  ``dirichlet_nu`` queues every branch at
-its root.  The searches and the verify suites queue a layer's
-Laplacians (one sequence's for a CLI search) with every branch table
-entry that its rooted instances (``search._instances``) read, so each
-entry is solved before any suite reads it.  From TREE_SOLVER_ORDER rows
-on, a Laplacian or a branch goes to a tree solver
+the stack; ``eig_smallest`` is its one-matrix case.  Every eigenpair but
+``algebraic_connectivity``'s comes through one queue, ``_Solves``, which
+holds the one rule that routes a matrix by size.  Every route returns a
+position, where ``_Solves.pair`` reads the one pair the route fixes: pair
+1 of a tree's Laplacian (``_Solves.fiedler``), pair 0 of a Dirichlet
+branch (``_Solves.branch``; ``_Solves.root_branches`` queues every branch
+at a root).  A lone-vertex branch needs no solve: its value is the weight
+of its edge to the root.  Below TREE_SOLVER_ORDER rows a Laplacian, or a
+branch's block cut from the tree (``_branch_block``), is stacked by
+order, and the queue, the one chunker, solves each chunk as it fills.
+The searches and the verify suites queue a layer's Laplacians with every
+branch table entry that its rooted instances (``search._instances``)
+read, so each is solved before any suite reads it.  From TREE_SOLVER_ORDER
+rows on, both go to one tree solver entry (``_tree_pair``)
 in O(n) memory instead: it counts eigenvalues below a shift from the
 pivots of one elimination along the tree (Jacobs and
 Trevisan, "Locating the eigenvalues of trees", Linear Algebra Appl. 434,
@@ -55,6 +55,7 @@ smallest index.
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,7 @@ RESIDUAL_FACTOR = 1e-10
 #: searches' stacked dense solves, and change the bits of their pairs.
 TREE_SOLVER_ORDER = 256
 
-#: the most bytes of matrices that one LAPACK call of _eig_stack takes
+#: the most bytes of matrices that _Solves stacks into one _eig_stack call
 _STACK_BYTES = 1 << 20
 
 # numpy.linalg.eigh's LAPACK call (syevd on the lower triangle) without its
@@ -139,19 +140,15 @@ def _fix_sign(x: np.ndarray) -> np.ndarray:
 
 def _eig_stack(ms: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The k algebraically smallest eigenpairs of every matrix of ms, a
-    (b, n, n) stack of symmetric finite float64 matrices with 1 <= k <= n:
-    values (b, k) ascending, orthonormal vectors (b, k, n) sign-fixed by
-    _fix_sign, and residuals (b, k), each pair certified.
+    (b, n, n) stack of symmetric finite float64 matrices with 1 <= k <= n,
+    in one LAPACK call: values (b, k) ascending, orthonormal vectors
+    (b, k, n) sign-fixed by _fix_sign, and residuals (b, k), each pair
+    certified.
 
-    One LAPACK call solves each chunk of at most _STACK_BYTES of matrices.
-    It solves each matrix of a stack as it solves it alone, so a matrix's
-    pairs are the same bits whatever stack it is in, and the bits
-    numpy.linalg.eigh gives it."""
-    b, n = ms.shape[:2]
-    step = _stack_step(n)
-    if b > step:
-        parts = [_eig_stack(ms[i : i + step], k) for i in range(0, b, step)]
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    LAPACK solves each matrix of a stack as it solves it alone, so a
+    matrix's pairs are the same bits whatever stack it is in, and the bits
+    numpy.linalg.eigh gives it.  _Solves keeps each stack to _stack_step
+    matrices."""
     values, vectors = _eigh(ms)
     values = values[:, :k]
     cols = vectors[:, :, :k]
@@ -172,8 +169,8 @@ def _eig_stack(ms: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _stack_step(n: int) -> int:
-    """The most matrices of order n that one LAPACK call of _eig_stack
-    takes: those that fit in _STACK_BYTES, and at least one."""
+    """The most matrices of order n that _Solves stacks into one
+    _eig_stack call: those that fit in _STACK_BYTES, and at least one."""
     return max(1, _STACK_BYTES // (8 * n * n))
 
 
@@ -518,16 +515,22 @@ def algebraic_connectivity(t: Tree) -> tuple[float, np.ndarray]:
         # spectral.order_max from this call
         pair = eig_smallest(laplacian(t), 2)[1]
         return pair.value, pair.vector
-    return _tree_fiedler(t)
+    return _tree_pair(t, 0, range(t.n))
 
 
-def _tree_fiedler(t: Tree) -> tuple[float, np.ndarray]:
-    """algebraic_connectivity's pair from the O(n) tree solver, which takes
-    it from TREE_SOLVER_ORDER vertices on."""
-    order, parent = t.bfs(0)
-    pair = _tree_eigenpair(*_tree_arrays(t, order, parent), 1, kernel=True)
-    vec = np.empty(t.n)
-    vec[order] = pair.vector
+def _tree_pair(t: Tree, root: int, verts: Sequence[int]) -> tuple[float, np.ndarray]:
+    """The O(n) tree solver's sign-fixed pair on verts, sorted, the vector
+    over verts, with the positions in BFS order from root: for every
+    vertex of t, alpha and the Fiedler vector (the Laplacian's pair 1);
+    for a component of t minus root, its first Dirichlet pair."""
+    order, parent = t.bfs(root)
+    kernel = len(verts) == t.n
+    if not kernel:
+        inside = set(verts)
+        order = [v for v in order if v in inside]
+    pair = _tree_eigenpair(*_tree_arrays(t, order, parent), int(kernel), kernel)
+    vec = np.empty(len(order))
+    vec[np.searchsorted(verts, order)] = pair.vector
     return pair.value, _fix_sign(vec)
 
 
@@ -546,60 +549,62 @@ def _branch_block(t: Tree, verts: list[int]) -> np.ndarray:
 
 
 class _Solves:
-    """The one queue of dense eigensolves: blocks of order 2 and up, each
-    with its two smallest pairs, stacked by order and solved in one
-    _eig_stack call per chunk of _stack_step blocks.  A chunk is solved as
-    it fills, and run solves the rest, so no order holds more than one
-    unfilled chunk; each block gets the bits it gets alone.
-
-    fiedler and branch route a tree's Laplacian and a Dirichlet branch by
-    size; a block that needs no dense solve gets its pair at once, and pair
-    returns it as it is."""
+    """The one queue of eigenpairs.  Every route returns a position at which
+    pair reads, after run, the one pair the route fixes.  Dense blocks (add)
+    are stacked by order and solved in one _eig_stack call per chunk of
+    _stack_step blocks, each as it fills; run solves the rest, so no order
+    holds more than one unfilled chunk, and each block gets the bits it gets
+    alone.  A pair that needs no dense solve is stored (_store) at once."""
 
     def __init__(self) -> None:
-        self.solved: list[tuple[list[float], np.ndarray] | None] = []
-        self.chunks: dict[int, list[tuple[int, np.ndarray]]] = {}
+        self.solved: list[tuple[float, np.ndarray] | None] = []
+        self.chunks: dict[int, list[tuple[int, np.ndarray, int]]] = {}
 
-    def add(self, m: np.ndarray) -> int:
-        """Queue the block m; its position, which pair reads after run."""
-        n, at = len(m), len(self.solved)
-        self.solved.append(None)
+    def _store(self, pair: tuple[float, np.ndarray] | None) -> int:
+        """Store pair, or None for one still to solve; its position."""
+        self.solved.append(pair)
+        return len(self.solved) - 1
+
+    def add(self, m: np.ndarray, j: int) -> int:
+        """Queue the block m for its j-th pair, j 0 or 1; its position."""
+        n, at = len(m), self._store(None)
         chunk = self.chunks.setdefault(n, [])
-        chunk.append((at, m))
+        chunk.append((at, m, j))
         if len(chunk) == _stack_step(n):
             self._solve(self.chunks.pop(n))
         return at
 
-    def _solve(self, chunk: list[tuple[int, np.ndarray]]) -> None:
-        """Solve the (position, block) pairs of chunk in one stack: each
-        block's two values, a list, and its vectors (2, n)."""
-        values, vectors, _ = _eig_stack(np.array([m for _, m in chunk]), 2)
-        for (at, _), v, x in zip(chunk, values.tolist(), vectors):
-            self.solved[at] = v, x
+    def _solve(self, chunk: list[tuple[int, np.ndarray, int]]) -> None:
+        """Solve the (position, block, j) entries of chunk in one stack and
+        store each block's j-th value and vector."""
+        values, vectors, _ = _eig_stack(np.array([m for _, m, _ in chunk]), 2)
+        for (at, _, j), v, x in zip(chunk, values.tolist(), vectors):
+            self.solved[at] = v[j], x[j]
 
-    def fiedler(self, t: Tree) -> int | tuple[float, np.ndarray]:
-        """Queue t's Laplacian, whose pair(at, 1) is algebraic_connectivity(t)
-        bit for bit; from TREE_SOLVER_ORDER vertices on, the tree solver's pair."""
-        return self.add(laplacian(t)) if t.n < TREE_SOLVER_ORDER else _tree_fiedler(t)
+    def fiedler(self, t: Tree) -> int:
+        """Queue t's Laplacian, whose pair is algebraic_connectivity(t) bit
+        for bit: from TREE_SOLVER_ORDER vertices on, the tree solver's."""
+        if t.n < TREE_SOLVER_ORDER:
+            return self.add(laplacian(t), 1)
+        return self._store(_tree_pair(t, 0, range(t.n)))
 
-    def branch(self, t: Tree, root: int, verts: list[int]) -> int | tuple[float, np.ndarray]:
+    def branch(self, t: Tree, root: int, verts: list[int]) -> int:
         """Queue the Dirichlet block of verts, a component of t minus root,
-        sorted, whose pair(at, 0) is its first Dirichlet pair, the vector
-        over verts: for a lone vertex, which needs no solve, the weight of
-        its edge to the root; below TREE_SOLVER_ORDER rows, the block cut
-        from the tree (_branch_block); from there on, the tree solver's pair
-        on the branch in BFS order from root."""
+        sorted, whose pair is its first Dirichlet pair, the vector over
+        verts: for a lone vertex, which needs no solve, the weight of its
+        edge to the root; below TREE_SOLVER_ORDER rows, the block cut from
+        the tree (_branch_block); from there on, the tree solver's."""
         if len(verts) == 1:
-            return t.neighbors(verts[0])[0][1], np.ones(1)
+            return self._store((t.neighbors(verts[0])[0][1], np.ones(1)))
         if len(verts) < TREE_SOLVER_ORDER:
-            return self.add(_branch_block(t, verts))
-        order, parent = t.bfs(root)
-        inside = set(verts)
-        sub = [v for v in order if v in inside]
-        pair = _tree_eigenpair(*_tree_arrays(t, sub, parent), 0, kernel=False)
-        vec = np.empty(len(verts))
-        vec[np.searchsorted(verts, sub)] = pair.vector
-        return pair.value, _fix_sign(vec)
+            return self.add(_branch_block(t, verts), 0)
+        return self._store(_tree_pair(t, root, verts))
+
+    def root_branches(self, rbt: RootedBoundaryTree) -> list[tuple[list[int], int]]:
+        """Queue every branch at rbt's root (branch), in branches_at order:
+        each one's sorted vertices and position."""
+        t, root = rbt.tree, rbt.root
+        return [(b, self.branch(t, root, b)) for b in map(sorted, branches_at(t, root))]
 
     def run(self) -> None:
         """Solve every unfilled chunk."""
@@ -607,13 +612,9 @@ class _Solves:
             self._solve(chunk)
         self.chunks.clear()
 
-    def pair(self, at: int | tuple[float, np.ndarray], j: int) -> tuple[float, np.ndarray]:
-        """The j-th pair of the block queued at position at, or at itself
-        when it is a pair that needed no dense solve."""
-        if isinstance(at, tuple):
-            return at
-        values, vectors = self.solved[at]
-        return values[j], vectors[j]
+    def pair(self, at: int) -> tuple[float, np.ndarray]:
+        """The pair stored at position at."""
+        return self.solved[at]
 
 
 def dirichlet_nu(rbt: RootedBoundaryTree) -> tuple[float, np.ndarray]:
@@ -625,16 +626,14 @@ def dirichlet_nu(rbt: RootedBoundaryTree) -> tuple[float, np.ndarray]:
     block and zero elsewhere.  The vector is unit norm and positive on its
     block: a block's first eigenvector is a Perron vector, of one sign,
     and _fix_sign makes it positive.  Every branch goes to one queue
-    (_Solves.branch), so no matrix of the interior's order is built.
+    (_Solves.root_branches), so no matrix of the interior's order is built.
     """
-    tree, root = rbt.tree, rbt.root
     solves = _Solves()
-    branches = [sorted(branch) for branch in branches_at(tree, root)]
-    at = [solves.branch(tree, root, verts) for verts in branches]
+    branches = solves.root_branches(rbt)
     solves.run()
-    pairs = [solves.pair(i, 0) for i in at]
+    pairs = [solves.pair(at) for _, at in branches]
     first = min(range(len(pairs)), key=lambda i: pairs[i][0])
     index = rbt.interior_index()
     vec = np.zeros(len(index))
-    vec[[index[v] for v in branches[first]]] = pairs[first][1]
+    vec[[index[v] for v in branches[first][0]]] = pairs[first][1]
     return float(pairs[first][0]), vec

@@ -111,33 +111,30 @@ def test_chunked_stack_equals_one_stack(monkeypatch):
     a = rng.standard_normal((10, 6, 6))
     ms = a + a.transpose(0, 2, 1)
     whole = _eig_stack(ms, 3)
-    calls = []
-    real = spectral._eigh
-    monkeypatch.setattr(spectral, "_eigh", lambda m: calls.append(len(m)) or real(m))
     monkeypatch.setattr(spectral, "_STACK_BYTES", 3 * 6 * 6 * 8)
-    chunked = _eig_stack(ms, 3)
-    assert calls == [3, 3, 3, 1]
-    for got, want in zip(chunked, whole):
-        assert np.array_equal(got, want)
-    # the queue hands _eig_stack each chunk the moment it fills, so no
-    # order ever holds more than one unfilled chunk, and run the rest
-    stacked = []
-    real_stack = spectral._eig_stack
+    # the queue is the one chunker: it hands _eig_stack each chunk the
+    # moment it fills, so no order ever holds more than one unfilled
+    # chunk, and run the rest, one LAPACK call each
+    calls, stacked = [], []
+    real, real_stack = spectral._eigh, spectral._eig_stack
+    monkeypatch.setattr(spectral, "_eigh", lambda m: calls.append(len(m)) or real(m))
     monkeypatch.setattr(
         spectral, "_eig_stack", lambda m, k: stacked.append(len(m)) or real_stack(m, k)
     )
-    solves = spectral._Solves()
     step = spectral._stack_step(6)
-    for i, m in enumerate(ms, 1):
-        assert solves.add(m) == i - 1
-        assert stacked == [step] * (i // step)
-        assert all(len(chunk) < step for chunk in solves.chunks.values())
-    solves.run()
-    assert stacked == [3, 3, 3, 1]
-    assert not solves.chunks
-    for at in range(len(ms)):
-        for j in range(2):
-            value, vector = solves.pair(at, j)
+    for j in range(2):
+        calls.clear()
+        stacked.clear()
+        solves = spectral._Solves()
+        for i, m in enumerate(ms, 1):
+            assert solves.add(m, j) == i - 1
+            assert stacked == [step] * (i // step)
+            assert all(len(chunk) < step for chunk in solves.chunks.values())
+        solves.run()
+        assert calls == stacked == [3, 3, 3, 1]
+        assert not solves.chunks
+        for at in range(len(ms)):
+            value, vector = solves.pair(at)
             assert value == whole[0][at, j]
             assert np.array_equal(vector, whole[1][at, j])
 

@@ -420,10 +420,10 @@ def test_verify_solves_only_inside_its_layers(monkeypatch):
     depth, outside = [0], []
     real_add, real_layer = spectral._Solves.add, search._layer
 
-    def add(self, m):
+    def add(self, m, j):
         if not depth[0]:
             outside.append(m.copy())
-        return real_add(self, m)
+        return real_add(self, m, j)
 
     def layer(*args):
         depth[0] += 1
@@ -458,9 +458,9 @@ def test_min_nu_rooted_solves_exactly_the_entries_its_instances_read(monkeypatch
     handed = []
     real = spectral._Solves.add
 
-    def recorded(self, m):
-        handed.append(m)
-        return real(self, m)
+    def recorded(self, m, j):
+        handed.append((m, j))
+        return real(self, m, j)
 
     monkeypatch.setattr(spectral._Solves, "add", recorded)
     report = min_nu_rooted(seq, w0)
@@ -473,7 +473,9 @@ def test_min_nu_rooted_solves_exactly_the_entries_its_instances_read(monkeypatch
     read = dict.fromkeys(key for *_, keys in instances for key in keys)
     want = [_entry_block(*key) for key in read if key[0] != "()"]
     assert len(handed) == len(want) == 857
-    assert all(np.array_equal(got, block) for got, block in zip(handed, want))
+    assert all(np.array_equal(got, block) for (got, _), block in zip(handed, want))
+    # each entry is read for its first Dirichlet pair
+    assert {j for _, j in handed} == {0}
 
 
 def test_branch_table_entries_equal_dirichlet_nu_of_the_hung_tree(monkeypatch):
@@ -537,6 +539,9 @@ def test_explore_partitions_rows():
 
     rows3 = explore_partitions((4, 3, 2, 1, 1, 1, 1, 1))
     assert len(rows3) == 3
+    # a slice is a list of the rows it selects
+    assert rows3[1:3] == [rows3[1], rows3[2]]
+    assert rows3[::-1] == [rows3[2], rows3[1], rows3[0]]
 
 
 def test_explore_argmin_matches_caterpillar_search():
@@ -784,8 +789,21 @@ def test_verify_stream_ranks_as_min_alpha_tree():
     from fiedlertrees.search import _alpha_band, _stream
 
     # theorem1 ranks the pairs the stream solved once per free tree
-    for case in _stream(8, {}):
+    for case in _stream(8):
         assert _alpha_band(case.free) == min_alpha_tree(case.seq).minimizers
+
+
+def test_verify_stream_sides_are_dirichlet_nu_of_each_split_side():
+    from fiedlertrees.search import _stream
+
+    # the split sides' nus the layer queued, read by split and glue, are
+    # those dirichlet_nu gives each side alone, bit for bit
+    checked = 0
+    for case in _stream(8):
+        for i, (_, _, split) in enumerate(case.splits):
+            assert case.sides[i] == (dirichlet_nu(split.pos)[0], dirichlet_nu(split.neg)[0])
+            checked += 1
+    assert checked == sum([1, 1, 2, 3, 6, 11, 23])  # A000055, n = 2..8
 
 
 def test_verify_stream_ranks_as_min_nu_rooted():
@@ -793,7 +811,7 @@ def test_verify_stream_ranks_as_min_nu_rooted():
 
     # lemma5 ranks each weight's instances from the stream's branch table,
     # which holds all three weights, and min-rooted from its own at one
-    for case in _stream(8, {}):
+    for case in _stream(8):
         for w0 in _LEMMA5_WEIGHTS:
             instances = case.lemma5[w0]
             argmin = sorted((instances[k][2] for k in _nu_band(case, w0)[2]), key=str)
@@ -806,18 +824,18 @@ def test_min_alpha_tree_takes_the_tree_solver_from_its_order(monkeypatch):
     from fiedlertrees.spectral import TREE_SOLVER_ORDER
 
     orders, trees = [], []
-    real_stack, real_tree = spectral._eig_stack, spectral._tree_fiedler
+    real_stack, real_tree = spectral._eig_stack, spectral._tree_pair
 
     def recorded(ms, k):
         orders.extend(map(len, ms))
         return real_stack(ms, k)
 
-    def tree_solver(t):
-        trees.append(t.n)
-        return real_tree(t)
+    def tree_solver(t, root, verts):
+        trees.append(len(verts))
+        return real_tree(t, root, verts)
 
     monkeypatch.setattr(spectral, "_eig_stack", recorded)
-    monkeypatch.setattr(spectral, "_tree_fiedler", tree_solver)
+    monkeypatch.setattr(spectral, "_tree_pair", tree_solver)
     # the star on 301 vertices, whose alpha 1 has multiplicity 299: a dense
     # solve gives alpha 0.9999999999999956 and another Fiedler vector
     doc = min_alpha_tree((300,) + (1,) * 300).to_json()

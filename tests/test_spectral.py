@@ -176,3 +176,35 @@ def test_dirichlet_nu_never_exceeds_alpha_of_same_tree():
         nu, _ = dirichlet_nu(with_boundary_weight(t, rng.randrange(t.n), 1.0))
         assert nu <= alpha + 1e-10
         assert nu > 0
+
+
+def test_every_queue_route_returns_a_position_of_the_public_pair():
+    from fiedlertrees.spectral import TREE_SOLVER_ORDER, _Solves
+
+    rng = random.Random(30)
+    trees = [random_tree(rng, 40), random_tree(rng, TREE_SOLVER_ORDER + 44)]
+    # one branch at each root: a lone vertex on a weighted edge, a dense
+    # block and, from TREE_SOLVER_ORDER rows on, the tree solver
+    rooted = [with_boundary_weight(path_tree(2), 0, 1.5)]
+    for t in trees:
+        leaf = min(v for v in range(t.n) if t.degree(v) == 1)
+        rooted.append(with_boundary_weight(t, leaf, 1.0))
+    solves = _Solves()
+    laplacians = [solves.fiedler(t) for t in trees]
+    branches = [solves.root_branches(rbt) for rbt in rooted]
+    solves.run()
+    sizes = [[len(verts) for verts, _ in queued] for queued in branches]
+    assert sizes == [[1], [39], [TREE_SOLVER_ORDER + 43]]
+    for t, at in zip(trees, laplacians):
+        assert type(at) is int
+        value, vector = solves.pair(at)
+        want = algebraic_connectivity(t)
+        assert value == want[0]
+        assert np.array_equal(vector, want[1])
+    for rbt, ((_, at),) in zip(rooted, branches):
+        assert type(at) is int
+        value, vector = solves.pair(at)
+        want = dirichlet_nu(rbt)
+        assert value == want[0]
+        assert np.array_equal(vector, want[1])
+    assert solves.pair(branches[0][0][1])[0] == 1.5
