@@ -14,9 +14,10 @@ import math
 import sys
 import time
 from collections import Counter
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,9 +75,6 @@ STRICT_MARGIN = 1e-10
 #: a search refuses a class with more candidates than this to walk:
 #: skeleton Prufer words to decode, or spine permutations
 CAP = 10_000_000
-
-SUITES = ("theorem1", "lemma2", "lemma5", "perturb", "glue", "split", "all")
-
 
 class EnumerationCapExceeded(RuntimeError):
     """The enumeration would walk more than CAP candidates."""
@@ -198,7 +196,7 @@ def min_alpha_tree(seq: Sequence[int]) -> SearchReport:
     """
     start = time.perf_counter()
     seq = _tree_sequence(seq)
-    (case,) = _layer([seq], {"theorem1"}, len(seq), {})
+    (case,) = _layer([seq], _SUITE_TABLE["theorem1"].reads, len(seq), {})
     return _alpha_report(seq, start, len(case.free), _alpha_band(case.free))
 
 
@@ -335,7 +333,8 @@ class _BranchTable(_Solves):
                 code, w0 = key
                 n, edges = _code_edges("(" + code + ")")
                 edges[0] = (0, 1, float(w0))
-                self.entries[key] = self.branch(Tree._trusted(n, edges), 0, list(range(1, n)))
+                order, parent = (hung := Tree._trusted(n, edges)).bfs(0)
+                self.entries[key] = self.branch(hung, order[1:], parent)
 
     def run(self) -> None:
         """Solve what is queued and enter the table's entries."""
@@ -374,7 +373,7 @@ def _instances(
     first child by id with that code, in child order, keyed (root code,
     child code), which is rooted_canonical_key of the placed tree.  The
     weighted child's branch is keyed at w0 and the others at weight 1; an
-    instance's nu is the least of their entries (_nus)."""
+    instance's nu is the least of their entries (_nu_band)."""
     out = []
     for i, r in enumerate(rooted):
         sites = [(None, r.code)]
@@ -390,12 +389,6 @@ def _instances(
     return out
 
 
-def _nus(table: dict, instances: list[tuple]) -> list[list[float]]:
-    """The nus of each instance's branches at the root, in child order,
-    from the table."""
-    return [[table[key][0] for key in keys] for *_, keys in instances]
-
-
 def min_nu_rooted(seq: Sequence[int], boundary_weight: float = 1.0) -> SearchReport:
     """Argmin set of the first Dirichlet eigenvalue over every rooted tree
     with the given degree multiset.  Raises EnumerationCapExceeded when
@@ -407,8 +400,8 @@ def min_nu_rooted(seq: Sequence[int], boundary_weight: float = 1.0) -> SearchRep
     _check_boundary_weight(boundary_weight)
     start = time.perf_counter()
     seq = _tree_sequence(seq)
-    (case,) = _layer([seq], {"lemma5"}, len(seq), {}, (boundary_weight,))
-    instances = case.lemma5[boundary_weight]
+    (case,) = _layer([seq], _SUITE_TABLE["lemma5"].reads, len(seq), {}, (boundary_weight,))
+    instances = case.instances[boundary_weight]
     nus, minimum, tied = _nu_band(case, boundary_weight)
     minimizers = []
     for k in tied:
@@ -589,55 +582,39 @@ def all_tree_sequences(n: int) -> Iterator[tuple[int, ...]]:
 # verification suites
 
 
-def _report(name: str, checked: int, failures: list, **extra: object) -> dict:
-    """One suite's report: its first 20 failures, and passed when it has
-    none."""
-    return {
-        "name": name,
-        "checked": checked,
-        **extra,
-        "failures": failures[:20],
-        "passed": not failures,
-    }
-
-
-#: the suites that read a case's free trees, its w0 = 1 rooted trees, and
-#: their Dirichlet pairs (_rooted_pair)
-_FREE_READERS = frozenset({"theorem1", "glue", "split"})
-_ROOTED_READERS = frozenset({"lemma2", "lemma5", "perturb", "glue"})
-_PAIR_READERS = frozenset({"lemma2", "perturb"})
-
-
 @dataclass
 class _Case:
     """One degree sequence, its canonical codes, sorted, the branch table,
-    and what the suites read of it, solved with the rest of its layer
-    (_layer) and shared by every suite:
+    and the parts of it that the suites read, solved with the rest of its
+    layer (_layer) and shared by every suite.  A part the layer was not
+    asked for stays empty, and so do the parts after rooted without it, and
+    splits and glued without free:
 
     - free: the free trees with their (alpha, Fiedler vector) pairs;
-    - splits: their geometric splits, with sides[i] the first Dirichlet
-      eigenvalues of the positive and the negative side of the i-th, and
-      glued[i] alpha of the glue of its two sides when it is Type II;
-    - rooted: the w0 = 1 rooted trees (_Rooted), and moves, each one's
-      pendant moves (_moves);
-    - lemma5: the instances (_instances) of the rooted trees at each
-      weight the layer ranks, and forks: those of the rooted trees whose
-      root has two or more children at each of glue's weights, both by w0;
-    - weighted: alpha of each weighted glue instance, keyed (w0, its
-      _instances key)."""
+    - rooted: the w0 = 1 rooted trees (_Rooted);
+    - pairs: the Dirichlet pair of each rooted tree (_rooted_pair);
+    - instances: the instances (_instances) of the rooted trees at each
+      weight the layer ranks, by w0;
+    - moves: the pendant moves (_moves) of each rooted tree;
+    - forks: at each weight of the gluing bound, by w0, the instances whose
+      root has two or more children, each with alpha of its placed tree, or
+      None at w0 = 1, where it is its free tree's;
+    - splits: (tree, alpha, geometric split, the first Dirichlet
+      eigenvalues of its positive and its negative side) of each free tree;
+    - glued: the same of each Type II split, with alpha of the glue of its
+      two sides after them."""
 
     seq: tuple[int, ...]
     codes: list[str]
     table: dict
     free: list[tuple[Tree, tuple[float, np.ndarray]]] = field(default_factory=list)
-    splits: list[tuple[Tree, float, GeometricSplit]] = field(default_factory=list)
-    sides: dict[int, tuple[float, float]] = field(default_factory=dict)
-    glued: dict[int, float] = field(default_factory=dict)
     rooted: list[_Rooted] = field(default_factory=list)
+    pairs: list[tuple[float, np.ndarray]] = field(default_factory=list)
+    instances: dict[float, list[tuple]] = field(default_factory=dict)
     moves: list[list[tuple[str, tuple, set[str]]]] = field(default_factory=list)
-    lemma5: dict[float, list[tuple]] = field(default_factory=dict)
-    forks: dict[float, list[tuple]] = field(default_factory=dict)
-    weighted: dict[tuple[float, tuple[str, str]], float] = field(default_factory=dict)
+    forks: dict[float, list[tuple[tuple, float | None]]] = field(default_factory=dict)
+    splits: list[tuple] = field(default_factory=list)
+    glued: list[tuple] = field(default_factory=list)
 
 
 #: the boundary weights at which lemma5 ranks the rooted trees
@@ -646,100 +623,94 @@ _LEMMA5_WEIGHTS = (1.0, 1.5, 3.0)
 
 def _layer(
     seqs: Iterable[tuple[int, ...]],
-    names: Collection[str],
+    parts: Collection[str],
     nmax: int,
     table: dict,
     weights: tuple[float, ...] = _LEMMA5_WEIGHTS,
 ) -> list[_Case]:
     """The _Case of each degree sequence of seqs, a layer of the stream
-    up to nmax or a search's one sequence, with what the suites names read
-    of them solved together in two rounds of stacked solves on one queue
-    each (_BranchTable).  lemma5 ranks at weights.
+    up to nmax or a search's one sequence, with its parts named in parts
+    solved together in two rounds of stacked solves on one queue each
+    (_BranchTable).  The instances are ranked at weights.
 
     The first round solves the free trees (_Solves.fiedler), every branch
-    table entry that the rooted trees' pairs, if a suite reads them, their
-    instances (_instances) and the pendant moves will read, and glue's
-    weighted trees: no suite solves an entry.  The second needs the
-    first's Fiedler vectors: it solves the blocks of the split sides and
-    the Type II glued trees.  Raises EnumerationCapExceeded before any
-    word of a sequence is decoded when it has more than CAP skeleton
-    words, at the first partial sum over CAP."""
+    table entry that the pairs, the instances, the moves and the forks
+    will read, and the forks' placed trees: no check solves an entry.  The
+    second needs the first's Fiedler vectors: it solves the blocks of the
+    split sides and the Type II glued trees.  Raises
+    EnumerationCapExceeded before any word of a sequence is decoded when it
+    has more than CAP skeleton words, at the first partial sum over CAP."""
     cases = []
     for seq in seqs:
         for total in accumulate(_word_counts(seq)):
             _check_cap(total, "skeleton words")
         cases.append(_Case(seq, sorted(canonical_tree_codes(seq)), table))
     solves = _BranchTable(table)
-    free, weighted = [], []
     for case in cases:
-        if not _FREE_READERS.isdisjoint(names):
-            trees = [tree_from_code(code) for code in case.codes]
-            free.append((case, trees, [solves.fiedler(t) for t in trees]))
-        if _ROOTED_READERS.isdisjoint(names):
+        if "free" in parts:
+            case.free = [(t, solves.fiedler(t)) for t in map(tree_from_code, case.codes)]
+        if "rooted" not in parts:
             continue
         units = case.rooted = _rooted_trees(case.seq, case.codes)
         keys = []
-        if not _PAIR_READERS.isdisjoint(names):
+        if "pairs" in parts:
             keys = [(code, 1.0) for r in units for _, code in r.children]
-        if "lemma5" in names:
-            case.lemma5 = {w0: _instances(units, w0) for w0 in weights}
-        if "perturb" in names:
+        if "instances" in parts:
+            case.instances = {w0: _instances(units, w0) for w0 in weights}
+        if "moves" in parts:
             case.moves = [_moves(r) for r in units]
             keys += [(code, 1.0) for moves in case.moves for *_, codes in moves for code in codes]
-        if "glue" in names:
-            # glue's weighted instances stop above n = nmax // 2 + 2
+        if "forks" in parts:
+            # the weighted forks stop above n = nmax // 2 + 2
             for w0 in (1.0, 1.5, 2.0, 3.0) if len(case.seq) <= nmax // 2 + 2 else (1.0,):
-                forks = [s for s in _instances(units, w0) if len(units[s[0]].children) >= 2]
-                case.forks[w0] = forks
-                for i, child, key, _ in forks:
-                    if child is not None:
-                        placed = _weighted_root_edge(units[i].rbt.tree, 0, child, w0).tree
-                        weighted.append((case, (w0, key), solves.fiedler(placed)))
+                case.forks[w0] = forks = []
+                for s in _instances(units, w0):
+                    i, child, *_ = s
+                    if len(units[i].children) >= 2:
+                        at = None
+                        if child is not None:
+                            placed = _weighted_root_edge(units[i].rbt.tree, 0, child, w0).tree
+                            at = solves.fiedler(placed)
+                        forks.append((s, at))
         solves.entry(keys)
-        for instances in (*case.lemma5.values(), *case.forks.values()):
+        for instances in case.instances.values():
             solves.entry(key for *_, read in instances for key in read)
+        for forks in case.forks.values():
+            solves.entry(key for (*_, read), _ in forks for key in read)
     solves.run()
-    for case, trees, at in free:
-        case.free = [(t, solves.pair(i)) for t, i in zip(trees, at)]
-    for case, key, i in weighted:
-        case.weighted[key] = solves.pair(i)[0]
+    for case in cases:  # each position queued above becomes its pair
+        case.free = [(t, solves.pair(at)) for t, at in case.free]
+        if "pairs" in parts:
+            case.pairs = [_rooted_pair(table, r) for r in case.rooted]
+        for w0, forks in case.forks.items():
+            case.forks[w0] = [(s, at if at is None else solves.pair(at)[0]) for s, at in forks]
 
-    if {"glue", "split"}.isdisjoint(names):
+    if {"splits", "glued"}.isdisjoint(parts):
         return cases
     solves = _Solves()
-    sides, glued = [], []
+    queued = []
     for case in cases:
-        case.splits = [
-            (t, alpha, geometric_split(t, _analysis(t, alpha, f))) for t, (alpha, f) in case.free
-        ]
-        for i, (_, _, split) in enumerate(case.splits):
-            type2 = "glue" in names and split.w1 is not None
-            if type2:
-                glued.append((case, i, solves.fiedler(glue(split.neg, split.pos))))
-            if type2 or "split" in names:
-                sides.append((case, i, *map(solves.root_branches, (split.pos, split.neg))))
+        for t, (alpha, f) in case.free:
+            split = geometric_split(t, _analysis(t, alpha, f))
+            type2 = "glued" in parts and split.w1 is not None
+            if type2 or "splits" in parts:
+                glued = solves.fiedler(glue(split.neg, split.pos)) if type2 else None
+                sides = [solves.root_branches(side) for side in (split.pos, split.neg)]
+                queued.append((case, (t, alpha, split), sides, glued))
     solves.run()
-    for case, i, at in glued:
-        case.glued[i] = solves.pair(at)[0]
-    for case, i, *parts in sides:
-        case.sides[i] = tuple(float(min(solves.pair(at)[0] for _, at in side)) for side in parts)
+    for case, split, sides, glued in queued:
+        nus = tuple(float(min(solves.pair(at)[0] for _, at in side)) for side in sides)
+        if "splits" in parts:
+            case.splits.append((*split, nus))
+        if glued is not None:
+            case.glued.append((*split, nus, solves.pair(glued)[0]))
     return cases
 
 
-def _stream(
-    nmax: int, names: Collection[str] = _FREE_READERS | _ROOTED_READERS
-) -> Iterator[_Case]:
-    """Each degree sequence with n = 2..nmax once, as a _Case with what the
-    suites names read of it, a layer at a time (_layer) on one table."""
-    table = {}
-    for n in range(2, nmax + 1):
-        yield from _layer(all_tree_sequences(n), names, nmax, table)
-
-
 def _nu_band(case: _Case, w0: float) -> tuple[list[float], float, list[int]]:
-    """The nu of each instance of case.lemma5[w0], the least, and the
+    """The nu of each instance of case.instances[w0], the least, and the
     positions tied with it (_argmin): min_nu_rooted's and lemma5's ranking."""
-    nus = [min(branches) for branches in _nus(case.table, case.lemma5[w0])]
+    nus = [min(case.table[key][0] for key in keys) for *_, keys in case.instances[w0]]
     return nus, *_argmin(nus)
 
 
@@ -761,8 +732,8 @@ def _check_lemma2(case: _Case, out: dict) -> None:
             "root": r.rbt.root,
             "edges": [[u, v] for u, v, _ in r.rbt.tree.edges],
         }
-        for r in case.rooted
-        if not check_monotone_paths(r.rbt, _rooted_pair(case.table, r)[1])
+        for r, (_, vec) in zip(case.rooted, case.pairs)
+        if not check_monotone_paths(r.rbt, vec)
     ]
 
 
@@ -771,7 +742,7 @@ def _check_lemma5(case: _Case, out: dict) -> None:
     ranks it (_nu_band).  The predicted shape reads no weights, so it is
     decided once per w0 = 1 rooted tree."""
     shaped = [is_minimal_shape_rooted(r.rbt) for r in case.rooted]
-    for w0, instances in case.lemma5.items():
+    for w0, instances in case.instances.items():
         argmin = {str(instances[k][2]) for k in _nu_band(case, w0)[2]}
         predicted = {str(key) for i, _, key, _ in instances if shaped[i]}
         out["checked"] += 1
@@ -882,8 +853,7 @@ def _check_perturb(case: _Case, out: dict) -> None:
     """Every move of _moves on each w0 = 1 rooted tree of the stream.  nu
     before a move is the stream's, and nu after it is the least branch
     table entry over the root's branch codes after it."""
-    for r, moves in zip(case.rooted, case.moves):
-        before = _rooted_pair(case.table, r)[0]
+    for r, (before, _), moves in zip(case.rooted, case.pairs, case.moves):
         for kind, edges, codes in moves:
             after = min(case.table[code, 1.0][0] for code in codes)
             out["checked"] += 1
@@ -905,12 +875,11 @@ def _check_glue(case: _Case, out: dict) -> None:
     alpha from its free tree, so no solve is needed.  weighted: the same
     trees with n <= nmax // 2 + 2 carrying w0 = 1.5, 2 or 3 on the edge to
     each distinct child code (_instances), with the alphas the layer
-    solved (_Case.weighted).  split: the two sides of each Type II tree's
+    solved (_Case.forks).  split: the two sides of each Type II tree's
     geometric split, whose boundary weights satisfy 1/w1 + 1/w2 = 1, with
-    the side nus the split suite reads (_Case.sides) and the glued tree's
-    alpha (_Case.glued).  equality: two rooted three-vertex paths glue
-    into the five-vertex path, with alpha == nu; it is checked once, at
-    the stream's first sequence."""
+    their nus and the glued tree's alpha (_Case.glued).  equality: two
+    rooted three-vertex paths glue into the five-vertex path, with alpha ==
+    nu; it is checked once, at the stream's first sequence."""
 
     def bound(kind: str, alpha: float, nu1: float, nu2: float, **where: object) -> None:
         out["checked"] += 1
@@ -920,17 +889,12 @@ def _check_glue(case: _Case, out: dict) -> None:
             out["failures"].append({"case": kind, **where, "alpha": alpha, "nu1": nu1, "nu2": nu2})
 
     alphas = dict(zip(case.codes, (alpha for _, (alpha, _) in case.free)))
-    for w0, instances in case.forks.items():
-        for (i, child, key, _), nus in zip(instances, _nus(case.table, instances)):
-            if child is None:
-                alpha = alphas[canonical_code(case.rooted[i].rbt.tree)]
-            else:
-                alpha = case.weighted[w0, key]
-            nu1, nu2 = sorted(nus)[:2]
+    for w0, forks in case.forks.items():
+        for (i, child, key, keys), alpha in forks:
+            alpha = alphas[canonical_code(case.rooted[i].rbt.tree)] if child is None else alpha
+            nu1, nu2 = sorted(case.table[k][0] for k in keys)[:2]
             bound("unit" if child is None else "weighted", alpha, nu1, nu2, code=key, w0=w0)
-    for i, alpha in case.glued.items():
-        tree, _, split = case.splits[i]
-        nu2, nu1 = case.sides[i]
+    for tree, _, split, (nu2, nu1), alpha in case.glued:
         edges = [[u, v] for u, v, _ in tree.edges]
         bound("split", alpha, nu1, nu2, edges=edges, w=[split.w1, split.w2])
     if len(case.seq) == 2:
@@ -944,8 +908,8 @@ def _check_glue(case: _Case, out: dict) -> None:
 
 
 def _check_split(case: _Case, out: dict) -> None:
-    for i, (tree, alpha, split) in enumerate(case.splits):
-        r1, r2 = verify_split(tree, split, alpha, case.sides[i])
+    for tree, alpha, split, nus in case.splits:
+        r1, r2 = verify_split(tree, split, alpha, nus)
         out["checked"] += 1
         out["worst_residual"] = max(out["worst_residual"], r1, r2)
         if r1 > 1e-8 or r2 > 1e-8:
@@ -958,33 +922,59 @@ def _check_split(case: _Case, out: dict) -> None:
             )
 
 
-#: each suite's report name, its check of one stream case,
-#: (case, out) -> None, which adds to out's "checked" count and
-#: "failures" list, and the other report fields out starts with
-_CHECKS = {
-    "theorem1": ("alpha minimizers are monotone caterpillars", _check_theorem1, dict),
-    "lemma2": ("first Dirichlet eigenvectors grow along root paths", _check_lemma2, dict),
-    "lemma5": (
-        "nu argmin equals the monotone pendant-rooted caterpillar shape",
-        _check_lemma5,
-        dict,
+class _Suite(NamedTuple):
+    """A verify suite: its report title, the _Case parts its check reads, its
+    check of one stream case, (case, out) -> None, which adds to out's
+    "checked" count and "failures" list, and the other fields out starts with."""
+
+    title: str
+    reads: Collection[str]
+    check: Callable[[_Case, dict], None]
+    start: Callable[[], dict] = dict
+
+
+#: every verify suite, in report order: a new suite is one entry and its check
+_SUITE_TABLE = {
+    "theorem1": _Suite("alpha minimizers are monotone caterpillars", {"free"}, _check_theorem1),
+    "lemma2": _Suite(
+        "first Dirichlet eigenvectors grow along root paths", {"rooted", "pairs"}, _check_lemma2
     ),
-    "perturb": (
+    "lemma5": _Suite(
+        "nu argmin equals the monotone pendant-rooted caterpillar shape",
+        {"rooted", "instances"},
+        _check_lemma5,
+    ),
+    "perturb": _Suite(
         "pendant moves strictly decrease nu",
+        {"rooted", "pairs", "moves"},
         _check_perturb,
         lambda: {"moves": {"P1": 0, "P2": 0}, "min_relative_gap": math.inf},
     ),
-    "glue": (
+    "glue": _Suite(
         "gluing bounds alpha by the larger side nu",
+        {"free", "rooted", "forks", "glued"},
         _check_glue,
         lambda: {"cases": dict.fromkeys(("unit", "weighted", "split", "equality"), 0)},
     ),
-    "split": (
+    "split": _Suite(
         "split sides reproduce alpha as their first Dirichlet eigenvalue",
+        {"free", "splits"},
         _check_split,
         lambda: {"worst_residual": 0.0},
     ),
 }
+
+SUITES = (*_SUITE_TABLE, "all")
+
+
+def _stream(nmax: int, names: Iterable[str] = SUITES[:-1]) -> Iterator[_Case]:
+    """Each degree sequence with n = 2..nmax once, as a _Case with the parts
+    that the suites names read (_Suite.reads), a layer at a time (_layer)
+    on one table."""
+    parts = set().union(*(_SUITE_TABLE[name].reads for name in names))
+    table = {}
+    for n in range(2, nmax + 1):
+        yield from _layer(all_tree_sequences(n), parts, nmax, table)
 
 
 def verify_suite(suite: str, nmax: int = 8) -> dict:
@@ -992,21 +982,25 @@ def verify_suite(suite: str, nmax: int = 8) -> dict:
     machine-readable report.  Deterministic for fixed arguments.
 
     Every suite checks every case of one stream (_stream), which
-    enumerates each degree sequence with n = 2..nmax once.  It solves
-    each free tree once, for theorem1, split and glue, and reads each
-    rooted tree's nu from one branch table, for lemma2, lemma5, perturb
-    and glue.  No case is drawn at random, and a suite reports alone what
-    it reports inside "all"."""
+    enumerates each degree sequence with n = 2..nmax once and builds only
+    the parts of a case that the suites run read.  It solves each free
+    tree once and reads each rooted tree's nu from one branch table.  No
+    case is drawn at random, and a suite reports alone what it reports
+    inside "all"."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
     if nmax < 2:
         raise ValueError(f"nmax must be >= 2, got {nmax}")
-    names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
-    outs = {name: {"checked": 0, "failures": [], **_CHECKS[name][2]()} for name in names}
+    names = SUITES[:-1] if suite == "all" else (suite,)
+    outs = {name: {"checked": 0, **_SUITE_TABLE[name].start(), "failures": []} for name in names}
     for case in _stream(nmax, names):
-        for name in names:
-            _CHECKS[name][1](case, outs[name])
-    checks = [{"suite": name} | _report(_CHECKS[name][0], **outs[name]) for name in names]
+        for name, out in outs.items():
+            _SUITE_TABLE[name].check(case, out)
+    checks = [
+        {"suite": name, "name": _SUITE_TABLE[name].title, **out}
+        | {"failures": out["failures"][:20], "passed": not out["failures"]}
+        for name, out in outs.items()
+    ]
     return {
         "suite": suite,
         "params": {"nmax": nmax},

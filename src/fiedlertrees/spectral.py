@@ -55,13 +55,12 @@ smallest index.
 from __future__ import annotations
 
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .trees import RootedBoundaryTree, Tree, branches_at
+from .trees import RootedBoundaryTree, Tree, _branch_orders
 
 #: residual certificate: ||M x - lambda x|| <= RESIDUAL_FACTOR * (1 + ||M||_inf)
 RESIDUAL_FACTOR = 1e-10
@@ -515,22 +514,19 @@ def algebraic_connectivity(t: Tree) -> tuple[float, np.ndarray]:
         # spectral.order_max from this call
         pair = eig_smallest(laplacian(t), 2)[1]
         return pair.value, pair.vector
-    return _tree_pair(t, 0, range(t.n))
+    return _tree_pair(t, *t.bfs(0))
 
 
-def _tree_pair(t: Tree, root: int, verts: Sequence[int]) -> tuple[float, np.ndarray]:
-    """The O(n) tree solver's sign-fixed pair on verts, sorted, the vector
-    over verts, with the positions in BFS order from root: for every
-    vertex of t, alpha and the Fiedler vector (the Laplacian's pair 1);
-    for a component of t minus root, its first Dirichlet pair."""
-    order, parent = t.bfs(root)
-    kernel = len(verts) == t.n
-    if not kernel:
-        inside = set(verts)
-        order = [v for v in order if v in inside]
+def _tree_pair(t: Tree, order: list[int], parent: list[int]) -> tuple[float, np.ndarray]:
+    """The O(n) tree solver's sign-fixed pair on the vertices of order, in
+    the BFS order of a walk whose parents are parent, the vector over those
+    vertices sorted: for every vertex of t, alpha and the Fiedler vector
+    (the Laplacian's pair 1); for a component of t minus the walk's root,
+    its first Dirichlet pair."""
+    kernel = len(order) == t.n
     pair = _tree_eigenpair(*_tree_arrays(t, order, parent), int(kernel), kernel)
     vec = np.empty(len(order))
-    vec[np.searchsorted(verts, order)] = pair.vector
+    vec[np.searchsorted(sorted(order), order)] = pair.vector
     return pair.value, _fix_sign(vec)
 
 
@@ -586,25 +582,28 @@ class _Solves:
         for bit: from TREE_SOLVER_ORDER vertices on, the tree solver's."""
         if t.n < TREE_SOLVER_ORDER:
             return self.add(laplacian(t), 1)
-        return self._store(_tree_pair(t, 0, range(t.n)))
+        return self._store(_tree_pair(t, *t.bfs(0)))
 
-    def branch(self, t: Tree, root: int, verts: list[int]) -> int:
-        """Queue the Dirichlet block of verts, a component of t minus root,
-        sorted, whose pair is its first Dirichlet pair, the vector over
-        verts: for a lone vertex, which needs no solve, the weight of its
-        edge to the root; below TREE_SOLVER_ORDER rows, the block cut from
-        the tree (_branch_block); from there on, the tree solver's."""
-        if len(verts) == 1:
-            return self._store((t.neighbors(verts[0])[0][1], np.ones(1)))
-        if len(verts) < TREE_SOLVER_ORDER:
-            return self.add(_branch_block(t, verts), 0)
-        return self._store(_tree_pair(t, root, verts))
+    def branch(self, t: Tree, order: list[int], parent: list[int]) -> int:
+        """Queue the Dirichlet block of a component of t minus a root, its
+        vertices order in the BFS order of a walk from the root whose parents
+        are parent.  Its pair is the first Dirichlet pair, the vector over
+        the vertices sorted: for a lone vertex, which needs no solve, the
+        weight of its edge to the root; below TREE_SOLVER_ORDER rows, the
+        block cut from the tree (_branch_block); from there on, the tree
+        solver's."""
+        if len(order) == 1:
+            return self._store((t.neighbors(order[0])[0][1], np.ones(1)))
+        if len(order) < TREE_SOLVER_ORDER:
+            return self.add(_branch_block(t, sorted(order)), 0)
+        return self._store(_tree_pair(t, order, parent))
 
     def root_branches(self, rbt: RootedBoundaryTree) -> list[tuple[list[int], int]]:
-        """Queue every branch at rbt's root (branch), in branches_at order:
-        each one's sorted vertices and position."""
-        t, root = rbt.tree, rbt.root
-        return [(b, self.branch(t, root, b)) for b in map(sorted, branches_at(t, root))]
+        """Queue every branch at rbt's root (branch), in branches_at order,
+        each in the order of one walk from the root (_branch_orders): each
+        one's sorted vertices and position."""
+        orders, parent = _branch_orders(rbt.tree, rbt.root)
+        return [(sorted(order), self.branch(rbt.tree, order, parent)) for order in orders]
 
     def run(self) -> None:
         """Solve every unfilled chunk."""

@@ -324,9 +324,9 @@ def build_caterpillar(spine_degrees: Sequence[int]) -> Tree:
 # structure around a root
 
 
-def _hang(t: Tree, src: int) -> tuple[list[int], list[int], list[int]]:
-    """BFS order from src, each vertex's depth, and the neighbour of src
-    each vertex hangs from (src itself for src)."""
+def _hang(t: Tree, src: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """BFS order from src, each vertex's BFS parent, its depth, and the
+    neighbour of src it hangs from (src itself for src)."""
     order, parent = t.bfs(src)
     depth = [0] * t.n
     branch = list(range(t.n))
@@ -335,21 +335,27 @@ def _hang(t: Tree, src: int) -> tuple[list[int], list[int], list[int]]:
         depth[v] = depth[p] + 1
         if p != src:
             branch[v] = branch[p]
-    return order, depth, branch
+    return order, parent, depth, branch
+
+
+def _branch_orders(t: Tree, u: int) -> tuple[list[list[int]], list[int]]:
+    """branches_at's components, each in the BFS order of one walk from u,
+    and the walk's parents."""
+    order, parent, _, branch = _hang(t, u)
+    groups: dict[int, list[int]] = {y: [] for y, _ in t.neighbors(u)}
+    for v in order[1:]:
+        groups[branch[v]].append(v)
+    return sorted(groups.values(), key=min), parent
 
 
 def branches_at(t: Tree, u: int) -> tuple[frozenset[int], ...]:
     """Components of t minus u, sorted by their smallest vertex id."""
-    order, _, branch = _hang(t, u)
-    groups: dict[int, list[int]] = {y: [] for y, _ in t.neighbors(u)}
-    for v in order[1:]:
-        groups[branch[v]].append(v)
-    return tuple(sorted(map(frozenset, groups.values()), key=min))
+    return tuple(map(frozenset, _branch_orders(t, u)[0]))
 
 
 def distances_from(t: Tree, src: int) -> list[int]:
     """Edge-count distance from src to every vertex."""
-    return _hang(t, src)[1]
+    return _hang(t, src)[2]
 
 
 def trunk(rbt: RootedBoundaryTree) -> tuple[int, ...]:
@@ -397,7 +403,7 @@ def with_boundary_weight(t: Tree, root: int, boundary_weight: float) -> RootedBo
     if boundary_weight == 1.0:
         return RootedBoundaryTree(t, root)
     # the deepest branches are those of the last BFS level
-    order, depth, branch = _hang(t, root)
+    order, _, depth, branch = _hang(t, root)
     deepest = depth[order[-1]]
     best_u = min((branch[x] for x in order[1:] if depth[x] == deepest), default=None)
     return _weighted_root_edge(t, root, best_u, boundary_weight)

@@ -335,7 +335,7 @@ def test_tie_band_edge_in_min_nu_rooted(monkeypatch):
 
 
 def test_branch_table_reproduces_dirichlet_nu_bitwise():
-    from fiedlertrees.search import _BranchTable, _instances, _nus, _rooted_pair, _rooted_trees
+    from fiedlertrees.search import _BranchTable, _instances, _rooted_pair, _rooted_trees
 
     table = {}  # one table for every sequence, as verify_suite keeps it
     count = 0
@@ -357,7 +357,7 @@ def test_branch_table_reproduces_dirichlet_nu_bitwise():
             # every instance in the brute-force oracle's order and key, and
             # valued as dirichlet_nu values the tree it stands for
             for w0, found in instances.items():
-                got = [(key, min(nus)) for (_, _, key, _), nus in zip(found, _nus(table, found))]
+                got = [(key, min(table[k][0] for k in keys)) for _, _, key, keys in found]
                 want = [
                     (rooted_canonical_key(rbt), dirichlet_nu(rbt)[0])
                     for rbt in placed_rooted_trees(seq, w0)
@@ -785,6 +785,22 @@ def test_verify_all_equals_the_single_suites_at_each_nmax():
         assert all(check["checked"] > 0 for check in singles), nmax
 
 
+def test_each_suite_alone_builds_only_the_parts_it_reads():
+    from dataclasses import fields
+
+    from fiedlertrees.search import _SUITE_TABLE, _Case, _stream
+
+    assert list(_SUITE_TABLE) == list(SUITES[:-1])
+    parts = [f.name for f in fields(_Case)][3:]  # after seq, codes and table
+    assert parts == ["free", "rooted", "pairs", "instances", "moves", "forks", "splits", "glued"]
+    for suite, entry in _SUITE_TABLE.items():
+        assert entry.reads <= set(parts), suite
+        built = {part for case in _stream(7, [suite]) for part in parts if getattr(case, part)}
+        # a declared part may be empty on every case only where nothing
+        # qualifies; at n <= 7 each one is filled somewhere
+        assert built == entry.reads, suite
+
+
 def test_verify_stream_ranks_as_min_alpha_tree():
     from fiedlertrees.search import _alpha_band, _stream
 
@@ -800,9 +816,12 @@ def test_verify_stream_sides_are_dirichlet_nu_of_each_split_side():
     # those dirichlet_nu gives each side alone, bit for bit
     checked = 0
     for case in _stream(8):
-        for i, (_, _, split) in enumerate(case.splits):
-            assert case.sides[i] == (dirichlet_nu(split.pos)[0], dirichlet_nu(split.neg)[0])
+        for _, _, split, sides in case.splits:
+            assert sides == (dirichlet_nu(split.pos)[0], dirichlet_nu(split.neg)[0])
             checked += 1
+        # glue reads the same split and side nus of each Type II tree
+        type2 = [entry for entry in case.splits if entry[2].w1 is not None]
+        assert [entry[:4] for entry in case.glued] == type2
     assert checked == sum([1, 1, 2, 3, 6, 11, 23])  # A000055, n = 2..8
 
 
@@ -813,7 +832,7 @@ def test_verify_stream_ranks_as_min_nu_rooted():
     # which holds all three weights, and min-rooted from its own at one
     for case in _stream(8):
         for w0 in _LEMMA5_WEIGHTS:
-            instances = case.lemma5[w0]
+            instances = case.instances[w0]
             argmin = sorted((instances[k][2] for k in _nu_band(case, w0)[2]), key=str)
             codes = [m["code"] for m in min_nu_rooted(case.seq, w0).minimizers]
             assert codes == [key if isinstance(key, str) else list(key) for key in argmin]

@@ -25,6 +25,7 @@ from helpers import (
     edge_rayleigh,
     path_alpha,
     random_tree,
+    spider,
 )
 
 
@@ -208,3 +209,50 @@ def test_every_queue_route_returns_a_position_of_the_public_pair():
         assert value == want[0]
         assert np.array_equal(vector, want[1])
     assert solves.pair(branches[0][0][1])[0] == 1.5
+
+
+def test_root_branches_walk_the_tree_once(monkeypatch):
+    from fiedlertrees import spectral
+    from fiedlertrees.trees import branches_at
+
+    # four legs of 300 vertices: each branch goes to the tree solver, and
+    # one walk from the root gives every branch's BFS order
+    t = spider(300, 300, 300, 300)
+    rbt = with_boundary_weight(t, 0, 1.0)
+    walks = []
+    real_bfs = Tree.bfs
+
+    def counted(self, src):
+        walks.append(src)
+        return real_bfs(self, src)
+
+    monkeypatch.setattr(Tree, "bfs", counted)
+    nu, vec = dirichlet_nu(rbt)
+    monkeypatch.undo()
+    assert walks == [0]
+
+    def walked_pair(branch):
+        # the tree solver's pair of one branch as a walk of the whole tree
+        # for that branch alone gives it
+        verts = sorted(branch)
+        order, parent = t.bfs(0)
+        order = [v for v in order if v in branch]
+        pair = spectral._tree_eigenpair(*spectral._tree_arrays(t, order, parent), 0, False)
+        x = np.empty(len(order))
+        x[np.searchsorted(verts, order)] = pair.vector
+        return pair.value, spectral._fix_sign(x)
+
+    pairs = [walked_pair(branch) for branch in branches_at(t, 0)]
+    solves = spectral._Solves()
+    queued = solves.root_branches(rbt)
+    solves.run()
+    for (verts, at), branch, want in zip(queued, branches_at(t, 0), pairs, strict=True):
+        assert verts == sorted(branch)
+        value, vector = solves.pair(at)
+        assert value == want[0]
+        assert np.array_equal(vector, want[1])
+    first = min(range(4), key=lambda i: pairs[i][0])
+    assert nu == pairs[first][0]
+    want = np.zeros(t.n - 1)
+    want[300 * first : 300 * (first + 1)] = pairs[first][1]
+    assert np.array_equal(vec, want)
